@@ -3,8 +3,11 @@
 
 Covers the two hot primitives (incremental RREF and characteristic
 polynomials over F_p) plus one end-to-end workload (commutator-subspace
-codimension of an inflated triangular algebra), which is dominated by those
-kernels.
+codimension of an inflated triangular algebra).  The end-to-end row is not
+dominated by these kernels: it takes about the same time on either backend
+(410 ms pure, 400 ms compiled on a 2-core machine), so a kernel speed-up
+here says nothing about whole analyses.  For end-to-end numbers use
+``perfbench/run.py``.
 
 Usage: python scripts/benchmark_kernels.py
 """

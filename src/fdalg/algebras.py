@@ -296,10 +296,20 @@ class Algebra:
 
         Full O(d^5) verification up to dim 64 by default; beyond that a seeded
         sample of triples is used unless ``full=True`` forces the whole check.
+        The report for the default arguments is cached on the algebra.
         """
-        d = self.dim
+        if full is None and sample_seed == 0:
+            cached = self._cache.get("validation")
+            if cached is None:
+                cached = self._validate(self.dim <= VALIDATE_FULL_CAP, 0)
+                self._cache["validation"] = cached
+            return cached
         if full is None:
-            full = d <= VALIDATE_FULL_CAP
+            full = self.dim <= VALIDATE_FULL_CAP
+        return self._validate(full, sample_seed)
+
+    def _validate(self, full: bool, sample_seed: int) -> ValidationReport:
+        d = self.dim
         unit_failures = []
         u = self.unit
         for i in range(d):
@@ -431,7 +441,13 @@ def direct_sum(a: Algebra, b: Algebra) -> Algebra:
 
 
 def corner_data(a: Algebra, e: Element) -> Tuple[Algebra, List[Tuple]]:
-    """The corner algebra eAe plus its basis rows in A-coordinates."""
+    """The corner algebra eAe plus its basis rows in A-coordinates.
+
+    When A's radical is already cached, the corner receives the rows
+    e·r·e (r in Rad(A)) as its radical candidate, since Rad(eAe) =
+    e·Rad(A)·e (Lam, *A First Course in Noncommutative Rings*, Thm 21.10);
+    ``structure.radical`` still certifies it before use.
+    """
     if e.algebra is not a:
         raise ParentMismatch("idempotent from another algebra")
     if a.multiply(e, e) != e:
@@ -452,12 +468,24 @@ def corner_data(a: Algebra, e: Element) -> Tuple[Algebra, List[Tuple]]:
         for y in rows:
             prod = a.multiply_coords(x, y)
             coords = sub.coords_of(prod)
-            assert coords is not None, "corner not multiplicatively closed"
+            if coords is None:
+                raise RuntimeError("corner not multiplicatively closed")
             plane.append(list(coords))
         mul.append(plane)
     unit = sub.coords_of(e.coords)
-    assert unit is not None
-    return Algebra(F, mul, unit), rows
+    if unit is None:
+        raise RuntimeError("idempotent lies outside its own corner")
+    b = Algebra(F, mul, unit)
+    rad = a._cache.get("radical")
+    if rad is not None:
+        inherited = []
+        for r in rad.basis_vectors():
+            coords = sub.coords_of(proj.apply(r))
+            if coords is None:
+                raise RuntimeError("e·Rad(A)·e left the corner")
+            inherited.append(coords)
+        b._cache["radical_candidate"] = inherited
+    return b, rows
 
 
 def corner(a: Algebra, e: Element) -> Algebra:

@@ -218,7 +218,8 @@ def verify_theorem_suite(a: Algebra, seed: int = 0) -> TheoremReport:
     rep = a.validate()
     _check(lines, "tensor_is_associative_unital", rep.ok,
            "structure constants define a unital associative algebra"
-           if rep.ok else f"failures: {rep.associativity_failures[:3]}")
+           if rep.ok else (f"associativity failures: {rep.associativity_failures[:3]}, "
+                           f"unit failures: {rep.unit_failures[:3]}"))
 
     series = codim_series(a, seed)
     ll = loewy_length(a)

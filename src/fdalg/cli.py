@@ -78,11 +78,21 @@ def _parse_params(items: Optional[List[str]]) -> Dict[str, str]:
     return out
 
 
-def _load_algebra(args) -> Algebra:
+def _load_algebra(args) -> Optional[Algebra]:
+    """The input algebra, or None after printing why it is not a valid one."""
     text = _read_input(args.input)
     field = Field.parse(args.field) if getattr(args, "field", None) else None
     params = _parse_params(getattr(args, "param", None))
-    return load_text(text, field, params)
+    a = load_text(text, field, params)
+    rep = a.validate()
+    if rep.ok:
+        return a
+    print("invalid algebra:")
+    for t in rep.associativity_failures[:10]:
+        print(f"  associativity fails at basis triple {t}")
+    for i in rep.unit_failures[:10]:
+        print(f"  unit fails on basis element {i}")
+    return None
 
 
 def build_report(a: Algebra, seed: int = 0, descriptor: str = "") -> Dict:
@@ -178,20 +188,16 @@ def _print_report(report: Dict):
 
 def cmd_check(args) -> int:
     a = _load_algebra(args)
-    rep = a.validate()
-    if rep.ok:
-        print(f"ok: dim {a.dim} algebra over {a.field}")
-        return EXIT_OK
-    print("invalid algebra:")
-    for t in rep.associativity_failures[:10]:
-        print(f"  associativity fails at basis triple {t}")
-    for i in rep.unit_failures[:10]:
-        print(f"  unit fails on basis element {i}")
-    return EXIT_INVALID
+    if a is None:
+        return EXIT_INVALID
+    print(f"ok: dim {a.dim} algebra over {a.field}")
+    return EXIT_OK
 
 
 def cmd_report(args) -> int:
     a = _load_algebra(args)
+    if a is None:
+        return EXIT_INVALID
     report = build_report(a, args.seed, descriptor=args.input)
     _print_report(report)
     if args.json:
@@ -201,6 +207,8 @@ def cmd_report(args) -> int:
 
 def cmd_classify(args) -> int:
     a = _load_algebra(args)
+    if a is None:
+        return EXIT_INVALID
     verdict = classify_truncated(a, args.seed)
     label = verdict.kind + (f"({verdict.n})" if verdict.n else "")
     print(f"verdict:  {label}")
@@ -215,6 +223,8 @@ def cmd_classify(args) -> int:
 
 def cmd_verify(args) -> int:
     a = _load_algebra(args)
+    if a is None:
+        return EXIT_INVALID
     suite = verify_theorem_suite(a, args.seed)
     print(suite)
     return EXIT_OK if suite.ok else EXIT_THEOREM
@@ -239,6 +249,8 @@ def cmd_generate(args) -> int:
 
 def cmd_basic(args) -> int:
     a = _load_algebra(args)
+    if a is None:
+        return EXIT_INVALID
     b, _, _ = basic_algebra_data(a, args.seed)
     rep = verify_morita_invariance(a, args.seed)
     _write_output(args.output, write_algebra_text(b))
@@ -253,6 +265,8 @@ def cmd_basic(args) -> int:
 
 def cmd_inflate(args) -> int:
     a = _load_algebra(args)
+    if a is None:
+        return EXIT_INVALID
     mult = [int(x) for x in args.mult.split(",") if x.strip()]
     b = inflate(a, mult, args.seed)
     _write_output(args.output, write_algebra_text(b))
@@ -287,6 +301,8 @@ def cmd_fuzz(args) -> int:
 
 def cmd_bounds(args) -> int:
     a = _load_algebra(args)
+    if a is None:
+        return EXIT_INVALID
     try:
         rep = local_dimension_bounds(a, args.seed)
     except NotLocal:

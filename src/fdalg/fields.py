@@ -12,10 +12,14 @@ from fractions import Fraction
 from .errors import BadParameter
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_12 (Sorenson and Webster, 2015): the least strong pseudoprime to all of
+# the bases above, 399165290221 * 798330580441.  Below it ``is_prime`` is
+# proven correct; at or above it the answer may be wrong.
+MR_PROVEN_BOUND = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for machine-word sized n."""
+    """Miller-Rabin on fixed bases, deterministic for n < MR_PROVEN_BOUND."""
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):

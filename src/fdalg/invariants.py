@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .algebras import Algebra, Element
-from .errors import CharZero, NotBasic, NotSplit
+from .errors import CharZero, NotBasic, NotSplit, SplitUndecided
 from .fields import Field
 from .linalg import Matrix, Subspace, echelon_for, kernel, span, subspace_sum
 from .structure import (
@@ -82,7 +82,7 @@ def codim_series(a: Algebra, seed: int = 0) -> CodimSeries:
         dec = semisimple_decomposition(a, seed)
         if dec.split:
             ell_if_split = len(dec.components)
-    except Exception:
+    except SplitUndecided:
         ell_if_split = None
     return CodimSeries(values, k_of(a), ell_if_split)
 

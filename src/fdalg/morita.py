@@ -33,9 +33,16 @@ def basic_idempotent(a: Algebra, seed: int = 0) -> Element:
 
 
 def basic_algebra_data(a: Algebra, seed: int = 0) -> Tuple[Algebra, Element, List[Tuple]]:
-    e = basic_idempotent(a, seed)
-    alg, rows = corner_data(a, e)
-    return alg, e, rows
+    """(B, e, rows): the basic corner B = eAe, cached per seed so every caller
+    shares one B and everything cached on it."""
+    key = ("basic", seed)
+    cached = a._cache.get(key)
+    if cached is None:
+        e = basic_idempotent(a, seed)
+        alg, rows = corner_data(a, e)
+        cached = (alg, e, rows)
+        a._cache[key] = cached
+    return cached
 
 
 def basic_algebra(a: Algebra, seed: int = 0) -> Algebra:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import FdalgError
-from .fields import Field, is_prime
+from .fields import MR_PROVEN_BOUND, Field, is_prime
 from .linalg import Matrix, kernel
 
 SCAN_LIMIT = 4096  # full s-scan in gcd splitting for p up to this
@@ -263,7 +263,7 @@ def _bounded_divisors(n: int) -> Optional[List[int]]:
             m //= d
         d += 1 if d == 2 else 2
     if m > 1:
-        if m <= _TRIAL_BOUND * _TRIAL_BOUND or is_prime(m):
+        if m <= _TRIAL_BOUND * _TRIAL_BOUND or (m < MR_PROVEN_BOUND and is_prime(m)):
             factors[m] = factors.get(m, 0) + 1
         else:
             return None

@@ -99,6 +99,29 @@ def test_check_invalid_tensor(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", [["classify"], ["report"], ["verify"], ["basic"],
+                                     ["bounds"], ["inflate", "--mult", "2"]])
+def test_non_unital_tensor_rejected_on_load(tmp_path, capsys, command):
+    # b_0 b_1 = b_1 b_0 = 0 but b_1 b_1 = b_1: the declared unit b_0 fails on b_1
+    path = tmp_path / "nonunital.txt"
+    path.write_text("algebra dim=2 field=Fp:5\nunit: 1 0\nmul 0 0 0 1\nmul 1 1 1 1\n")
+    check_code, check_out, _ = run(["check", str(path)], capsys)
+    assert check_code == 1
+    assert "unit fails on basis element 1" in check_out
+    code, stdout, _ = run(command + [str(path)], capsys)
+    assert code == 1
+    assert stdout == check_out
+
+
+def test_suite_names_unit_failures():
+    from fdalg.classify import verify_theorem_suite
+
+    a = parse_algebra_text("algebra dim=2 field=Fp:5\nunit: 1 0\nmul 0 0 0 1\nmul 1 1 1 1\n")
+    line = verify_theorem_suite(a).lines[0]
+    assert line.name == "tensor_is_associative_unital" and line.status == "fail"
+    assert "unit failures: [1]" in line.detail
+
+
 def test_check_valid(tmp_path, capsys):
     path = tmp_path / "ok.txt"
     run(["generate", "s3", "--field", "Fp:3", "-o", str(path)], capsys)

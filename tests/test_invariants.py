@@ -59,6 +59,17 @@ def test_codim_series_examples():
     assert codim_series(kronecker(F2, 2)).values == [2, 2]
 
 
+def test_codim_series_propagates_unexpected_errors(monkeypatch):
+    import fdalg.invariants
+
+    def broken(a, seed=0):
+        raise RuntimeError("internal failure")
+
+    monkeypatch.setattr(fdalg.invariants, "semisimple_decomposition", broken)
+    with pytest.raises(RuntimeError, match="internal failure"):
+        codim_series(truncated_polynomial(F3, 3))
+
+
 def test_series_monotone_and_k():
     for a in (lower_triangular(QQ, 4), s3_group_algebra(F3),
               two_loop_q_algebra(F5, 2), cyclic_group_algebra(F2, 4)):

@@ -34,6 +34,13 @@ def test_basic_of_basic_is_identity_sized():
     assert basic_algebra(t3).dim == t3.dim
 
 
+def test_basic_algebra_data_is_cached_per_seed():
+    a = inflate(kronecker(F3, 2), [2, 1])
+    first = basic_algebra_data(a, 0)
+    assert basic_algebra_data(a, 0) is first
+    assert basic_algebra(a, 0) is first[0]
+
+
 def test_basic_of_matrix_is_ground_field():
     b = basic_algebra(matrix_algebra(F5, 2))
     assert b.dim == 1

@@ -1,6 +1,6 @@
 import pytest
 
-from fdalg.algebras import Algebra, direct_sum, matrix_algebra
+from fdalg.algebras import Algebra, corner_data, direct_sum, matrix_algebra
 from fdalg.corpus import (
     cyclic_group_algebra,
     kronecker,
@@ -11,7 +11,12 @@ from fdalg.corpus import (
 )
 from fdalg.errors import NotSplit, SplitUndecided
 from fdalg.fields import GF, QQ
+from fdalg.invariants import commutator_subspace
+from fdalg.linalg import Matrix, span
+from fdalg.morita import basic_algebra_data, inflate, inflation_dim
+from fdalg.oracle import RADICAL_ORACLE_CAP, radical_oracle
 from fdalg.structure import (
+    _ideal_contains_products,
     cartan_matrix,
     ell,
     ext1_diagonal,
@@ -212,3 +217,122 @@ def test_semisimple_multiplicity_reconstruction():
         assert dec.split
         total = sum(len(comp) ** 2 for comp in dec.components)
         assert total == semisimple_quotient(a).algebra.dim
+
+
+# -- radicals inherited by corners ---------------------------------------------
+
+BIG_P = 2147483659  # above the exact-float64 gate: the tuple path
+
+
+def _split_or_none(a):
+    try:
+        return a if semisimple_decomposition(a).split else None
+    except SplitUndecided:
+        return None
+
+
+def _check_inherited_radical(a, e):
+    """The corner's radical inherited from A equals the one an independent
+    route finds on a fresh copy of the corner's tensor."""
+    radical(a)
+    b, _ = corner_data(a, e)
+    assert "radical_candidate" in b._cache
+    fresh = Algebra(b.field, b.mul, b.unit)
+    assert radical(b) == radical(fresh)
+    if b.field.is_prime_field and b.field.p ** b.dim <= RADICAL_ORACLE_CAP:
+        assert radical(b) == radical_oracle(fresh)
+
+
+def test_corner_inherits_radical_on_corpus(corpus):
+    checked = 0
+    for entry in corpus:
+        a = _split_or_none(entry.algebra)
+        if a is None or a.dim > 16:
+            continue
+        idems = primitive_idempotents(a)
+        corners = [idems.idempotents[i] for i in idems.basic_representatives]
+        for e in corners + [basic_algebra_data(a)[1]]:
+            _check_inherited_radical(a, e)
+            checked += 1
+    assert checked > 100
+
+
+def test_corner_inherits_radical_on_inflations(corpus):
+    fields = set()
+    for entry in corpus:
+        a = _split_or_none(entry.algebra)
+        if a is None or a.dim > 8:
+            continue
+        idems = primitive_idempotents(a)
+        if len(idems.idempotents) != len(idems.iso_classes):
+            continue  # inflation needs a basic algebra
+        mult = [2] + [1] * (len(idems.iso_classes) - 1)
+        if inflation_dim(a, mult) > 16:
+            continue
+        big = inflate(a, mult)
+        _check_inherited_radical(big, basic_algebra_data(big)[1])
+        fields.add(str(a.field))
+    assert {"Fp:2", "Fp:3", "Fp:5", "Q"} <= fields
+
+
+def test_corner_skips_radical_not_yet_known():
+    a = lower_triangular(F5, 3)
+    b, _ = corner_data(a, a.basis_element(0))
+    assert "radical" not in a._cache
+    assert "radical_candidate" not in b._cache
+
+
+def test_wrong_radical_candidate_is_rejected():
+    a = truncated_polynomial(F3, 3)
+    a._cache["radical_candidate"] = [b.coords for b in a.basis()]  # A itself
+    with pytest.raises(RuntimeError, match="not nilpotent"):
+        radical(a)
+
+
+def test_inherited_row_outside_corner_raises(monkeypatch):
+    a = lower_triangular(F5, 2)
+    radical(a)
+    # e00·T_2·e00 = span{e00}; a corrupted projection lands on e10 instead
+    monkeypatch.setattr(Matrix, "apply", lambda self, vec: (0, 1, 0))
+    with pytest.raises(RuntimeError, match="left the corner"):
+        corner_data(a, a.basis_element(0))
+
+
+@pytest.mark.parametrize("p", [5, BIG_P])
+def test_ideal_test_rejects_one_sided_ideal(p):
+    t2 = lower_triangular(GF(p), 2)
+    assert t2._np_ok == (p == 5)
+    # basis e00, e10, e11 with e_ij·e_kl = [j == k] e_il: e00·T_2 = span{e00}
+    e = t2.basis_element(0)
+    right = span(t2.field, t2.dim,
+                 [t2.multiply_coords(e.coords, b.coords) for b in t2.basis()])
+    assert right.basis_vectors() == [(1, 0, 0)]
+    r = right.basis_vectors()[0]
+    assert all(right.contains(t2.multiply_coords(r, b.coords)) for b in t2.basis())
+    assert not all(right.contains(t2.multiply_coords(b.coords, r)) for b in t2.basis())
+    assert not _ideal_contains_products(t2, right)
+    assert _ideal_contains_products(t2, radical(t2))
+
+
+def _ideal_contains_products_loop(a, sub):
+    """Reference: every product b_i·r and r·b_i, tested one at a time."""
+    return all(sub.contains(a.multiply_coords(b.coords, r))
+               and sub.contains(a.multiply_coords(r, b.coords))
+               for b in a.basis() for r in sub.basis_vectors())
+
+
+def test_batched_ideal_test_matches_loop(corpus):
+    verdicts = set()
+    for entry in corpus:
+        a = entry.algebra
+        if not a._np_ok:
+            continue
+        subs = [radical(a), commutator_subspace(a)]
+        for b in a.basis()[:3]:
+            subs.append(span(a.field, a.dim,
+                             [a.multiply_coords(b.coords, x.coords) for x in a.basis()]))
+        for sub in subs:
+            want = _ideal_contains_products_loop(a, sub)
+            assert _ideal_contains_products(a, sub) == want, entry.name
+            verdicts.add(want)
+    assert verdicts == {True, False}
