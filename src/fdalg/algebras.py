@@ -11,7 +11,14 @@ from dataclasses import dataclass, field as dc_field
 from typing import List, Optional, Sequence, Tuple
 
 from . import _numutil
-from .errors import AmbientMismatch, BadParameter, NotAGroup, NotIdempotent, ParentMismatch
+from .errors import (
+    AmbientMismatch,
+    BadParameter,
+    InternalInconsistency,
+    NotAGroup,
+    NotIdempotent,
+    ParentMismatch,
+)
 from .fields import Field
 from .linalg import Matrix, Subspace, echelon_for, span
 from . import linalg
@@ -294,8 +301,13 @@ class Algebra:
     def validate(self, full: Optional[bool] = None, sample_seed: int = 0) -> ValidationReport:
         """Check associativity and two-sided unit on basis triples.
 
-        Full O(d^5) verification up to dim 64 by default; beyond that a seeded
-        sample of triples is used unless ``full=True`` forces the whole check.
+        Every basis triple is checked up to dim 64 by default; beyond that a
+        seeded sample of 4096 triples is used unless ``full=True`` forces the
+        whole check.  Over F_p under the float64 gate the full check is two
+        (d^2 x d) by (d x d^2) matrix products.  Otherwise (Q, large p, or a
+        sample) each triple costs its nonzero terms: sum over m of
+        |nz(b_i b_j)| |nz(b_m b_k)| + |nz(b_j b_k)| |nz(b_i b_m)|, at most
+        2·d^2 multiplications, far fewer on sparse tensors.
         The report for the default arguments is cached on the algebra.
         """
         if full is None and sample_seed == 0:
@@ -333,17 +345,35 @@ class Algebra:
             bad = np.argwhere((left != right).any(axis=3))
             assoc_failures = [tuple(map(int, t)) for t in bad[:50]]
         else:
-            triples = self._validate_triples(full, sample_seed)
-            for (i, j, k) in triples:
-                bi, bj, bk = (self._unit_vec(i), self._unit_vec(j), self._unit_vec(k))
-                lhs = self.multiply_coords(self.multiply_coords(bi, bj), bk)
-                rhs = self.multiply_coords(bi, self.multiply_coords(bj, bk))
-                if lhs != rhs:
-                    assoc_failures.append((i, j, k))
-                    if len(assoc_failures) >= 50:
-                        break
+            assoc_failures = self._sparse_assoc_failures(self._validate_triples(full, sample_seed))
         ok = not assoc_failures and not unit_failures
         return ValidationReport(ok, assoc_failures, unit_failures, full)
+
+    def _sparse_assoc_failures(self, triples) -> List[Tuple[int, int, int]]:
+        """The first 50 triples, in order, where (b_i b_j) b_k != b_i (b_j b_k).
+
+        With nz[i][j] the nonzero pairs (m, c_ijm), (b_i b_j) b_k is
+        sum_m c_ijm (b_m b_k) and b_i (b_j b_k) is sum_m c_jkm (b_i b_m); their
+        difference is accumulated unreduced and tested once, mod p over F_p.
+        """
+        p = self.field.p if self.field.is_prime_field else 0
+        nz = [[tuple((m, c) for m, c in enumerate(row) if c) for row in plane]
+              for plane in self.mul]
+        failures: List[Tuple[int, int, int]] = []
+        for (i, j, k) in triples:
+            diff: dict = {}
+            for m, c in nz[i][j]:
+                for l, x in nz[m][k]:
+                    diff[l] = diff.get(l, 0) + c * x
+            row_i = nz[i]
+            for m, c in nz[j][k]:
+                for l, x in row_i[m]:
+                    diff[l] = diff.get(l, 0) - c * x
+            if any(v % p if p else v for v in diff.values()):
+                failures.append((i, j, k))
+                if len(failures) >= 50:
+                    break
+        return failures
 
     def _unit_vec(self, i: int):
         v = [self.field.zero()] * self.dim
@@ -469,12 +499,12 @@ def corner_data(a: Algebra, e: Element) -> Tuple[Algebra, List[Tuple]]:
             prod = a.multiply_coords(x, y)
             coords = sub.coords_of(prod)
             if coords is None:
-                raise RuntimeError("corner not multiplicatively closed")
+                raise InternalInconsistency("corner not multiplicatively closed")
             plane.append(list(coords))
         mul.append(plane)
     unit = sub.coords_of(e.coords)
     if unit is None:
-        raise RuntimeError("idempotent lies outside its own corner")
+        raise InternalInconsistency("idempotent lies outside its own corner")
     b = Algebra(F, mul, unit)
     rad = a._cache.get("radical")
     if rad is not None:
@@ -482,7 +512,7 @@ def corner_data(a: Algebra, e: Element) -> Tuple[Algebra, List[Tuple]]:
         for r in rad.basis_vectors():
             coords = sub.coords_of(proj.apply(r))
             if coords is None:
-                raise RuntimeError("e·Rad(A)·e left the corner")
+                raise InternalInconsistency("e·Rad(A)·e left the corner")
             inherited.append(coords)
         b._cache["radical_candidate"] = inherited
     return b, rows

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
 from .algebras import Algebra, Element
-from .errors import CharZero, NotLocal, NotSplit, SplitUndecided
+from .errors import CharZero, InternalInconsistency, NotLocal, NotSplit, SplitUndecided
 from .invariants import (
     acyc_cyc_space,
     codim_k_n,
@@ -63,15 +63,15 @@ def _truncated_witness(a: Algebra, n: int, seed: int) -> Dict[str, object]:
     """Certify basic(A) is F[X]/(X^n): local Nakayama with a power basis."""
     b = basic_algebra(a, seed)
     if b.dim != n:
-        raise RuntimeError(
+        raise InternalInconsistency(
             f"classifier inconsistency: basic algebra has dim {b.dim}, expected {n}")
     idems = primitive_idempotents(b, seed)
     if len(idems.idempotents) != 1:
-        raise RuntimeError("classifier inconsistency: basic algebra is not local")
+        raise InternalInconsistency("classifier inconsistency: basic algebra is not local")
     j1 = radical(b)
     j2 = radical_power(b, 2)
     if j1.dim - j2.dim > 1:
-        raise RuntimeError("classifier inconsistency: dim J/J^2 > 1, not Nakayama")
+        raise InternalInconsistency("classifier inconsistency: dim J/J^2 > 1, not Nakayama")
     witness: Dict[str, object] = {"basic_dim": b.dim}
     if n == 1:
         witness["power_basis"] = [list(b.unit)]
@@ -82,16 +82,16 @@ def _truncated_witness(a: Algebra, n: int, seed: int) -> Dict[str, object]:
             x = v
             break
     if x is None:
-        raise RuntimeError("classifier inconsistency: J = J^2 in a local algebra")
+        raise InternalInconsistency("classifier inconsistency: J = J^2 in a local algebra")
     powers = [tuple(b.unit)]
     cur = tuple(b.unit)
     for _ in range(n - 1):
         cur = b.multiply_coords(cur, x)
         powers.append(cur)
     if span(b.field, b.dim, powers).dim != n:
-        raise RuntimeError("classifier inconsistency: powers of x are dependent")
+        raise InternalInconsistency("classifier inconsistency: powers of x are dependent")
     if any(b.multiply_coords(cur, x)):
-        raise RuntimeError("classifier inconsistency: x^n != 0")
+        raise InternalInconsistency("classifier inconsistency: x^n != 0")
     witness["generator"] = list(x)
     witness["power_basis"] = [list(pw) for pw in powers]
     return witness

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 invalid input, 2 required hypothesis unavailable
 (e.g. split-only analysis of a non-split algebra), 3 theorem-check failure,
-4 I/O error.
+4 I/O error, 5 internal inconsistency (a certificate step failed: a bug).
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ from .corpus import FAMILIES, GeneratorSpec, generate
 from .errors import (
     BadParameter,
     FdalgError,
+    InternalInconsistency,
     NotFull,
     NotLocal,
     NotSplit,
@@ -51,6 +52,7 @@ EXIT_INVALID = 1
 EXIT_UNAVAILABLE = 2
 EXIT_THEOREM = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 
 def _read_input(path: str) -> str:
@@ -396,6 +398,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (NotSplit, SplitUndecided) as exc:
         print(f"unavailable: {exc}", file=sys.stderr)
         return EXIT_UNAVAILABLE
+    except InternalInconsistency as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (FormatError, BadParameter, NotFull, FdalgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

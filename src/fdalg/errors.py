@@ -76,3 +76,10 @@ class GeneratorFailed(FdalgError):
 
 class TooLarge(FdalgError):
     """Instance exceeds the documented size cap for this routine."""
+
+
+class InternalInconsistency(FdalgError, RuntimeError):
+    """A certificate step or internal invariant failed: a bug, not bad input.
+
+    Raised instead of ``assert`` so that ``python -O`` cannot strip the check.
+    """

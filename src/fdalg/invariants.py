@@ -75,16 +75,23 @@ class CodimSeries:
 
 
 def codim_series(a: Algebra, seed: int = 0) -> CodimSeries:
-    ll = loewy_length(a)
-    values = [codim_k_n(a, n) for n in range(1, ll + 1)]
-    ell_if_split: Optional[int] = None
-    try:
-        dec = semisimple_decomposition(a, seed)
-        if dec.split:
-            ell_if_split = len(dec.components)
-    except SplitUndecided:
-        ell_if_split = None
-    return CodimSeries(values, k_of(a), ell_if_split)
+    """The series, memoized per seed; each call returns a fresh ``CodimSeries``."""
+    key = ("codim_series", seed)
+    cached = a._cache.get(key)
+    if cached is None:
+        ll = loewy_length(a)
+        values = tuple(codim_k_n(a, n) for n in range(1, ll + 1))
+        ell_if_split: Optional[int] = None
+        try:
+            dec = semisimple_decomposition(a, seed)
+            if dec.split:
+                ell_if_split = len(dec.components)
+        except SplitUndecided:
+            ell_if_split = None
+        cached = (values, k_of(a), ell_if_split)
+        a._cache[key] = cached
+    values, k, ell_if_split = cached
+    return CodimSeries(list(values), k, ell_if_split)
 
 
 # -- the p-power subspace ------------------------------------------------------
@@ -181,16 +188,21 @@ def acyc_cyc_space(a: Algebra, idems: IdempotentSet, n: int) -> Subspace:
 def peirce_codim_bound(a: Algebra, n: int, seed: int = 0) -> int:
     """Sum over basic representatives of dim e_i A e_i - dim e_i J^n e_i.
 
-    Upper bound for codim K_n(A); tight for n = 1, 2.
+    Upper bound for codim K_n(A); tight for n = 1, 2.  Memoized per (n, seed).
     """
     from .structure import peirce_component, _peirce_section
 
+    key = ("peirce_bound", n, seed)
+    cached = a._cache.get(key)
+    if cached is not None:
+        return cached
     idems = primitive_idempotents(a, seed)
     reps = [idems.idempotents[r] for r in idems.basic_representatives]
     jn = radical_power(a, n)
     total = 0
     for e in reps:
         total += peirce_component(a, e, e).dim - _peirce_section(a, e, jn)
+    a._cache[key] = total
     return total
 
 
@@ -278,8 +290,19 @@ def symmetrizing_form_search(a: Algebra, seed: int = 0,
     """Search for a linear form vanishing on K(A) with nondegenerate Gram matrix.
 
     Such a form is symmetric by construction; "no" is only returned after an
-    exhaustive scan (possible over F_p when p^k fits in the budget).
+    exhaustive scan (possible over F_p when p^k fits in the budget).  Memoized
+    per (seed, budget); each call returns a fresh ``SymmetricVerdict``.
     """
+    key = ("symmetric", seed, budget)
+    cached = a._cache.get(key)
+    if cached is None:
+        verdict = _symmetrizing_form_search(a, seed, budget)
+        cached = (verdict.kind, verdict.functional)
+        a._cache[key] = cached
+    return SymmetricVerdict(*cached)
+
+
+def _symmetrizing_form_search(a: Algebra, seed: int, budget: int) -> SymmetricVerdict:
     F = a.field
     grams, positions = _gram_stack(a)
     m = len(positions)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .algebras import Algebra, Element, corner_data
-from .errors import NotBasic, NotFull, ParentMismatch
+from .errors import InternalInconsistency, NotBasic, NotFull, ParentMismatch
 from .invariants import commutator_subspace, k_n_space, k_of
 from .linalg import Matrix, Subspace, echelon_for, kernel, solve_in_span, span
 from .structure import (
@@ -89,7 +89,8 @@ def fullness_witness(a: Algebra, e: Element) -> FullnessWitness:
         if c:
             pairs.append((a.basis_element(i).scale(c), a.basis_element(j)))
     witness = FullnessWitness(e, pairs)
-    assert witness.verify()
+    if not witness.verify():
+        raise InternalInconsistency("fullness witness does not sum to the unit")
     return witness
 
 
@@ -173,7 +174,8 @@ def tau_map(a: Algebra, e: Element, witness: FullnessWitness,
 
     def tau_of(vec) -> Tuple:
         coords = sub.coords_of(raw_tau(vec))
-        assert coords is not None, "image left the corner subalgebra"
+        if coords is None:
+            raise InternalInconsistency("image left the corner subalgebra")
         red = kb.reduce(coords)
         return tuple(red[i] for i in b_pos)
 
@@ -292,7 +294,8 @@ def inflate(a: Algebra, multiplicities: Sequence[int], seed: int = 0) -> Algebra
             w2v = peirce[j][t].basis_vectors()[w2]
             prod = a.multiply_coords(w1v, w2v)
             coords = peirce[i][t].coords_of(prod)
-            assert coords is not None, "Peirce components not multiplicatively closed"
+            if coords is None:
+                raise InternalInconsistency("Peirce components not multiplicatively closed")
             row = mul[p1][p2]
             for widx, c in enumerate(coords):
                 if c:
@@ -300,7 +303,8 @@ def inflate(a: Algebra, multiplicities: Sequence[int], seed: int = 0) -> Algebra
     unit = [z] * dim
     for i in range(l):
         ecoords = peirce[i][i].coords_of(es[i].coords)
-        assert ecoords is not None
+        if ecoords is None:
+            raise InternalInconsistency("idempotent lies outside its own Peirce component")
         for r in range(multiplicities[i]):
             for widx, c in enumerate(ecoords):
                 if c:

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .errors import FdalgError
+from .errors import FdalgError, InternalInconsistency
 from .fields import MR_PROVEN_BOUND, Field, is_prime
 from .linalg import Matrix, kernel
 
@@ -172,7 +172,8 @@ def _split_with(field: Field, f, v, rng: random.Random):
         g = poly_gcd(field, f, probe)
         if 1 <= degree(g) < degree(f):
             q, r = poly_divmod(field, f, g)
-            assert not r
+            if r:
+                raise InternalInconsistency("gcd factor does not divide the polynomial")
             return [g, monic(field, q)]
     return [f]
 
@@ -231,7 +232,8 @@ def _factor_into(field: Field, f, mult: int, result, rng):
         return
     c = poly_gcd(field, f, df)
     w, r = poly_divmod(field, f, c)
-    assert not r
+    if r:
+        raise InternalInconsistency("gcd(f, f') does not divide f")
     for g in factor_squarefree_fp(field, monic(field, w), rng):
         e = 0
         while True:
@@ -312,6 +314,7 @@ def rational_linear_factors(f: List[Fraction]) -> Tuple[Dict[Fraction, int], Lis
             if val != 0:
                 break
             f, rem = poly_divmod(field, f, [-r, Fraction(1)])
-            assert not rem
+            if rem:
+                raise InternalInconsistency("rational root does not divide the polynomial")
             roots[r] = roots.get(r, 0) + 1
     return roots, f, decided

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _kernels, _numutil
 from .algebras import Algebra, Element, corner_data
-from .errors import NotSplit, SplitUndecided
+from .errors import InternalInconsistency, NotSplit, SplitUndecided
 from .fields import Field
 from .linalg import Matrix, Subspace, echelon_for, kernel, span
 from .polyfactor import (
@@ -61,7 +61,7 @@ def minimal_polynomial(b: Algebra, z: Sequence) -> List:
             return coeffs + [F.one()]
         acc.insert(red)
         cur = b.multiply_coords(cur, zc)
-    raise RuntimeError("minimal polynomial search exceeded the dimension")
+    raise InternalInconsistency("minimal polynomial search exceeded the dimension")
 
 
 # -- quotient algebras -------------------------------------------------------
@@ -286,9 +286,9 @@ def _subspace_product(a: Algebra, u_rows: List[Tuple], v_rows: List[Tuple]) -> S
 
 def _check_radical(a: Algebra, rad: Subspace):
     if not _ideal_contains_products(a, rad):
-        raise RuntimeError("radical candidate is not a two-sided ideal")
+        raise InternalInconsistency("radical candidate is not a two-sided ideal")
     if not _is_nilpotent(a, rad):
-        raise RuntimeError("radical candidate is not nilpotent")
+        raise InternalInconsistency("radical candidate is not nilpotent")
 
 
 def radical(a: Algebra) -> Subspace:
@@ -334,7 +334,7 @@ def loewy_length(a: Algebra) -> int:
     while radical_power(a, n).dim:
         n += 1
         if n > a.dim + 1:
-            raise RuntimeError("radical powers failed to vanish")
+            raise InternalInconsistency("radical powers failed to vanish")
     a._cache["loewy"] = n
     return n
 
@@ -419,11 +419,13 @@ def _crt_idempotents(b: Algebra, z: Sequence, minpoly, pieces) -> List[Element]:
     ze = b.element(z)
     for h in pieces:
         mh, rem = poly_divmod(field, m, h)
-        assert not rem
+        if rem:
+            raise InternalInconsistency("CRT piece does not divide the minimal polynomial")
         inv = _poly_invmod(field, mh, h)
         g = poly_mod(field, poly_mul(field, mh, inv), m)
         e = poly_eval_element(b, g, ze)
-        assert not e.is_zero()
+        if e.is_zero():
+            raise InternalInconsistency("CRT idempotent is zero")
         out.append(e)
     return out
 
@@ -652,11 +654,11 @@ def primitive_idempotents(a: Algebra, seed: int = 0) -> IdempotentSet:
             sq = x * x
             x = sq.scale(3) - (sq * x).scale(2)
         else:
-            raise RuntimeError("idempotent lifting did not converge")
+            raise InternalInconsistency("idempotent lifting did not converge")
         lifted.append(x)
         total = total + x
     if total != unit:
-        raise RuntimeError("lifted idempotents do not sum to the unit")
+        raise InternalInconsistency("lifted idempotents do not sum to the unit")
     result = IdempotentSet(lifted, [list(c) for c in dec.components],
                            [c[0] for c in dec.components], seed)
     a._cache[key] = result
@@ -678,24 +680,30 @@ class StructureReport:
 
 
 def cartan_matrix(a: Algebra, seed: int = 0) -> List[List[int]]:
-    """C[i][j] = dim e_i A e_j over basic representatives."""
-    idems = primitive_idempotents(a, seed)
-    reps = [idems.idempotents[r] for r in idems.basic_representatives]
-    return [[peirce_component(a, ei, ej).dim for ej in reps] for ei in reps]
+    """C[i][j] = dim e_i A e_j over basic representatives; memoized per seed."""
+    key = ("cartan", seed)
+    cached = a._cache.get(key)
+    if cached is None:
+        idems = primitive_idempotents(a, seed)
+        reps = [idems.idempotents[r] for r in idems.basic_representatives]
+        cached = tuple(tuple(peirce_component(a, ei, ej).dim for ej in reps) for ei in reps)
+        a._cache[key] = cached
+    return [list(row) for row in cached]
 
 
 def ext1_diagonal(a: Algebra, seed: int = 0) -> List[int]:
-    """dim e_i (J/J^2) e_i per iso class (the Ext^1(S_i, S_i) dimensions)."""
-    idems = primitive_idempotents(a, seed)
-    reps = [idems.idempotents[r] for r in idems.basic_representatives]
-    j1 = radical(a)
-    j2 = radical_power(a, 2)
-    out = []
-    for e in reps:
-        d1 = _peirce_section(a, e, j1)
-        d2 = _peirce_section(a, e, j2)
-        out.append(d1 - d2)
-    return out
+    """dim e_i (J/J^2) e_i per iso class (the Ext^1(S_i, S_i) dimensions);
+    memoized per seed."""
+    key = ("ext1", seed)
+    cached = a._cache.get(key)
+    if cached is None:
+        idems = primitive_idempotents(a, seed)
+        reps = [idems.idempotents[r] for r in idems.basic_representatives]
+        j1 = radical(a)
+        j2 = radical_power(a, 2)
+        cached = tuple(_peirce_section(a, e, j1) - _peirce_section(a, e, j2) for e in reps)
+        a._cache[key] = cached
+    return list(cached)
 
 
 def _peirce_section(a: Algebra, e: Element, sub: Subspace) -> int:

@@ -155,3 +155,91 @@ def test_group_commutator_codim_is_class_count():
     table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
     for field in (F2, F3, QQ):
         assert k_of(group_algebra_from_cayley(field, table)) == 4
+
+
+# -- the sparse associativity check against the per-triple loop it replaced ----
+
+BIG_P = GF(2147483659)
+
+
+def _reference_validate(a, full, sample_seed):
+    """Two dense products per side for every triple, as the check once ran."""
+    unit_failures = []
+    for i in range(a.dim):
+        b = a._unit_vec(i)
+        if a.multiply_coords(a.unit, b) != b or a.multiply_coords(b, a.unit) != b:
+            unit_failures.append(i)
+    assoc = []
+    for (i, j, k) in a._validate_triples(full, sample_seed):
+        bi, bj, bk = a._unit_vec(i), a._unit_vec(j), a._unit_vec(k)
+        lhs = a.multiply_coords(a.multiply_coords(bi, bj), bk)
+        rhs = a.multiply_coords(bi, a.multiply_coords(bj, bk))
+        if lhs != rhs:
+            assoc.append((i, j, k))
+            if len(assoc) >= 50:
+                break
+    return not assoc and not unit_failures, assoc, unit_failures
+
+
+def _corrupted_copies(corpus, field, count, rng):
+    """Copies of small corpus tensors over ``field``, a few entries overwritten,
+    then written in a rescaled basis s_i b_i so that the constants are dense
+    residues (or fractions) rather than small integers."""
+    F = field
+    sources = [e.algebra for e in corpus if e.algebra.dim <= 9]
+    out = []
+    for _ in range(count):
+        src = rng.choice(sources)
+        d = src.dim
+        mul = [[[F.coerce(c) for c in row] for row in plane] for plane in src.mul]
+        unit = [F.coerce(c) for c in src.unit]
+        for _ in range(rng.randint(0, 3)):
+            mul[rng.randrange(d)][rng.randrange(d)][rng.randrange(d)] = F.coerce(rng.randint(-4, 4))
+        if rng.random() < 0.2:
+            unit[rng.randrange(d)] = F.coerce(rng.randint(-2, 2))
+        s = [F.coerce(rng.randrange(1, F.p) if F.p else rng.choice([-3, -2, -1, 1, 2, 3]))
+             for _ in range(d)]
+        mul = [[[F.div(F.mul(F.mul(s[i], s[j]), mul[i][j][k]), s[k]) for k in range(d)]
+                for j in range(d)] for i in range(d)]
+        unit = [F.div(unit[k], s[k]) for k in range(d)]
+        out.append(Algebra(field, mul, unit))
+    return out
+
+
+def _many_failures(field):
+    # every product of two non-unit basis elements of truncated(6) made nonzero
+    t = truncated_polynomial(QQ, 6)
+    mul = [[list(row) for row in plane] for plane in t.mul]
+    for i in range(1, 6):
+        for j in range(1, 6):
+            mul[i][j][(i * j) % 6] = 1
+    return Algebra(field, mul, t.unit)
+
+
+@pytest.mark.parametrize("field", [QQ, BIG_P], ids=["Q", "Fp:2147483659"])
+def test_sparse_validate_matches_per_triple_loop(corpus, field):
+    rng = random.Random(field.p + 11)
+    algebras = _corrupted_copies(corpus, field, 24, rng) + [_many_failures(field)]
+    assert len(_reference_validate(algebras[-1], True, 0)[1]) == 50
+    saw_failure = saw_ok = False
+    for a in algebras:
+        for full, sample_seed in ((True, 0), (False, 7)):
+            rep = a.validate(full=full, sample_seed=sample_seed)
+            ok, assoc, unit = _reference_validate(a, full, sample_seed)
+            assert rep.associativity_failures == assoc, (a, full)
+            assert rep.unit_failures == unit and rep.ok == ok
+            saw_failure |= bool(assoc)
+            saw_ok |= ok
+    assert saw_failure and saw_ok
+
+
+def test_sparse_validate_matches_numpy_path_on_f5(corpus):
+    rng = random.Random(5)
+    algebras = _corrupted_copies(corpus, F5, 24, rng) + [_many_failures(F5)]
+    for a in algebras:
+        assert a._np_ok
+        rep = a.validate(full=True)
+        triples = a._validate_triples(True, 0)
+        assert a._sparse_assoc_failures(triples) == rep.associativity_failures
+        assert _reference_validate(a, True, 0)[1] == rep.associativity_failures
+    assert len(algebras[-1].validate(full=True).associativity_failures) == 50

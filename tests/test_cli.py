@@ -168,3 +168,32 @@ def test_quiver_input_with_param(tmp_path, capsys):
                            "--param", "q=3"], capsys)
     assert code == 0
     assert "k:            3" in stdout
+
+
+def test_internal_inconsistency_exits_5(tmp_path, capsys, monkeypatch):
+    import fdalg.morita
+
+    path = tmp_path / "t3.txt"
+    run(["generate", "triangular", "3", "--field", "Fp:5", "-o", str(path)], capsys)
+    assert run(["verify", str(path)], capsys)[0] == 0
+    # a fullness witness that fails its own check is a bug, not invalid input
+    monkeypatch.setattr(fdalg.morita.FullnessWitness, "verify", lambda self: False)
+    code, _, stderr = run(["verify", str(path)], capsys)
+    assert code == 5
+    assert "internal error: fullness witness does not sum to the unit" in stderr
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` strips assert; certificate checks must raise instead
+    import ast
+    import pathlib
+
+    import fdalg
+
+    root = pathlib.Path(fdalg.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -195,3 +195,58 @@ def test_symmetrizing_form_group_algebra():
 
 def test_symmetrizing_form_unknown_over_q():
     assert symmetrizing_form_search(lower_triangular(QQ, 2)).kind == "unknown"
+
+
+def test_report_and_suite_share_memoized_analyses(monkeypatch):
+    import fdalg.invariants
+    import fdalg.structure
+    from fdalg.classify import verify_theorem_suite
+    from fdalg.cli import build_report
+
+    calls = {"gram": 0, "peirce": 0}
+    gram_stack = fdalg.invariants._gram_stack
+    peirce_component = fdalg.structure.peirce_component
+
+    def counting_gram(a):
+        calls["gram"] += 1
+        return gram_stack(a)
+
+    def counting_peirce(a, e, f):
+        calls["peirce"] += 1
+        return peirce_component(a, e, f)
+
+    monkeypatch.setattr(fdalg.invariants, "_gram_stack", counting_gram)
+    monkeypatch.setattr(fdalg.structure, "peirce_component", counting_peirce)
+    a = lower_triangular(F5, 3)
+    report = build_report(a, 0)  # runs the theorem suite too; k = l, so it searches
+    l, ll = len(report["cartan"]), report["loewy_length"]
+    assert report["k"] == report["ell"] and report["theorems_ok"]
+    # Cartan entries plus the diagonal Peirce terms of each level's bound, once each
+    assert calls == {"gram": 1, "peirce": l * l + ll * l}
+    verify_theorem_suite(a, 0)
+    assert calls == {"gram": 1, "peirce": l * l + ll * l}
+    verify_theorem_suite(a, 1)
+    assert calls == {"gram": 2, "peirce": 2 * (l * l + ll * l)}
+
+
+def test_memoized_results_are_fresh_objects():
+    from fdalg.structure import cartan_matrix, ext1_diagonal
+
+    a = lower_triangular(F5, 3)
+    cartan = cartan_matrix(a)
+    expected = [list(row) for row in cartan]
+    cartan[0][0] = 99
+    cartan.append([7])
+    assert cartan_matrix(a) == expected
+    ext1 = ext1_diagonal(a)
+    ext1.append(5)
+    assert ext1_diagonal(a) == ext1[:-1]
+    series = codim_series(a)
+    values = list(series.values)
+    series.values[0] = 99
+    series.values.append(4)
+    assert codim_series(a).values == values
+    assert codim_series(a) is not codim_series(a)
+    sym = symmetrizing_form_search(a)
+    sym.kind = "yes"
+    assert symmetrizing_form_search(a).kind == "no"
