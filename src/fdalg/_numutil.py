@@ -21,18 +21,6 @@ def mat_mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return c % p
 
 
-def mat_pow_mod(a: np.ndarray, e: int, p: int) -> np.ndarray:
-    n = a.shape[0]
-    result = np.eye(n, dtype=np.int64)
-    base = a % p
-    while e:
-        if e & 1:
-            result = mat_mul_mod(result, base, p)
-        base = mat_mul_mod(base, base, p)
-        e >>= 1
-    return result
-
-
 def tensor_from_mul(mul, p: int) -> np.ndarray:
     """Structure constants as an int64 array c[i, j, k]."""
     return np.array(mul, dtype=np.int64) % p

@@ -153,17 +153,6 @@ class Algebra:
             self._cache["np_left"] = s
         return s
 
-    @property
-    def _np_flat_float(self):
-        """tensor reshaped (d, d*d) as float64, exact for the usable p range."""
-        import numpy as np
-
-        s = self._cache.get("np_flat_float")
-        if s is None:
-            s = self._np_tensor.reshape(self.dim, self.dim * self.dim).astype(np.float64)
-            self._cache["np_flat_float"] = s
-        return s
-
     # -- elements ------------------------------------------------------------
 
     def element(self, coords) -> Element:
@@ -187,17 +176,7 @@ class Algebra:
     # -- multiplication -------------------------------------------------------
 
     def multiply_coords(self, x: Sequence, y: Sequence) -> Tuple:
-        if self._np_ok:
-            import numpy as np
-
-            p = self.field.p
-            d = self.dim
-            xv = np.asarray([float(v) for v in x])
-            yv = np.asarray([float(v) for v in y])
-            t = xv @ self._np_flat_float  # t[j*d + k] = sum_i x_i c[i,j,k]
-            t = (np.rint(t).astype(np.int64) % p).reshape(d, d)
-            out = np.rint(yv @ t.astype(np.float64)).astype(np.int64) % p
-            return tuple(int(v) for v in out)
+        """x·y in coordinates, reading only the rows c_ij with x_i y_j != 0."""
         F = self.field
         out = [F.zero()] * self.dim
         for i, xi in enumerate(x):
@@ -219,6 +198,10 @@ class Algebra:
             raise ParentMismatch("elements do not belong to this algebra")
         return Element(self, self.multiply_coords(x.coords, y.coords))
 
+    def sandwich_coords(self, l: Sequence, x: Sequence, r: Sequence) -> Tuple:
+        """l·x·r in coordinates, as two products."""
+        return self.multiply_coords(self.multiply_coords(l, x), r)
+
     def _np_left(self, x):
         """Left multiplication matrix as an int64 array (prime fields only)."""
         import numpy as np
@@ -239,10 +222,6 @@ class Algebra:
     def left_regular_coords(self, x: Sequence) -> Matrix:
         """Matrix of y -> x·y in coordinates (columns are images of basis)."""
         F = self.field
-        if self._np_ok:
-            m = self._np_left(x)
-            return Matrix(F, self.dim, self.dim,
-                          tuple(tuple(int(v) for v in row) for row in m))
         cols = []
         for j in range(self.dim):
             col = [F.zero()] * self.dim
@@ -259,10 +238,6 @@ class Algebra:
     def right_regular_coords(self, x: Sequence) -> Matrix:
         """Matrix of y -> y·x in coordinates."""
         F = self.field
-        if self._np_ok:
-            m = self._np_right(x)
-            return Matrix(F, self.dim, self.dim,
-                          tuple(tuple(int(v) for v in row) for row in m))
         rows_out = [[F.zero()] * self.dim for _ in range(self.dim)]
         for j, xj in enumerate(x):
             if not xj:
@@ -470,6 +445,15 @@ def direct_sum(a: Algebra, b: Algebra) -> Algebra:
     return Algebra(F, mul, unit)
 
 
+def peirce_rows(a: Algebra, e: Sequence, f: Sequence) -> Subspace:
+    """The Peirce component e·A·f, spanned by the images e·b_j·f."""
+    if a._np_ok:
+        proj = _numutil.mat_mul_mod(a._np_left(e), a._np_right(f), a.field.p)
+        return span(a.field, a.dim, proj.T.tolist())
+    return span(a.field, a.dim,
+                [a.sandwich_coords(e, a._unit_vec(j), f) for j in range(a.dim)])
+
+
 def corner_data(a: Algebra, e: Element) -> Tuple[Algebra, List[Tuple]]:
     """The corner algebra eAe plus its basis rows in A-coordinates.
 
@@ -483,11 +467,7 @@ def corner_data(a: Algebra, e: Element) -> Tuple[Algebra, List[Tuple]]:
     if a.multiply(e, e) != e:
         raise NotIdempotent("e·e != e")
     F = a.field
-    le = a.left_regular_coords(e.coords)
-    re = a.right_regular_coords(e.coords)
-    proj = le.matmul(re)  # x -> e·x·e
-    images = proj.transpose().entries
-    sub = span(F, a.dim, images)
+    sub = peirce_rows(a, e.coords, e.coords)
     rows = sub.basis_vectors()
     m = len(rows)
     if m == 0:
@@ -510,7 +490,7 @@ def corner_data(a: Algebra, e: Element) -> Tuple[Algebra, List[Tuple]]:
     if rad is not None:
         inherited = []
         for r in rad.basis_vectors():
-            coords = sub.coords_of(proj.apply(r))
+            coords = sub.coords_of(a.sandwich_coords(e.coords, r, e.coords))
             if coords is None:
                 raise InternalInconsistency("e·Rad(A)·e left the corner")
             inherited.append(coords)

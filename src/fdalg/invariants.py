@@ -52,8 +52,13 @@ def k_of(a: Algebra) -> int:
 
 
 def k_n_space(a: Algebra, n: int) -> Subspace:
-    """K_n(A) = K(A) + J^n."""
-    return subspace_sum(commutator_subspace(a), radical_power(a, n))
+    """K_n(A) = K(A) + J^n, memoized per n."""
+    key = ("k_n", n)
+    cached = a._cache.get(key)
+    if cached is None:
+        cached = subspace_sum(commutator_subspace(a), radical_power(a, n))
+        a._cache[key] = cached
+    return cached
 
 
 def codim_k_n(a: Algebra, n: int) -> int:

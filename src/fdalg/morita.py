@@ -126,11 +126,6 @@ class MoritaReport:
                 and self.sigma_inverse)
 
 
-def _corner_coords(sub_rows: List[Tuple], field, vec) -> Optional[Tuple]:
-    corner_span = span(field, len(vec), sub_rows)
-    return corner_span.coords_of(vec)
-
-
 def tau_map(a: Algebra, e: Element, witness: FullnessWitness,
             b: Optional[Algebra] = None, rows: Optional[List[Tuple]] = None) -> TauMap:
     """Matrix of a + K(A) -> sum_k e v_k a u_k e + K(B) on coset bases."""
@@ -144,6 +139,8 @@ def tau_map(a: Algebra, e: Element, witness: FullnessWitness,
     sub = span(F, a.dim, rows)
 
     # the coset map is induced by the linear map x -> sum_k (e v_k) x (u_k e)
+    sides = [(a.multiply_coords(e.coords, v.coords), a.multiply_coords(u.coords, e.coords))
+             for u, v in witness.pairs]
     if a._np_ok:
         import numpy as np
 
@@ -151,9 +148,7 @@ def tau_map(a: Algebra, e: Element, witness: FullnessWitness,
 
         p = F.p
         total = np.zeros((a.dim, a.dim), dtype=np.int64)
-        for u, v in witness.pairs:
-            ev = a.multiply_coords(e.coords, v.coords)
-            ue = a.multiply_coords(u.coords, e.coords)
+        for ev, ue in sides:
             total = (total + _numutil.mat_mul_mod(a._np_left(ev), a._np_right(ue), p)) % p
 
         def raw_tau(vec) -> Tuple:
@@ -162,11 +157,8 @@ def tau_map(a: Algebra, e: Element, witness: FullnessWitness,
     else:
         def raw_tau(vec) -> Tuple:
             acc = [F.zero()] * a.dim
-            for u, v in witness.pairs:
-                term = a.multiply_coords(e.coords, v.coords)
-                term = a.multiply_coords(term, vec)
-                term = a.multiply_coords(term, u.coords)
-                term = a.multiply_coords(term, e.coords)
+            for ev, ue in sides:
+                term = a.sandwich_coords(ev, vec, ue)
                 for i, x in enumerate(term):
                     if x:
                         acc[i] = F.add(acc[i], x)

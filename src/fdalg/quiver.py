@@ -432,10 +432,6 @@ def _path_label(q: QuiverPresentation, path: Tuple[int, ...], src: int) -> str:
     return "*".join(q.arrows[i].name for i in path)
 
 
-def _path_src(q: QuiverPresentation, path: Tuple[int, ...], trivial_vertex: int) -> int:
-    return q.arrows[path[0]].source if path else trivial_vertex
-
-
 def build_path_algebra(q: QuiverPresentation, cap: int = DEFAULT_CAP) -> PathAlgebraResult:
     """Compile FQ/I into structure constants on the surviving-path basis.
 

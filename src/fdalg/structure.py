@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _kernels, _numutil
-from .algebras import Algebra, Element, corner_data
+from .algebras import Algebra, Element, corner_data, peirce_rows
 from .errors import InternalInconsistency, NotSplit, SplitUndecided
 from .fields import Field
 from .linalg import Matrix, Subspace, echelon_for, kernel, span
@@ -525,19 +525,8 @@ def _recurse_split(b: Algebra, z, minpoly, pieces, rng) -> List[Tuple[Tuple, int
     return out
 
 
-def _peirce_rows(a: Algebra, e: Sequence, f: Sequence) -> Subspace:
-    """Basis of e·A·f as a subspace of the coordinate space."""
-    if a._np_ok:
-        proj = _numutil.mat_mul_mod(a._np_left(e), a._np_right(f), a.field.p)
-        return span(a.field, a.dim, proj.T.tolist())
-    le = a.left_regular_coords(e)
-    rf = a.right_regular_coords(f)
-    proj = le.matmul(rf)
-    return span(a.field, a.dim, proj.transpose().entries)
-
-
 def peirce_component(a: Algebra, e: Element, f: Element) -> Subspace:
-    return _peirce_rows(a, e.coords, f.coords)
+    return peirce_rows(a, e.coords, f.coords)
 
 
 def semisimple_decomposition(a: Algebra, seed: int = 0) -> SemisimpleDecomposition:
@@ -565,7 +554,7 @@ def semisimple_decomposition(a: Algebra, seed: int = 0) -> SemisimpleDecompositi
     peirce_dim: Dict[Tuple[int, int], int] = {}
     for i in range(m):
         for j in range(m):
-            dim_ij = _peirce_rows(s, primitives[i], primitives[j]).dim
+            dim_ij = peirce_rows(s, primitives[i], primitives[j]).dim
             peirce_dim[(i, j)] = dim_ij
             if dim_ij and find(i) != find(j):
                 parent[find(i)] = find(j)
@@ -597,10 +586,6 @@ def wedderburn_split(a: Algebra, seed: int = 0) -> Tuple[List[Element], bool]:
     dec = semisimple_decomposition(a, seed)
     s = semisimple_quotient(a).algebra
     return [s.element(c) for c in dec.central_idempotents], dec.split
-
-
-def is_split(a: Algebra, seed: int = 0) -> bool:
-    return semisimple_decomposition(a, seed).split
 
 
 def ell(a: Algebra, seed: int = 0) -> int:

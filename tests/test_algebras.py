@@ -6,6 +6,7 @@ from fdalg.algebras import (
     Algebra,
     Element,
     corner,
+    corner_data,
     direct_sum,
     group_algebra_from_cayley,
     matrix_algebra,
@@ -14,6 +15,8 @@ from fdalg.corpus import lower_triangular, truncated_polynomial, S3_TABLE
 from fdalg.errors import NotAGroup, NotIdempotent, ParentMismatch
 from fdalg.fields import GF, QQ
 from fdalg.invariants import k_of
+from fdalg.linalg import span
+from fdalg.structure import peirce_component
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
@@ -197,13 +200,19 @@ def _corrupted_copies(corpus, field, count, rng):
             mul[rng.randrange(d)][rng.randrange(d)][rng.randrange(d)] = F.coerce(rng.randint(-4, 4))
         if rng.random() < 0.2:
             unit[rng.randrange(d)] = F.coerce(rng.randint(-2, 2))
-        s = [F.coerce(rng.randrange(1, F.p) if F.p else rng.choice([-3, -2, -1, 1, 2, 3]))
-             for _ in range(d)]
-        mul = [[[F.div(F.mul(F.mul(s[i], s[j]), mul[i][j][k]), s[k]) for k in range(d)]
-                for j in range(d)] for i in range(d)]
-        unit = [F.div(unit[k], s[k]) for k in range(d)]
-        out.append(Algebra(field, mul, unit))
+        out.append(_rescaled(field, mul, unit, rng))
     return out
+
+
+def _rescaled(F, mul, unit, rng):
+    """The tensor written in the basis s_i b_i for random nonzero s_i."""
+    d = len(mul)
+    s = [F.coerce(rng.randrange(1, F.p) if F.p else rng.choice([-3, -2, -1, 1, 2, 3]))
+         for _ in range(d)]
+    mul = [[[F.div(F.mul(F.mul(s[i], s[j]), mul[i][j][k]), s[k]) for k in range(d)]
+            for j in range(d)] for i in range(d)]
+    unit = [F.div(unit[k], s[k]) for k in range(d)]
+    return Algebra(F, mul, unit)
 
 
 def _many_failures(field):
@@ -243,3 +252,85 @@ def test_sparse_validate_matches_numpy_path_on_f5(corpus):
         assert a._sparse_assoc_failures(triples) == rep.associativity_failures
         assert _reference_validate(a, True, 0)[1] == rep.associativity_failures
     assert len(algebras[-1].validate(full=True).associativity_failures) == 50
+
+
+# -- the product routines against products read straight off the tensor --------
+
+
+def _tensor_product(a, x, y):
+    """x·y = sum over every (i, j, k) of x_i y_j c_ijk, zeros included."""
+    F = a.field
+    out = [F.zero()] * a.dim
+    for i, plane in enumerate(a.mul):
+        for j, row in enumerate(plane):
+            xy = F.mul(x[i], y[j])
+            for k, c in enumerate(row):
+                out[k] = F.add(out[k], F.mul(xy, c))
+    return tuple(out)
+
+
+def _idempotents(a):
+    """The unit, each b_i / λ with b_i·b_i = λ b_i (λ != 0), and the sum of the
+    first two orthogonal ones."""
+    F = a.field
+    found = []
+    for i in range(a.dim):
+        sq = a.mul[i][i]
+        if sq[i] and not any(c for k, c in enumerate(sq) if k != i):
+            found.append(tuple(F.div(c, sq[i]) for c in a._unit_vec(i)))
+    zero = tuple([F.zero()] * a.dim)
+    for n, e in enumerate(found):
+        for f in found[n + 1:]:
+            if _tensor_product(a, e, f) == zero == _tensor_product(a, f, e):
+                return [a.unit] + found + [tuple(F.add(x, y) for x, y in zip(e, f))]
+    return [a.unit] + found
+
+
+def _peirce_span(a, e, f):
+    return span(a.field, a.dim, [_tensor_product(a, _tensor_product(a, e, a._unit_vec(j)), f)
+                                 for j in range(a.dim)])
+
+
+def _combination(F, coeffs, rows):
+    out = [F.zero()] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        out = [F.add(o, F.mul(c, x)) for o, x in zip(out, row)]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("field", [F5, BIG_P], ids=["Fp:5", "Fp:2147483659"])
+def test_products_match_tensor_reference(corpus, field):
+    rng = random.Random(field.p)
+    F = field
+    corners = 0
+    for entry in corpus:
+        src = entry.algebra
+        if not entry.name.endswith("/Q") or src.dim > 9:
+            continue
+        a = _rescaled(F, [[[F.coerce(c) for c in row] for row in plane] for plane in src.mul],
+                      [F.coerce(c) for c in src.unit], rng)
+        assert a._np_ok == (field is F5)
+        basis = [a._unit_vec(j) for j in range(a.dim)]
+        vecs = [tuple(F.coerce(rng.randrange(F.p)) for _ in range(a.dim)) for _ in range(3)]
+        vecs += [a.unit, basis[-1]]
+        for x in vecs:
+            for y in vecs:
+                assert a.multiply_coords(x, y) == _tensor_product(a, x, y), entry
+            # columns of the regular matrices are the images of the basis
+            assert a.left_regular_coords(x).transpose().entries == tuple(
+                _tensor_product(a, x, b) for b in basis), entry
+            assert a.right_regular_coords(x).transpose().entries == tuple(
+                _tensor_product(a, b, x) for b in basis), entry
+        idems = _idempotents(a)
+        for e in idems:
+            assert _tensor_product(a, e, e) == e
+            for f in idems + vecs[:1]:
+                assert peirce_component(a, a.element(e), a.element(f)) == _peirce_span(a, e, f)
+            b, rows = corner_data(a, a.element(e))
+            assert rows == _peirce_span(a, e, e).basis_vectors(), entry
+            for i, x in enumerate(rows):
+                for j, y in enumerate(rows):
+                    assert _combination(F, b.mul[i][j], rows) == _tensor_product(a, x, y)
+            assert _combination(F, b.unit, rows) == e
+            corners += 1
+    assert corners > 40

@@ -6,11 +6,14 @@ import pytest
 from fdalg import _kernels
 from fdalg._kernels import pure
 
-compiled = pytest.importorskip("fdalg._kernels._fast", reason="compiled kernels not built")
+
+@pytest.fixture(scope="module")
+def compiled():
+    return pytest.importorskip("fdalg._kernels._fast", reason="compiled kernels not built")
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 101, 65537])
-def test_echelon_backends_agree(p):
+def test_echelon_backends_agree(p, compiled):
     rng = random.Random(p)
     for _ in range(40):
         width = rng.randint(1, 10)
@@ -27,7 +30,7 @@ def test_echelon_backends_agree(p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 7])
-def test_charpoly_backends_agree(p):
+def test_charpoly_backends_agree(p, compiled):
     rng = random.Random(100 + p)
     for _ in range(60):
         n = rng.randint(1, 9)

@@ -12,7 +12,7 @@ from fdalg.corpus import (
 from fdalg.errors import NotSplit, SplitUndecided
 from fdalg.fields import GF, QQ
 from fdalg.invariants import commutator_subspace
-from fdalg.linalg import Matrix, span
+from fdalg.linalg import span
 from fdalg.morita import basic_algebra_data, inflate, inflation_dim
 from fdalg.oracle import RADICAL_ORACLE_CAP, radical_oracle
 from fdalg.structure import (
@@ -293,7 +293,7 @@ def test_inherited_row_outside_corner_raises(monkeypatch):
     a = lower_triangular(F5, 2)
     radical(a)
     # e00·T_2·e00 = span{e00}; a corrupted projection lands on e10 instead
-    monkeypatch.setattr(Matrix, "apply", lambda self, vec: (0, 1, 0))
+    monkeypatch.setattr(Algebra, "sandwich_coords", lambda self, l, x, r: (0, 1, 0))
     with pytest.raises(RuntimeError, match="left the corner"):
         corner_data(a, a.basis_element(0))
 
