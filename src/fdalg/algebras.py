@@ -7,7 +7,7 @@ fails loudly rather than silently mixing tensors.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import _numutil
@@ -20,7 +20,7 @@ from .errors import (
     ParentMismatch,
 )
 from .fields import Field
-from .linalg import Matrix, Subspace, echelon_for, span
+from .linalg import Matrix, Subspace, span
 from . import linalg
 
 VALIDATE_FULL_CAP = 64
@@ -109,21 +109,32 @@ class Element:
 
 
 class Algebra:
-    """Finite-dimensional unital associative algebra over F_p or Q."""
+    """Finite-dimensional unital associative algebra over F_p or Q.
 
-    def __init__(self, field: Field, mul, unit, provenance: Provenance = GENERIC):
+    The public constructor coerces every scalar with ``Field.coerce``, so
+    outside data may hold ints, Fractions or scalar strings.  The package's
+    own builders (matrix_algebra, direct_sum, corner_data, the group,
+    quotient, inflation, quiver and corpus constructions, parse_algebra_text)
+    make canonical scalars and pass ``_canonical=True``: shape checks only.
+    """
+
+    def __init__(self, field: Field, mul, unit, provenance: Provenance = GENERIC, *,
+                 _canonical: bool = False):
         d = len(mul)
         if d == 0:
             raise BadParameter("dimension must be positive")
         self.field = field
         self.dim = d
-        self.mul = tuple(
-            tuple(tuple(field.coerce(x) for x in row) for row in plane) for plane in mul
-        )
+        if _canonical:
+            self.mul = tuple(tuple(map(tuple, plane)) for plane in mul)
+            self.unit = tuple(unit)
+        else:
+            co = field.coerce
+            self.mul = tuple(tuple(tuple(co(x) for x in row) for row in plane) for plane in mul)
+            self.unit = tuple(co(x) for x in unit)
         for plane in self.mul:
             if len(plane) != d or any(len(row) != d for row in plane):
                 raise BadParameter("structure tensor is not d x d x d")
-        self.unit = tuple(field.coerce(x) for x in unit)
         if len(self.unit) != d:
             raise BadParameter("unit vector length mismatch")
         self.provenance = provenance
@@ -419,7 +430,7 @@ def matrix_algebra(field: Field, n: int) -> Algebra:
     unit = [z] * d
     for a in range(n):
         unit[a * n + a] = o
-    return Algebra(field, mul, unit)
+    return Algebra(field, mul, unit, _canonical=True)
 
 
 def direct_sum(a: Algebra, b: Algebra) -> Algebra:
@@ -441,8 +452,7 @@ def direct_sum(a: Algebra, b: Algebra) -> Algebra:
                 c = b.mul[i][j][k]
                 if c:
                     mul[a.dim + i][a.dim + j][a.dim + k] = c
-    unit = list(a.unit) + list(b.unit)
-    return Algebra(F, mul, unit)
+    return Algebra(F, mul, a.unit + b.unit, _canonical=True)
 
 
 def peirce_rows(a: Algebra, e: Sequence, f: Sequence) -> Subspace:
@@ -485,7 +495,7 @@ def corner_data(a: Algebra, e: Element) -> Tuple[Algebra, List[Tuple]]:
     unit = sub.coords_of(e.coords)
     if unit is None:
         raise InternalInconsistency("idempotent lies outside its own corner")
-    b = Algebra(F, mul, unit)
+    b = Algebra(F, mul, unit, _canonical=True)
     rad = a._cache.get("radical")
     if rad is not None:
         inherited = []
@@ -546,4 +556,4 @@ def group_algebra_from_cayley(field: Field, table: Sequence[Sequence[int]]) -> A
             mul[i][j][tab[i][j]] = o
     unit = [o] + [z] * (n - 1)
     prov = Provenance("group", group_order=n, conjugacy_classes=tuple(classes))
-    return Algebra(field, mul, unit, prov)
+    return Algebra(field, mul, unit, prov, _canonical=True)

@@ -9,10 +9,10 @@ mismatch is reported as an internal inconsistency, never patched over.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from .algebras import Algebra, Element
-from .errors import CharZero, InternalInconsistency, NotLocal, NotSplit, SplitUndecided
+from .algebras import Algebra
+from .errors import InternalInconsistency, NotLocal, SplitUndecided
 from .invariants import (
     acyc_cyc_space,
     codim_k_n,

@@ -33,7 +33,6 @@ from .fields import Field
 from .formats import FormatError, load_text, write_algebra_text
 from .invariants import (
     codim_series,
-    k_of,
     peirce_codim_bound,
     rad_in_commutators,
     symmetrizing_form_search,
@@ -266,10 +265,13 @@ def cmd_basic(args) -> int:
 
 
 def cmd_inflate(args) -> int:
+    try:
+        mult = [int(x) for x in args.mult.split(",") if x.strip()]
+    except ValueError:
+        raise BadParameter(f"--mult needs comma-separated integers, got {args.mult!r}") from None
     a = _load_algebra(args)
     if a is None:
         return EXIT_INVALID
-    mult = [int(x) for x in args.mult.split(",") if x.strip()]
     b = inflate(a, mult, args.seed)
     _write_output(args.output, write_algebra_text(b))
     return EXIT_OK

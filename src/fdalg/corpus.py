@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .algebras import Algebra, Provenance, group_algebra_from_cayley, matrix_algebra
 from .errors import BadParameter, GeneratorFailed
@@ -68,7 +68,7 @@ def truncated_polynomial(field: Field, n: int) -> Algebra:
         for j in range(n):
             if i + j < n:
                 mul[i][j][i + j] = o
-    return Algebra(field, mul, [o] + [z] * (n - 1))
+    return Algebra(field, mul, [o] + [z] * (n - 1), _canonical=True)
 
 
 def lower_triangular(field: Field, n: int) -> Algebra:
@@ -87,7 +87,7 @@ def lower_triangular(field: Field, n: int) -> Algebra:
     unit = [z] * d
     for i in range(n):
         unit[idx[(i, i)]] = o
-    return Algebra(field, mul, unit)
+    return Algebra(field, mul, unit, _canonical=True)
 
 
 def kronecker(field: Field, n: int) -> Algebra:
@@ -210,7 +210,7 @@ def random_local_algebra(field: Field, seed: int, generators: Optional[int] = No
         alg = built.algebra
         if alg.dim <= max_dim:
             # strip quiver provenance: the radical must be recomputed honestly
-            return Algebra(field, alg.mul, alg.unit, Provenance("generic"))
+            return Algebra(field, alg.mul, alg.unit, Provenance("generic"), _canonical=True)
     raise GeneratorFailed(f"no local algebra of dim <= {max_dim} after 100 draws")
 
 

@@ -12,7 +12,7 @@ auto-detects the three by their first meaningful line.
 """
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from .algebras import Algebra, group_algebra_from_cayley
 from .errors import BadParameter
@@ -73,7 +73,7 @@ def parse_algebra_text(text: str) -> Algebra:
             raise FormatError(f"unrecognized line: {ln!r}")
     if unit is None:
         raise FormatError("missing unit line")
-    return Algebra(field, mul, unit)
+    return Algebra(field, mul, unit, _canonical=True)
 
 
 def parse_cayley_text(text: str, field: Field) -> Algebra:

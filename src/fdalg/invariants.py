@@ -11,10 +11,9 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .algebras import Algebra, Element
-from .errors import CharZero, NotBasic, NotSplit, SplitUndecided
-from .fields import Field
-from .linalg import Matrix, Subspace, echelon_for, kernel, span, subspace_sum
+from .algebras import Algebra
+from .errors import BadParameter, CharZero, NotBasic, SplitUndecided
+from .linalg import Matrix, Subspace, _subspace_from_acc, echelon_for, kernel, span, subspace_sum
 from .structure import (
     IdempotentSet,
     loewy_length,
@@ -41,8 +40,7 @@ def commutator_subspace(a: Algebra) -> Subspace:
             row = [F.sub(x, y) for x, y in zip(a.mul[i][j], a.mul[j][i])]
             if any(row):
                 acc.insert(row)
-    rows = tuple(tuple(F.coerce(x) for x in r) for r in acc.rows())
-    result = Subspace(F, d, Matrix(F, len(rows), d, rows))
+    result = _subspace_from_acc(F, d, acc)
     a._cache["commutator"] = result
     return result
 
@@ -75,7 +73,7 @@ class CodimSeries:
 
     def value_at(self, n: int) -> int:
         if n < 1:
-            raise ValueError("n must be >= 1")
+            raise BadParameter("n must be >= 1")
         return self.values[min(n, len(self.values)) - 1]
 
 

@@ -7,6 +7,8 @@ so two subspaces are equal iff their ``Subspace`` values compare equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import _kernels
@@ -19,6 +21,21 @@ def echelon_for(field: Field, width: int):
     if field.is_prime_field:
         return _kernels.fp_echelon(width, field.p)
     return _kernels.q_echelon(width)
+
+
+def _kernel_row(field: Field, vec: Sequence) -> Sequence:
+    """``vec`` as the echelon kernels take it: they reduce ints mod p and lift
+    every scalar to Fraction over Q, so only a vector over F_p holding a
+    non-int (a Fraction or a string: then its sum is no int, or raises) is
+    coerced."""
+    if field.p:
+        try:
+            if type(sum(vec)) is int:
+                return vec
+        except TypeError:
+            pass
+        return [field.coerce(x) for x in vec]
+    return vec
 
 
 @dataclass(frozen=True)
@@ -103,35 +120,27 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
-    @property
+    # pivots and the reduction state are pure functions of the basis, so
+    # both are cached on the instance
+    @cached_property
     def pivots(self) -> Tuple[int, ...]:
-        pivs = []
-        for row in self.basis.entries:
-            for i, x in enumerate(row):
-                if x:
-                    pivs.append(i)
-                    break
-        return tuple(pivs)
+        return tuple(next(i for i, x in enumerate(row) if x) for row in self.basis.entries)
 
     def codim(self) -> int:
         return self.ambient_dim - self.dim
 
-    def _accumulator(self):
-        # reduction state is pure function of the basis; cache it on the instance
-        acc = getattr(self, "_acc_cache", None)
-        if acc is None:
-            acc = echelon_for(self.field, self.ambient_dim)
-            for row in self.basis.entries:
-                acc.insert(list(row))
-            object.__setattr__(self, "_acc_cache", acc)
+    @cached_property
+    def _acc(self):
+        acc = echelon_for(self.field, self.ambient_dim)
+        for row in self.basis.entries:
+            acc.insert(row)
         return acc
 
     def reduce(self, vec: Sequence) -> Tuple:
         """Remainder of ``vec`` after reduction by the basis."""
         if len(vec) != self.ambient_dim:
             raise AmbientMismatch(f"vector length {len(vec)} vs ambient {self.ambient_dim}")
-        red = self._accumulator().reduce([self.field.coerce(x) for x in vec])
-        return tuple(red)
+        return tuple(self._acc.reduce(_kernel_row(self.field, vec)))
 
     def contains(self, vec: Sequence) -> bool:
         return not any(self.reduce(vec))
@@ -142,18 +151,14 @@ class Subspace:
         With a fully reduced basis the coefficient of row j is just the
         entry of ``vec`` at that row's pivot column.
         """
-        vec = tuple(self.field.coerce(x) for x in vec)
-        coords = tuple(vec[p] for p in self.pivots)
-        F = self.field
-        residual = list(vec)
-        for c, row in zip(coords, self.basis.entries):
-            if c:
-                for k, b in enumerate(row):
-                    if b:
-                        residual[k] = F.sub(residual[k], F.mul(c, b))
-        if any(residual):
+        vec = _kernel_row(self.field, vec)
+        if any(self.reduce(vec)):
             return None
-        return coords
+        p = self.field.p
+        if p:
+            return tuple(vec[i] % p for i in self.pivots)
+        return tuple(x if type(x) is Fraction else Fraction(x)
+                     for x in map(vec.__getitem__, self.pivots))
 
     def complement_positions(self) -> Tuple[int, ...]:
         """Coordinate positions whose unit vectors complement this subspace."""
@@ -172,12 +177,12 @@ class Subspace:
 def _accumulate(field: Field, width: int, vectors: Iterable[Sequence]):
     acc = echelon_for(field, width)
     for v in vectors:
-        acc.insert([field.coerce(x) for x in v])
+        acc.insert(_kernel_row(field, v))
     return acc
 
 
 def _subspace_from_acc(field: Field, width: int, acc) -> Subspace:
-    rows = tuple(tuple(field.coerce(x) for x in row) for row in acc.rows())
+    rows = tuple(map(tuple, acc.rows()))
     return Subspace(field, width, Matrix(field, len(rows), width, rows))
 
 
@@ -199,10 +204,8 @@ def rref(m: Matrix) -> Tuple[Matrix, int, List[int]]:
     The result keeps the shape of m (zero rows at the bottom).
     """
     acc = _accumulate(m.field, m.cols, m.entries)
-    rows = [tuple(m.field.coerce(x) for x in row) for row in acc.rows()]
-    z = m.field.zero()
-    while len(rows) < m.rows:
-        rows.append(tuple(z for _ in range(m.cols)))
+    rows = list(map(tuple, acc.rows()))
+    rows += [(m.field.zero(),) * m.cols] * (m.rows - len(rows))
     return Matrix(m.field, m.rows, m.cols, tuple(rows)), acc.rank, acc.pivots()
 
 
@@ -275,20 +278,16 @@ def solve_in_span(field: Field, rows: Sequence[Sequence], target: Sequence) -> O
     width = len(target)
     m = len(rows)
     acc = echelon_for(field, width + m)
-    zero = field.zero()
-    one = field.one()
-    kept = []
+    tail = [field.zero()] * m
     for idx, row in enumerate(rows):
         if len(row) != width:
             raise AmbientMismatch("row length mismatch")
-        aug = [field.coerce(x) for x in row] + [zero] * m
-        aug[width + idx] = one
+        aug = [*_kernel_row(field, row), *tail]
+        aug[width + idx] = field.one()
         red = acc.reduce(aug)
         if any(red[:width]):
             acc.insert(red)
-            kept.append(idx)
-    probe = [field.coerce(x) for x in target] + [zero] * m
-    red = acc.reduce(probe)
+    red = acc.reduce([*_kernel_row(field, target), *tail])
     if any(red[:width]):
         return None
-    return [field.neg(field.coerce(c)) for c in red[width:]]
+    return [field.neg(c) for c in red[width:]]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .algebras import Algebra, Element, corner_data
-from .errors import InternalInconsistency, NotBasic, NotFull, ParentMismatch
+from .errors import BadParameter, InternalInconsistency, NotBasic, NotFull, ParentMismatch
 from .invariants import commutator_subspace, k_n_space, k_of
 from .linalg import Matrix, Subspace, echelon_for, kernel, solve_in_span, span
 from .structure import (
@@ -69,16 +69,16 @@ def fullness_witness(a: Algebra, e: Element) -> FullnessWitness:
     if e.algebra is not a:
         raise ParentMismatch("idempotent from another algebra")
     d = a.dim
-    rows = []
+    rows = []  # the products that raised the rank: a basis of their span
     index = []
     acc = echelon_for(a.field, d)
     for i in range(d):
         bie = a.multiply_coords(a._unit_vec(i), e.coords)
         for j in range(d):
             prod = a.multiply_coords(bie, a._unit_vec(j))
-            rows.append(prod)
-            index.append((i, j))
-            acc.insert(list(prod))
+            if acc.insert(prod):
+                rows.append(prod)
+                index.append((i, j))
         if acc.rank == d:
             break  # generators span everything; later pairs are redundant
     coeffs = solve_in_span(a.field, rows, a.unit)
@@ -217,18 +217,9 @@ def verify_morita_invariance(a: Algebra, seed: int = 0) -> MoritaReport:
                    [b_coset(v) for v in radical_power(b, n).basis_vectors()])
         level_match.append(img == tgt)
 
-    # sigma: b + K(B) -> b + K(A); check both composites are identities
-    sigma_cols = []
-    sub = span(F, a.dim, rows)
-    for pos in tau.b_positions:
-        vec_b = b._unit_vec(pos)
-        vec_a = [F.zero()] * a.dim
-        for c, row in zip(vec_b, rows):
-            if c:
-                for k, x in enumerate(row):
-                    if x:
-                        vec_a[k] = F.add(vec_a[k], F.mul(c, x))
-        sigma_cols.append(a_coset(vec_a))
+    # sigma: b + K(B) -> b + K(A), where B's basis vector pos is rows[pos] in A;
+    # check both composites are identities
+    sigma_cols = [a_coset(rows[pos]) for pos in tau.b_positions]
     m = len(tau.b_positions)
     sigma = Matrix(F, len(tau.a_positions), m,
                    tuple(tuple(sigma_cols[j][i] for j in range(m))
@@ -259,9 +250,9 @@ def inflate(a: Algebra, multiplicities: Sequence[int], seed: int = 0) -> Algebra
     if len(idems.idempotents) != l:
         raise NotBasic("inflation requires a basic algebra")
     if len(multiplicities) != l:
-        raise ValueError(f"need {l} multiplicities, got {len(multiplicities)}")
+        raise BadParameter(f"need {l} multiplicities, got {len(multiplicities)}")
     if any(m < 1 for m in multiplicities):
-        raise ValueError("multiplicities must be positive")
+        raise BadParameter("multiplicities must be positive")
     F = a.field
     es = [idems.idempotents[r] for r in idems.basic_representatives]
     peirce: List[List[Subspace]] = [
@@ -301,7 +292,7 @@ def inflate(a: Algebra, multiplicities: Sequence[int], seed: int = 0) -> Algebra
             for widx, c in enumerate(ecoords):
                 if c:
                     unit[index[(i, r, i, r, widx)]] = c
-    return Algebra(F, mul, unit)
+    return Algebra(F, mul, unit, _canonical=True)
 
 
 def inflation_dim(a: Algebra, multiplicities: Sequence[int], seed: int = 0) -> int:

@@ -14,13 +14,12 @@ largest left-stable subset, which is then certified to be a subspace
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List
 
 import numpy as np
 
 from .algebras import Algebra
 from .errors import TooLarge
-from .fields import Field
 from .linalg import Matrix, Subspace
 
 RADICAL_ORACLE_CAP = 2 ** 15

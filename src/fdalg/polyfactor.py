@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .errors import FdalgError, InternalInconsistency
+from .errors import InternalInconsistency
 from .fields import MR_PROVEN_BOUND, Field, is_prime
 from .linalg import Matrix, kernel
 

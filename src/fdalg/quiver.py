@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .algebras import Algebra, Element, Provenance
-from .errors import BadParameter, NotAdmissible, QuiverSyntaxError, UnsupportedRelations
+from .errors import NotAdmissible, QuiverSyntaxError, UnsupportedRelations
 from .fields import Field
-from .linalg import Matrix, Subspace, echelon_for, span
+from .linalg import Subspace, echelon_for, span
 
 DEFAULT_CAP = 32
 PATH_CAP = 20000
@@ -485,7 +485,7 @@ def build_path_algebra(q: QuiverPresentation, cap: int = DEFAULT_CAP) -> PathAlg
         for local, c in enumerate(red):
             if c:
                 p2 = paths_n[local]
-                out[global_index[(q.arrows[p2[0]].source, p2)]] = field.coerce(c)
+                out[global_index[(q.arrows[p2[0]].source, p2)]] = c
         return out
 
     z = field.zero()
@@ -514,7 +514,7 @@ def build_path_algebra(q: QuiverPresentation, cap: int = DEFAULT_CAP) -> PathAlg
         arrow_rows.append(tuple(row))
     prov = Provenance("quiver", vertex_idempotents=tuple(vert_rows),
                       arrow_ideal_rows=tuple(arrow_rows))
-    alg = Algebra(field, mul, unit, prov)
+    alg = Algebra(field, mul, unit, prov, _canonical=True)
     pb = PathBasis(
         labels=[_path_label(q, p, s) for (s, p) in basis_paths],
         lengths=[len(p) for (_, p) in basis_paths],

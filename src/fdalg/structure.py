@@ -18,16 +18,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _kernels, _numutil
 from .algebras import Algebra, Element, corner_data, peirce_rows
-from .errors import InternalInconsistency, NotSplit, SplitUndecided
+from .errors import BadParameter, InternalInconsistency, NotSplit, SplitUndecided
 from .fields import Field
-from .linalg import Matrix, Subspace, echelon_for, kernel, span
+from .linalg import Matrix, Subspace, _subspace_from_acc, echelon_for, kernel, span
 from .polyfactor import (
     degree,
     factor_fp,
     monic,
     poly_divmod,
     poly_eval_element,
-    poly_gcd,
     poly_mod,
     poly_mul,
     rational_linear_factors,
@@ -57,8 +56,7 @@ def minimal_polynomial(b: Algebra, z: Sequence) -> List:
         red = acc.reduce(aug)
         if not any(red[:d]):
             # the probe carries indicator e_k, so z^k + sum red[d+i]·z^i = 0
-            coeffs = [F.coerce(red[d + i]) for i in range(k)]
-            return coeffs + [F.one()]
+            return red[d:d + k] + [F.one()]
         acc.insert(red)
         cur = b.multiply_coords(cur, zc)
     raise InternalInconsistency("minimal polynomial search exceeded the dimension")
@@ -93,7 +91,7 @@ def quotient_algebra(a: Algebra, ideal: Subspace) -> QuotientData:
     positions = ideal.complement_positions()
     q = len(positions)
     if q == 0:
-        raise ValueError("quotient by the whole algebra")
+        raise BadParameter("quotient by the whole algebra")
     mul = []
     for r in positions:
         plane = []
@@ -103,7 +101,7 @@ def quotient_algebra(a: Algebra, ideal: Subspace) -> QuotientData:
         mul.append(plane)
     red_unit = ideal.reduce(a.unit)
     unit = [red_unit[i] for i in positions]
-    return QuotientData(Algebra(F, mul, unit), ideal, positions, a)
+    return QuotientData(Algebra(F, mul, unit, _canonical=True), ideal, positions, a)
 
 
 # -- radical -----------------------------------------------------------------
@@ -154,8 +152,7 @@ def _combine(field: Field, coeff_rows: List[Tuple], vecs: List[Tuple]) -> List[T
 def _kernel_combos(field: Field, gram: List[List], vecs: List[Tuple]) -> List[Tuple]:
     """Restrict to the null space of the given pairing matrix."""
     m = len(vecs)
-    rows = tuple(tuple(field.coerce(gram[y][x]) for x in range(m)) for y in range(m))
-    null = kernel(Matrix(field, m, m, rows))
+    null = kernel(Matrix(field, m, m, tuple(map(tuple, gram))))
     return _combine(field, null.basis_vectors(), vecs)
 
 
@@ -280,8 +277,7 @@ def _subspace_product(a: Algebra, u_rows: List[Tuple], v_rows: List[Tuple]) -> S
         for u in u_rows:
             for v in v_rows:
                 acc.insert(list(a.multiply_coords(u, v)))
-    rows = tuple(tuple(a.field.coerce(x) for x in r) for r in acc.rows())
-    return Subspace(a.field, a.dim, Matrix(a.field, len(rows), a.dim, rows))
+    return _subspace_from_acc(a.field, a.dim, acc)
 
 
 def _check_radical(a: Algebra, rad: Subspace):
@@ -315,7 +311,7 @@ def radical(a: Algebra) -> Subspace:
 def radical_power(a: Algebra, n: int) -> Subspace:
     """J^n, computed iteratively as J·J^(n-1)."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise BadParameter("n must be >= 1")
     powers = a._cache.setdefault("rad_powers", [radical(a)])
     while len(powers) < n:
         prev = powers[-1]

@@ -334,3 +334,55 @@ def test_products_match_tensor_reference(corpus, field):
             assert _combination(F, b.unit, rows) == e
             corners += 1
     assert corners > 40
+
+
+def _typed(a):
+    """Every scalar of the tensor and unit with its type, so 1 and Fraction(1) differ."""
+    return ([(type(c), c) for plane in a.mul for row in plane for c in row],
+            [(type(c), c) for c in a.unit])
+
+
+def _internal_constructions(F):
+    """(name, algebra) for every internal builder that skips coercion."""
+    from fdalg.corpus import (cyclic_group_algebra, kronecker, random_local_algebra,
+                              random_quiver_algebra, two_loop_q_algebra)
+    from fdalg.formats import parse_algebra_text, write_algebra_text
+    from fdalg.morita import basic_algebra, inflate
+    from fdalg.structure import primitive_idempotents, quotient_algebra, radical
+
+    t3, tri, kr = truncated_polynomial(F, 3), lower_triangular(F, 3), kronecker(F, 2)
+    out = [("truncated", t3), ("triangular", tri), ("kronecker", kr),
+           ("matrix", matrix_algebra(F, 2)), ("cyclic", cyclic_group_algebra(F, 3)),
+           ("direct_sum", direct_sum(t3, kr)),
+           ("random_quiver", random_quiver_algebra(F, 4, max_dim=12)),
+           ("random_local", random_local_algebra(F, 2, max_dim=8)),
+           ("parsed", parse_algebra_text(write_algebra_text(tri)))]
+    if F.p != 2:  # q must avoid 0 and 1
+        out.append(("a_q", two_loop_q_algebra(F, -1)))
+    for name, a in (("triangular", tri), ("kronecker", kr)):
+        for e in primitive_idempotents(a).idempotents:
+            out.append((f"corner of {name}", corner_data(a, e)[0]))
+        out.append((f"quotient of {name}", quotient_algebra(a, radical(a)).algebra))
+    out.append(("inflated truncated", inflate(basic_algebra(t3), [2])))
+    out.append(("inflated kronecker", inflate(basic_algebra(kr), [1, 2])))
+    return out
+
+
+@pytest.mark.parametrize("field", [F2, F5, BIG_P, QQ],
+                         ids=["Fp:2", "Fp:5", "Fp:2147483659", "Q"])
+def test_internal_constructions_hold_canonical_scalars(field):
+    # the builders skip Field.coerce; the coercing constructor must agree on
+    # every value and every type
+    for name, a in _internal_constructions(field):
+        assert _typed(a) == _typed(Algebra(field, a.mul, a.unit)), name
+
+
+def test_public_constructor_canonicalizes():
+    from fractions import Fraction
+
+    a = Algebra(F5, [[[-4]]], [Fraction(6, 1)])
+    assert _typed(a) == ([(int, 1)], [(int, 1)])
+    b = Algebra(F5, [[[Fraction(1, 2), "1/3"], [0, 7]], [[0, 0], [0, -1]]], [1, 0])
+    assert b.mul == (((3, 2), (0, 2)), ((0, 0), (0, 4)))
+    q = Algebra(QQ, [[[1]]], [1])
+    assert _typed(q) == ([(Fraction, 1)], [(Fraction, 1)])

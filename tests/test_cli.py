@@ -197,3 +197,56 @@ def test_package_has_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_package_has_no_unused_module_imports():
+    # every name a module imports at top level is used in that module
+    # (the package's __init__ re-exports its names through __all__)
+    import ast
+    import pathlib
+
+    import fdalg
+
+    root = pathlib.Path(fdalg.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
+
+
+@pytest.mark.parametrize("mult,message", [
+    ("2,2", "error: need 1 multiplicities, got 2"),
+    ("0", "error: multiplicities must be positive"),
+    ("two", "error: --mult needs comma-separated integers, got 'two'"),
+])
+def test_inflate_rejects_bad_multiplicities(tmp_path, mult, message):
+    # run as a process, so an uncaught exception would show as a traceback
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import fdalg
+
+    src = tmp_path / "t3.txt"
+    src.write_text(write_algebra_text(truncated_polynomial(GF(5), 3)))
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fdalg.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-m", "fdalg.cli", "inflate", str(src),
+                          "--mult", mult], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert out.returncode == 1
+    assert message in out.stderr.splitlines()
+    assert "Traceback" not in out.stderr

@@ -156,3 +156,29 @@ def test_membership_matches_enumeration(p, d):
         members.add(tuple(acc))
     for point in itertools.product(range(p), repeat=d):
         assert sub.contains(point) == (tuple(point) in members)
+
+
+def _types(vecs):
+    return {type(x) for v in vecs for x in v}
+
+
+def test_public_entry_points_canonicalize_input():
+    # negative ints and ints >= p over F_p, Fractions and scalar strings over
+    # F_p, ints over Q: all come out canonical
+    u = span(F5, 3, [[-4, 7, 2], [0, 0, 6]])
+    assert u == span(F5, 3, [[1, 2, 2], [0, 0, 1]])
+    assert u.basis_vectors() == [(1, 2, 0), (0, 0, 1)] and _types(u.basis_vectors()) == {int}
+    assert span(F5, 2, [[Fraction(1, 2), "1/3"]]).basis_vectors() == [(1, 4)]
+    assert u.reduce((-1, 0, 0)) == (0, 2, 0)
+    assert u.reduce((Fraction(1, 2), 0, 11)) == (0, 4, 0)
+    assert u.coords_of((-4, 7, 12)) == (1, 2)
+    assert u.coords_of((Fraction(1, 3), "2/3", 0)) == (2, 0)
+    assert _types([u.coords_of((-4, 7, 12))]) == {int}
+    assert solve_in_span(F5, [[-1, 0], [0, 6]], [Fraction(1, 2), 7]) == [2, 2]
+
+    w = span(QQ, 2, [[2, 4]])
+    assert w.basis_vectors() == [(1, 2)] and _types(w.basis_vectors()) == {Fraction}
+    assert w.coords_of((3, 6)) == (3,) and _types([w.coords_of((3, 6))]) == {Fraction}
+    assert _types([w.reduce((1, 1))]) == {Fraction}
+    coeffs = solve_in_span(QQ, [[2, 0], [0, 3]], [1, 1])
+    assert coeffs == [Fraction(1, 2), Fraction(1, 3)] and _types([coeffs]) == {Fraction}

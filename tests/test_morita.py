@@ -143,3 +143,44 @@ def test_morita_report_on_semisimple_group_algebra():
     rep = verify_morita_invariance(s3_group_algebra(F5))
     assert rep.ok
     assert rep.basic_dim == 3  # F x F x F for the three simples
+
+
+def _witness_over_all_products(a, e):
+    """A fullness witness solved over all d^2 products b_i·e·b_j."""
+    from fdalg.linalg import solve_in_span
+    from fdalg.morita import FullnessWitness
+
+    index = [(i, j) for i in range(a.dim) for j in range(a.dim)]
+    rows = [a.sandwich_coords(a._unit_vec(i), e.coords, a._unit_vec(j)) for i, j in index]
+    coeffs = solve_in_span(a.field, rows, a.unit)
+    return FullnessWitness(e, [(a.basis_element(i).scale(c), a.basis_element(j))
+                               for c, (i, j) in zip(coeffs, index) if c])
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ, GF(2147483659)],
+                         ids=["Fp:2", "Fp:3", "Q", "Fp:2147483659"])
+def test_pruned_witness_gives_the_same_tau(field, monkeypatch):
+    # the witness solves on rank-raising products only (at most d rows and
+    # d pairs); the coset map does not depend on the witness
+    import fdalg.morita
+    from fdalg.linalg import solve_in_span
+
+    solved = []
+
+    def spy(field, rows, target):
+        solved.append(len(rows))
+        return solve_in_span(field, rows, target)
+
+    monkeypatch.setattr(fdalg.morita, "solve_in_span", spy)
+    cases = [(truncated_polynomial(field, 2), [3]), (lower_triangular(field, 2), [1, 2]),
+             (kronecker(field, 2), [2, 1])]
+    if field.p != 2:
+        cases.append((two_loop_q_algebra(field, -1), [2]))
+    for src, mult in cases:
+        a = inflate(basic_algebra(src), mult)
+        b, e, rows = basic_algebra_data(a)
+        w = fullness_witness(a, e)
+        assert solved[-1] <= a.dim and len(w.pairs) <= a.dim and w.verify()
+        full = _witness_over_all_products(a, e)
+        assert full.verify()
+        assert tau_map(a, e, w, b, rows).matrix == tau_map(a, e, full, b, rows).matrix
