@@ -52,15 +52,23 @@ class ValidationReport:
 
 
 class Element:
-    """A coordinate vector over a named parent algebra."""
+    """A coordinate vector over a named parent algebra.
+
+    The public constructor coerces every coordinate with ``Field.coerce``.
+    Arithmetic results, basis, unit and zero elements already hold canonical
+    scalars and pass ``_canonical=True``.
+    """
 
     __slots__ = ("algebra", "coords")
 
-    def __init__(self, algebra: "Algebra", coords: Sequence):
+    def __init__(self, algebra: "Algebra", coords: Sequence, *, _canonical: bool = False):
         if len(coords) != algebra.dim:
             raise AmbientMismatch(f"coordinate length {len(coords)} vs dim {algebra.dim}")
         self.algebra = algebra
-        self.coords = tuple(algebra.field.coerce(x) for x in coords)
+        if _canonical:
+            self.coords = tuple(coords)
+        else:
+            self.coords = tuple(algebra.field.coerce(x) for x in coords)
 
     def _check(self, other: "Element"):
         if self.algebra is not other.algebra:
@@ -69,12 +77,14 @@ class Element:
     def __add__(self, other):
         self._check(other)
         F = self.algebra.field
-        return Element(self.algebra, tuple(F.add(a, b) for a, b in zip(self.coords, other.coords)))
+        return Element(self.algebra, tuple(F.add(a, b) for a, b in zip(self.coords, other.coords)),
+                       _canonical=True)
 
     def __sub__(self, other):
         self._check(other)
         F = self.algebra.field
-        return Element(self.algebra, tuple(F.sub(a, b) for a, b in zip(self.coords, other.coords)))
+        return Element(self.algebra, tuple(F.sub(a, b) for a, b in zip(self.coords, other.coords)),
+                       _canonical=True)
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -86,12 +96,12 @@ class Element:
 
     def __neg__(self):
         F = self.algebra.field
-        return Element(self.algebra, tuple(F.neg(a) for a in self.coords))
+        return Element(self.algebra, tuple(F.neg(a) for a in self.coords), _canonical=True)
 
     def scale(self, scalar):
         F = self.algebra.field
         s = F.coerce(scalar)
-        return Element(self.algebra, tuple(F.mul(s, a) for a in self.coords))
+        return Element(self.algebra, tuple(F.mul(s, a) for a in self.coords), _canonical=True)
 
     def is_zero(self):
         return not any(self.coords)
@@ -173,13 +183,13 @@ class Algebra:
         z = self.field.zero()
         coords = [z] * self.dim
         coords[i] = self.field.one()
-        return Element(self, coords)
+        return Element(self, coords, _canonical=True)
 
     def unit_element(self) -> Element:
-        return Element(self, self.unit)
+        return Element(self, self.unit, _canonical=True)
 
     def zero_element(self) -> Element:
-        return Element(self, [self.field.zero()] * self.dim)
+        return Element(self, [self.field.zero()] * self.dim, _canonical=True)
 
     def basis(self) -> List[Element]:
         return [self.basis_element(i) for i in range(self.dim)]
@@ -207,7 +217,7 @@ class Algebra:
     def multiply(self, x: Element, y: Element) -> Element:
         if x.algebra is not self or y.algebra is not self:
             raise ParentMismatch("elements do not belong to this algebra")
-        return Element(self, self.multiply_coords(x.coords, y.coords))
+        return Element(self, self.multiply_coords(x.coords, y.coords), _canonical=True)
 
     def sandwich_coords(self, l: Sequence, x: Sequence, r: Sequence) -> Tuple:
         """l·x·r in coordinates, as two products."""

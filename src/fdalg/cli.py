@@ -142,6 +142,7 @@ def build_report(a: Algebra, seed: int = 0, descriptor: str = "") -> Dict:
     report["symmetric"] = {
         "verdict": sym.kind,
         "functional": [fmt(c) for c in sym.functional] if sym.functional else None,
+        "reason": sym.reason,
     }
     verdict = classify_truncated(a, seed)
     report["classification"] = {
@@ -178,7 +179,8 @@ def _print_report(report: Dict):
     if report["cartan"] is not None:
         print(f"cartan:       {report['cartan']}   ext1 diag: {report['ext1_diag']}")
     print(f"rad in K:     {report['rad_in_commutators']}")
-    print(f"symmetric:    {report['symmetric']['verdict']}")
+    sym = report["symmetric"]
+    print(f"symmetric:    {sym['verdict']}   ({sym['reason']})")
     cls = report["classification"]
     label = cls["kind"] + (f"({cls['n']})" if cls["n"] else "")
     print(f"class:        {label}   evidence: {cls['evidence']}")

@@ -42,21 +42,6 @@ class GeneratorSpec:
     generators: Optional[int] = None
     trunc: Optional[int] = None
 
-    def describe(self) -> str:
-        parts = [self.family]
-        if self.n is not None:
-            parts.append(str(self.n))
-        if self.q is not None:
-            parts.append(f"q={self.q}")
-        if self.family.startswith("random"):
-            parts.append(f"seed={self.seed}")
-            if self.generators is not None:
-                parts.append(f"g={self.generators}")
-            if self.trunc is not None:
-                parts.append(f"trunc={self.trunc}")
-        parts.append(f"over {self.field}")
-        return " ".join(parts)
-
 
 def truncated_polynomial(field: Field, n: int) -> Algebra:
     """F[X]/(X^n) on the monomial basis."""

@@ -7,12 +7,13 @@ count (n = 1, split case) and k(A) (n at the Loewy length).
 """
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .algebras import Algebra
-from .errors import BadParameter, CharZero, NotBasic, SplitUndecided
+from .errors import CharZero, NotBasic, SplitUndecided
 from .linalg import Matrix, Subspace, _subspace_from_acc, echelon_for, kernel, span, subspace_sum
 from .structure import (
     IdempotentSet,
@@ -70,11 +71,6 @@ class CodimSeries:
     values: List[int]
     k: int
     ell_if_split: Optional[int]
-
-    def value_at(self, n: int) -> int:
-        if n < 1:
-            raise BadParameter("n must be >= 1")
-        return self.values[min(n, len(self.values)) - 1]
 
 
 def codim_series(a: Algebra, seed: int = 0) -> CodimSeries:
@@ -236,90 +232,112 @@ def is_local(a: Algebra, seed: int = 0) -> Optional[bool]:
 class SymmetricVerdict:
     kind: str  # "yes" | "no" | "unknown"
     functional: Optional[Tuple] = None  # values on the basis, when kind == "yes"
+    reason: str = ""  # the certificate, scan or search behind the verdict
 
     def __bool__(self):
         return self.kind == "yes"
 
 
-def _gram_stack(a: Algebra):
-    """Gram matrices of the dual basis of A/K(A): G_r[i][j] = lambda_r(b_i b_j)."""
+def _dual_basis(a: Algebra) -> List[Tuple]:
+    """Row k holds lambda_r(b_k) for the dual basis lambda_r of A/K(A).
+
+    lambda_r reads coordinate positions[r] of a vector reduced mod K(A), so d
+    reductions give every form that vanishes on K(A).
+    """
     kspace = commutator_subspace(a)
     positions = kspace.complement_positions()
-    d = a.dim
-    grams = []
-    for ridx in range(len(positions)):
-        grams.append([[None] * d for _ in range(d)])
-    for i in range(d):
-        for j in range(d):
-            red = kspace.reduce(a.mul[i][j])
-            for ridx, pos in enumerate(positions):
-                grams[ridx][i][j] = red[pos]
-    return grams, positions
+    rows = []
+    for k in range(a.dim):
+        red = kspace.reduce(a._unit_vec(k))
+        rows.append(tuple(red[pos] for pos in positions))
+    return rows
 
 
-def _gram_rank(a: Algebra, grams, coeffs) -> int:
+def _nondegenerate(a: Algebra, lam: Sequence) -> bool:
+    """Whether G[i][j] = lambda(b_i b_j) = sum_k c_ijk lambda(b_k) has full rank.
+
+    Reads only the structure constants c_ijk with lambda(b_k) != 0 and stops
+    at the first row that does not raise the rank.
+    """
     F = a.field
-    d = a.dim
-    acc = echelon_for(F, d)
-    for i in range(d):
+    support = [(k, c) for k, c in enumerate(lam) if c]
+    acc = echelon_for(F, a.dim)
+    for plane in a.mul:
         row = []
-        for j in range(d):
+        for prod in plane:
             val = F.zero()
-            for c, g in zip(coeffs, grams):
-                if c and g[i][j]:
-                    val = F.add(val, F.mul(c, g[i][j]))
+            for k, c in support:
+                x = prod[k]
+                if x:
+                    val = F.add(val, F.mul(c, x))
             row.append(val)
-        acc.insert(row)
-    return acc.rank
+        if not acc.insert(row):
+            return False
+    return True
 
 
-def _functional_from(a: Algebra, positions, coeffs) -> Tuple:
-    """Values lambda(b_i): reduce b_i mod K and pair with the chosen coefficients."""
-    kspace = commutator_subspace(a)
+def _trial(a: Algebra, dual: List[Tuple], coeffs: Sequence) -> Optional[Tuple]:
+    """lambda = sum_r coeffs[r] lambda_r on the basis, if its Gram form is nondegenerate."""
     F = a.field
-    out = []
-    for i in range(a.dim):
-        red = kspace.reduce(a._unit_vec(i))
+    lam = []
+    for row in dual:
         val = F.zero()
-        for c, pos in zip(coeffs, positions):
-            if c and red[pos]:
-                val = F.add(val, F.mul(c, red[pos]))
-        out.append(val)
-    return tuple(out)
+        for c, x in zip(coeffs, row):
+            if c and x:
+                val = F.add(val, F.mul(c, x))
+        lam.append(val)
+    return tuple(lam) if _nondegenerate(a, lam) else None
 
 
 def symmetrizing_form_search(a: Algebra, seed: int = 0,
                              budget: int = SYMMETRIC_BUDGET) -> SymmetricVerdict:
     """Search for a linear form vanishing on K(A) with nondegenerate Gram matrix.
 
-    Such a form is symmetric by construction; "no" is only returned after an
-    exhaustive scan (possible over F_p when p^k fits in the budget).  Memoized
-    per (seed, budget); each call returns a fresh ``SymmetricVerdict``.
+    Such a form lambda is a symmetrizing form: lambda(xy - yx) = 0 makes
+    lambda(xy) = lambda(yx).  "no" has two exact sources.
+
+    * The centre.  If lambda is a symmetrizing form, then for z in A,
+      lambda(z(xy - yx)) = lambda(zxy) - lambda(xzy) = lambda((zx - xz)y),
+      so z is orthogonal to K(A) under (x, y) -> lambda(xy) iff zx = xz for
+      every x, by nondegeneracy: K(A)^perp = Z(A), and dim Z(A) = codim K(A)
+      = k(A).  So dim Z(A) != k(A) proves A is not symmetric; this is checked
+      first, from the cached centre and commutator space.
+    * An exhaustive scan of every nonzero form on A/K(A), over F_p when p^k
+      fits in the budget.
+
+    Otherwise 64 seeded random forms are tried, and "unknown" means none of
+    them was nondegenerate.  ``reason`` names the certificate, scan or search.
+    Memoized per (seed, budget); each call returns a fresh ``SymmetricVerdict``.
     """
     key = ("symmetric", seed, budget)
     cached = a._cache.get(key)
     if cached is None:
         verdict = _symmetrizing_form_search(a, seed, budget)
-        cached = (verdict.kind, verdict.functional)
+        cached = (verdict.kind, verdict.functional, verdict.reason)
         a._cache[key] = cached
     return SymmetricVerdict(*cached)
 
 
 def _symmetrizing_form_search(a: Algebra, seed: int, budget: int) -> SymmetricVerdict:
     F = a.field
-    grams, positions = _gram_stack(a)
-    m = len(positions)
-    if m == 0:
-        return SymmetricVerdict("no")
+    m = k_of(a)
+    z = a.center().dim
+    if z != m:
+        return SymmetricVerdict(
+            "no", reason=f"centre: dim Z(A) = {z} != k(A) = {m}, and a symmetrizing "
+                         "form would make K(A)^perp = Z(A)")
+    dual = _dual_basis(a)
+    found = "functional found: it vanishes on K(A) and lambda(xy) is nondegenerate"
     if F.is_prime_field and F.p ** m <= budget:
-        import itertools
-
         for coeffs in itertools.product(range(F.p), repeat=m):
             if not any(coeffs):
                 continue
-            if _gram_rank(a, grams, coeffs) == a.dim:
-                return SymmetricVerdict("yes", _functional_from(a, positions, coeffs))
-        return SymmetricVerdict("no")
+            lam = _trial(a, dual, coeffs)
+            if lam is not None:
+                return SymmetricVerdict("yes", lam, found)
+        return SymmetricVerdict(
+            "no", reason=f"exhaustive scan: none of the {F.p ** m - 1} nonzero "
+                         "forms on A/K(A) is nondegenerate")
     rng = random.Random(seed)
     for _ in range(SYMMETRIC_RANDOM_TRIALS):
         if F.is_prime_field:
@@ -328,9 +346,12 @@ def _symmetrizing_form_search(a: Algebra, seed: int, budget: int) -> SymmetricVe
             coeffs = [F.coerce(rng.randint(-9, 9)) for _ in range(m)]
         if not any(coeffs):
             continue
-        if _gram_rank(a, grams, coeffs) == a.dim:
-            return SymmetricVerdict("yes", _functional_from(a, positions, coeffs))
-    return SymmetricVerdict("unknown")
+        lam = _trial(a, dual, coeffs)
+        if lam is not None:
+            return SymmetricVerdict("yes", lam, found)
+    return SymmetricVerdict(
+        "unknown", reason=f"random trials exhausted: no nondegenerate form among "
+                          f"{SYMMETRIC_RANDOM_TRIALS} on A/K(A), with dim Z(A) = k(A) = {m}")
 
 
 def verify_symmetrizing_form(a: Algebra, functional: Sequence) -> bool:
@@ -344,15 +365,4 @@ def verify_symmetrizing_form(a: Algebra, functional: Sequence) -> bool:
                 val = F.add(val, F.mul(c, x))
         if val:
             return False
-    d = a.dim
-    acc = echelon_for(F, d)
-    for i in range(d):
-        row = []
-        for j in range(d):
-            val = F.zero()
-            for c, x in zip(lam, a.mul[i][j]):
-                if c and x:
-                    val = F.add(val, F.mul(c, x))
-            row.append(val)
-        acc.insert(row)
-    return acc.rank == d
+    return _nondegenerate(a, lam)

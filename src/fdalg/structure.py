@@ -74,10 +74,6 @@ class QuotientData:
     positions: Tuple[int, ...]
     _parent: Algebra
 
-    def project(self, vec: Sequence) -> Tuple:
-        red = self.ideal.reduce(vec)
-        return tuple(red[i] for i in self.positions)
-
     def lift(self, vec: Sequence) -> Tuple:
         F = self._parent.field
         out = [F.zero()] * self._parent.dim

@@ -377,6 +377,28 @@ def test_internal_constructions_hold_canonical_scalars(field):
         assert _typed(a) == _typed(Algebra(field, a.mul, a.unit)), name
 
 
+@pytest.mark.parametrize("field", [F2, F5, BIG_P, QQ],
+                         ids=["Fp:2", "Fp:5", "Fp:2147483659", "Q"])
+def test_element_results_hold_canonical_scalars(field):
+    # products, sums, differences, negatives, multiples and the basis, unit
+    # and zero elements skip Field.coerce; the coercing constructor must agree
+    # on every value and every type
+    from fractions import Fraction
+
+    def typed(x):
+        return [(type(c), c) for c in x.coords]
+
+    rng = random.Random(11)
+    raw = (-7, -1, 0, 1, 2, 5, 2 ** 40, Fraction(3, 7), "-4", "5/3")
+    for name, a in _internal_constructions(field):
+        x, y = (a.element([rng.choice(raw) for _ in range(a.dim)]) for _ in range(2))
+        results = [x * y, a.multiply(y, x), x + y, x - y, -x, x.scale(3), 2 * x,
+                   x * Fraction(-1, 3), x.scale("7"), a.unit_element(), a.zero_element(),
+                   a.basis_element(a.dim - 1)]
+        for r in results:
+            assert typed(r) == typed(Element(a, r.coords)), name
+
+
 def test_public_constructor_canonicalizes():
     from fractions import Fraction
 

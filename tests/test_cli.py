@@ -68,6 +68,16 @@ def test_report_json_round_trip(tmp_path, capsys):
     assert r1["k"] == 3 and r1["ell"] == 1 and r1["dim"] == 4
 
 
+def test_report_json_names_the_symmetric_reason(tmp_path, capsys):
+    src, js = tmp_path / "t2.txt", tmp_path / "t2.json"
+    assert run(["generate", "triangular", "2", "--field", "Q", "-o", str(src)], capsys)[0] == 0
+    code, stdout, _ = run(["report", str(src), "--json", str(js)], capsys)
+    assert code == 0
+    sym = json.loads(js.read_text())["symmetric"]
+    assert sym["verdict"] == "no" and sym["functional"] is None and sym["reason"]
+    assert f"symmetric:    no   ({sym['reason']})" in stdout
+
+
 def test_classify_exit_codes(capsys, tmp_path):
     src = tmp_path / "k4.txt"
     assert run(["generate", "kronecker", "4", "--field", "Q", "-o", str(src)], capsys)[0] == 0

@@ -1,3 +1,6 @@
+import hashlib
+
+import numpy as np
 import pytest
 
 from fdalg.algebras import Algebra, direct_sum, matrix_algebra
@@ -5,6 +8,7 @@ from fdalg.corpus import (
     cyclic_group_algebra,
     kronecker,
     lower_triangular,
+    random_quiver_algebra,
     s3_group_algebra,
     truncated_polynomial,
     two_loop_q_algebra,
@@ -12,6 +16,7 @@ from fdalg.corpus import (
 from fdalg.errors import CharZero, NotBasic
 from fdalg.fields import GF, QQ
 from fdalg.invariants import (
+    SYMMETRIC_BUDGET,
     acyc_cyc_space,
     codim_k_n,
     codim_series,
@@ -25,9 +30,14 @@ from fdalg.invariants import (
     symmetrizing_form_search,
     verify_symmetrizing_form,
 )
+from fdalg.linalg import Matrix, kernel
 from fdalg.structure import loewy_length, primitive_idempotents
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
+# symmetrizing_form_search's "yes" verdicts on the acceptance corpus, as
+# found before the centre certificate: count and sha256 of their lines
+YES_COUNT = 141
+YES_DIGEST = "bb39d9b35cdb3e4d2ab31738210143632562715b812b29304425b270529c9782"
 
 
 def test_commutator_ground_field():
@@ -193,8 +203,93 @@ def test_symmetrizing_form_group_algebra():
         assert verify_symmetrizing_form(a, ident)
 
 
-def test_symmetrizing_form_unknown_over_q():
-    assert symmetrizing_form_search(lower_triangular(QQ, 2)).kind == "unknown"
+def test_symmetrizing_form_t2_over_q_centre_no():
+    # dim Z(T_2) = 1 but k(T_2) = 2, so no form on Q can symmetrize T_2
+    verdict = symmetrizing_form_search(lower_triangular(QQ, 2))
+    assert verdict.kind == "no"
+    assert verdict.reason.startswith("centre: dim Z(A) = 1 != k(A) = 2")
+
+
+def test_symmetrizing_form_unknown_over_fp():
+    # dim Z = k = 7 and 5^7 forms exceed the scan budget: the random trials
+    # find no nondegenerate form and decide nothing
+    a = random_quiver_algebra(F5, 104)
+    assert a.center().dim == k_of(a) == 7 and 5 ** 7 > SYMMETRIC_BUDGET
+    verdict = symmetrizing_form_search(a)
+    assert verdict.kind == "unknown" and verdict.functional is None
+    assert verdict.reason.startswith("random trials exhausted")
+
+
+def _invertible_exists(grams, p) -> bool:
+    """Whether some matrix of the stack (n x d x d, entries mod p) is invertible.
+
+    Batched forward elimination; a matrix leaves the stack at the first
+    column without a pivot.
+    """
+    inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
+    g = grams % p
+    for c in range(g.shape[1]):
+        g = g[g[:, c:, c].any(axis=1)]
+        if not len(g):
+            return False
+        rows = np.arange(len(g))
+        piv = c + (g[:, c:, c] != 0).argmax(axis=1)
+        top = g[rows, piv].copy()
+        g[rows, piv] = g[rows, c]
+        g[rows, c] = top
+        factors = g[:, c + 1:, c] * inv[top[:, c]][:, None] % p
+        g[:, c + 1:, :] = (g[:, c + 1:, :] - factors[:, :, None] * top[:, None, :]) % p
+    return True
+
+
+def _reference_symmetric(a) -> bool:
+    """Exhaustive scan over F_p: does some form vanishing on every commutator
+    b_i b_j - b_j b_i have a nondegenerate Gram matrix lambda(b_i b_j)?"""
+    p, d = a.field.p, a.dim
+    t = np.array(a.mul, dtype=np.int64)
+    comm = (t - t.transpose(1, 0, 2)).reshape(d * d, d) % p
+    forms = kernel(Matrix(a.field, d * d, d, tuple(map(tuple, comm.tolist()))))
+    basis = np.array(forms.basis_vectors(), dtype=np.int64).reshape(-1, d)
+    m = len(basis)
+    assert m == k_of(a)
+    index = np.arange(1, p ** m, dtype=np.int64)
+    for start in range(0, len(index), 2048):
+        chunk = index[start:start + 2048]
+        coeffs = chunk[:, None] // p ** np.arange(m, dtype=np.int64) % p
+        lam = coeffs @ basis % p
+        if _invertible_exists(np.einsum("ijk,nk->nij", t, lam), p):
+            return True
+    return False
+
+
+def test_symmetric_verdicts_match_exhaustive_reference():
+    from test_acceptance import _criterion_2_3_corpus
+
+    checked = 0
+    for name, a in _criterion_2_3_corpus():
+        F = a.field
+        if F.is_prime_field and F.p ** k_of(a) <= SYMMETRIC_BUDGET:
+            verdict = symmetrizing_form_search(a)
+            assert verdict.kind == ("yes" if _reference_symmetric(a) else "no"), name
+            checked += 1
+    assert checked == 354
+
+
+def test_symmetric_yes_verdicts_verify_and_hold():
+    from test_acceptance import _criterion_2_3_corpus
+
+    lines = []
+    for name, a in _criterion_2_3_corpus():
+        verdict = symmetrizing_form_search(a)
+        if verdict.kind == "yes":
+            assert verify_symmetrizing_form(a, verdict.functional), name
+            fmt = a.field.format_scalar
+            lines.append(f"{name}: {' '.join(fmt(c) for c in verdict.functional)}")
+        elif verdict.reason.startswith("centre"):
+            assert a.center().dim != k_of(a), name
+    # the "yes" verdicts and functionals found before the centre certificate
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (YES_COUNT, YES_DIGEST)
 
 
 def test_report_and_suite_share_memoized_analyses(monkeypatch):
@@ -203,30 +298,30 @@ def test_report_and_suite_share_memoized_analyses(monkeypatch):
     from fdalg.classify import verify_theorem_suite
     from fdalg.cli import build_report
 
-    calls = {"gram": 0, "peirce": 0}
-    gram_stack = fdalg.invariants._gram_stack
+    calls = {"search": 0, "peirce": 0}
+    search = fdalg.invariants._symmetrizing_form_search
     peirce_component = fdalg.structure.peirce_component
 
-    def counting_gram(a):
-        calls["gram"] += 1
-        return gram_stack(a)
+    def counting_search(a, seed, budget):
+        calls["search"] += 1
+        return search(a, seed, budget)
 
     def counting_peirce(a, e, f):
         calls["peirce"] += 1
         return peirce_component(a, e, f)
 
-    monkeypatch.setattr(fdalg.invariants, "_gram_stack", counting_gram)
+    monkeypatch.setattr(fdalg.invariants, "_symmetrizing_form_search", counting_search)
     monkeypatch.setattr(fdalg.structure, "peirce_component", counting_peirce)
     a = lower_triangular(F5, 3)
     report = build_report(a, 0)  # runs the theorem suite too; k = l, so it searches
     l, ll = len(report["cartan"]), report["loewy_length"]
     assert report["k"] == report["ell"] and report["theorems_ok"]
     # Cartan entries plus the diagonal Peirce terms of each level's bound, once each
-    assert calls == {"gram": 1, "peirce": l * l + ll * l}
+    assert calls == {"search": 1, "peirce": l * l + ll * l}
     verify_theorem_suite(a, 0)
-    assert calls == {"gram": 1, "peirce": l * l + ll * l}
+    assert calls == {"search": 1, "peirce": l * l + ll * l}
     verify_theorem_suite(a, 1)
-    assert calls == {"gram": 2, "peirce": 2 * (l * l + ll * l)}
+    assert calls == {"search": 2, "peirce": 2 * (l * l + ll * l)}
 
 
 def test_memoized_results_are_fresh_objects():
