@@ -329,12 +329,14 @@ def _symmetrizing_form_search(a: Algebra, seed: int, budget: int) -> SymmetricVe
     dual = _dual_basis(a)
     found = "functional found: it vanishes on K(A) and lambda(xy) is nondegenerate"
     if F.is_prime_field and F.p ** m <= budget:
-        for coeffs in itertools.product(range(F.p), repeat=m):
-            if not any(coeffs):
-                continue
-            lam = _trial(a, dual, coeffs)
-            if lam is not None:
-                return SymmetricVerdict("yes", lam, found)
+        # nonzero multiples of a form share its Gram rank, so the lexicographically
+        # first nondegenerate vector has leading coefficient 1: scan only those,
+        # in lexicographic order (a later leading position comes first)
+        for lead in reversed(range(m)):
+            for tail in itertools.product(range(F.p), repeat=m - 1 - lead):
+                lam = _trial(a, dual, (0,) * lead + (1,) + tail)
+                if lam is not None:
+                    return SymmetricVerdict("yes", lam, found)
         return SymmetricVerdict(
             "no", reason=f"exhaustive scan: none of the {F.p ** m - 1} nonzero "
                          "forms on A/K(A) is nondegenerate")

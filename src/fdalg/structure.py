@@ -4,10 +4,12 @@ The Jacobson radical comes from one of four routes: the arrow ideal for
 quiver-built algebras, the rows e·Rad(A)·e that a corner eAe inherits from a
 parent whose radical is known (Rad(eAe) = e·Rad(A)·e), the kernel of the
 regular trace form in characteristic zero, and in characteristic p the chain
-of characteristic-polynomial coefficient conditions c_{p^i}(L_x L_y) = 0 (the
-p-power trace method; over a prime field each stage is an honest linear
-system).  Every route's output is checked to be a nilpotent two-sided ideal
-before it is returned.
+of lifted power-trace conditions g_i(xy) = 0, with
+g_i(z) = (tr(L̃_z^{p^i}) mod p^{i+1}) / p^i for an integer lift L̃_z of L_z
+(Rónyai, J. Symbolic Comput. 9 (1990); Cohen, Ivanyos and Wales, J. Pure
+Appl. Algebra 117/118 (1997)); over a prime field each stage is an honest
+linear system.  Every route's output is checked to be a nilpotent two-sided
+ideal before it is returned.
 """
 from __future__ import annotations
 
@@ -16,9 +18,9 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import _kernels, _numutil
+from . import _numutil
 from .algebras import Algebra, Element, corner_data, peirce_rows
-from .errors import BadParameter, InternalInconsistency, NotSplit, SplitUndecided
+from .errors import BadParameter, InternalInconsistency, NotSplit, SplitUndecided, TooLarge
 from .fields import Field
 from .linalg import Matrix, Subspace, _subspace_from_acc, echelon_for, kernel, span
 from .polyfactor import (
@@ -158,12 +160,73 @@ def _radical_char0(a: Algebra) -> List[Tuple]:
     return _kernel_combos(a.field, gram, vecs)
 
 
-def _radical_charp(a: Algebra) -> Tuple[Subspace, bool]:
-    """Chain of c_{p^i} trace conditions; each stage is linear on the last.
+def _lifted_power_traces(a: Algebra, w, power: int, modulus: int):
+    """tr(L̃_w^power) mod modulus for each row w of an (m, d) int64 array.
 
-    The radical always lies inside every stage's space, so as soon as the
-    current candidate is itself a nilpotent two-sided ideal it equals the
-    radical and the remaining stages can be skipped.
+    L̃_w is the lift of L_w with entries in [0, p), taken from
+    ``_np_left_stack``; the m matrices are raised by square-and-multiply as
+    one (m, d, d) batch, reduced mod the modulus after every product.
+    """
+    import numpy as np
+
+    base = np.tensordot(w, a._np_left_stack, axes=([1], [0])) % a.field.p
+    result = None
+    e = power
+    while True:
+        if e & 1:
+            result = base if result is None else _numutil.mat_mul_mod(result, base, modulus)
+        e >>= 1
+        if not e:
+            break
+        base = _numutil.mat_mul_mod(base, base, modulus)
+    return np.trace(result, axis1=1, axis2=2) % modulus
+
+
+def _power_trace_gram(a: Algebra, sub: Subspace, power: int) -> List[List]:
+    """G[y][x] = g(w_x w_y) over the RREF basis w of a stage space J.
+
+    g(z) = (tr(L̃_z^power) mod p·power) / power with power = p^i.  The
+    caller has checked that J is a two-sided ideal, so every product w_x w_y
+    lies in J, and g is linear on J.  With ψ[pivot_k] = g(w_k) and zero
+    elsewhere, an RREF basis gives g(u) = ψ·u for every u in J, so
+    G = W·Mᵀ·Wᵀ with M[i][j] = Σ_k c_ijk ψ_k: m power traces per stage.
+    """
+    import numpy as np
+
+    p, d = a.field.p, a.dim
+    modulus = p * power
+    # products of entries below the modulus, summed over d, stay exact in float64
+    if not _numutil.usable(modulus, d):
+        raise TooLarge(f"power traces mod {modulus} in dimension {d} exceed float64")
+    w = np.array(sub.basis_vectors(), dtype=np.int64)
+    traces = _lifted_power_traces(a, w, power, modulus)
+    if (traces % power).any():
+        raise InternalInconsistency(f"a power trace on the stage space is not divisible by {power}")
+    psi = np.zeros(d, dtype=np.int64)
+    psi[list(sub.pivots)] = traces // power
+    m_form = np.tensordot(a._np_tensor, psi, axes=([2], [0])) % p
+    g = _numutil.mat_mul_mod(_numutil.mat_mul_mod(w, m_form.T, p), w.T, p)
+    return g.tolist()
+
+
+def _radical_charp(a: Algebra) -> Tuple[Subspace, bool]:
+    """Chain of power-trace stages; each stage is linear on the last.
+
+    Stage 0 is the kernel of the trace form tr(L_x L_y).  Stage i, for
+    p^i <= d, keeps the x in the current stage space J with g_i(xy) = 0 for
+    every y in J, where g_i(z) = (tr(L̃_z^{p^i}) mod p^{i+1}) / p^i and L̃_z
+    is an integer lift of L_z (``_power_trace_gram``).  Why this is valid:
+
+    - any lift works: A ≡ B (mod p) implies tr A^{p^i} ≡ tr B^{p^i}
+      (mod p^{i+1});
+    - a nilpotent L_z gives g_i(z) = 0, so every stage contains Rad(A);
+    - g_i is linear on the stage space, which is a two-sided ideal, so its
+      values on a basis determine it on every product v_x v_y.
+
+    Each stage space must be a two-sided ideal and every trace on it must be
+    divisible by p^i; either failure raises InternalInconsistency.  Since the
+    radical lies inside every stage's space, as soon as the current candidate
+    is nilpotent it equals the radical and the remaining stages are skipped.
     """
     F = a.field
     p, d = F.p, a.dim
@@ -171,33 +234,13 @@ def _radical_charp(a: Algebra) -> Tuple[Subspace, bool]:
     gram = _trace_gram(a, vecs)
     vecs = _kernel_combos(F, gram, vecs)
     power = p
-    use_np = a._np_ok
-    if use_np:
-        import numpy as np
     while power <= d and vecs:
         sub = span(F, d, vecs)
-        if _is_certified_radical(a, sub):
+        if not _ideal_contains_products(a, sub):
+            raise InternalInconsistency("a power-trace stage space is not a two-sided ideal")
+        if _is_nilpotent(a, sub):
             return sub, True
-        m = len(vecs)
-        if use_np:
-            vm = np.array([[int(c) for c in v] for v in vecs], dtype=np.int64)
-            ls = np.tensordot(vm, a._np_left_stack, axes=([1], [0])) % p
-            grami = [[0] * m for _ in range(m)]
-            for y in range(m):
-                ly = ls[y]
-                prods = _numutil.mat_mul_mod(ls.reshape(m * d, d), ly, p).reshape(m, d, d)
-                for x in range(m):
-                    coeffs = _kernels.fp_charpoly(prods[x].tolist(), p)
-                    grami[y][x] = coeffs[d - power]
-        else:
-            mats = [a.left_regular_coords(v) for v in vecs]
-            grami = [[0] * m for _ in range(m)]
-            for y in range(m):
-                for x in range(m):
-                    z = mats[x].matmul(mats[y])
-                    coeffs = _kernels.fp_charpoly([list(r) for r in z.entries], p)
-                    grami[y][x] = coeffs[d - power]
-        vecs = _kernel_combos(F, grami, vecs)
+        vecs = _kernel_combos(F, _power_trace_gram(a, sub, power), sub.basis_vectors())
         power *= p
     return span(F, d, vecs), False
 
@@ -248,11 +291,6 @@ def _is_nilpotent(a: Algebra, sub: Subspace) -> bool:
         return False
     a._cache["rad_powers"] = chain
     return True
-
-
-def _is_certified_radical(a: Algebra, sub: Subspace) -> bool:
-    """Nilpotent two-sided ideal check; caches the power chain on success."""
-    return _ideal_contains_products(a, sub) and _is_nilpotent(a, sub)
 
 
 def _subspace_product(a: Algebra, u_rows: List[Tuple], v_rows: List[Tuple]) -> Subspace:

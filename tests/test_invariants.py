@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -191,6 +192,24 @@ def test_symmetrizing_form_truncated():
 
 def test_symmetrizing_form_t2_exhaustive_no():
     assert symmetrizing_form_search(lower_triangular(F2, 2)).kind == "no"
+
+
+def test_exhaustive_scan_tries_only_leading_coefficient_one(monkeypatch):
+    import fdalg.invariants
+
+    tried = []
+
+    def never(a, dual, coeffs):
+        tried.append(tuple(coeffs))
+        return None
+
+    monkeypatch.setattr(fdalg.invariants, "_trial", never)
+    # commutative: dim Z = k = 3, so the scan over 3^3 forms runs to the end
+    verdict = symmetrizing_form_search(truncated_polynomial(F3, 3))
+    assert verdict.kind == "no" and verdict.reason.startswith("exhaustive scan: none of the 26")
+    normalized = [c for c in itertools.product(range(3), repeat=3)
+                  if any(c) and next(x for x in c if x) == 1]
+    assert tried == normalized and len(tried) == (3 ** 3 - 1) // 2
 
 
 def test_symmetrizing_form_group_algebra():

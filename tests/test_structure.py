@@ -1,15 +1,20 @@
+import itertools
+
+import numpy as np
 import pytest
 
+from fdalg import _kernels, _numutil, structure
 from fdalg.algebras import Algebra, corner_data, direct_sum, matrix_algebra
 from fdalg.corpus import (
     cyclic_group_algebra,
     kronecker,
     lower_triangular,
+    random_quiver_algebra,
     s3_group_algebra,
     truncated_polynomial,
     two_loop_q_algebra,
 )
-from fdalg.errors import NotSplit, SplitUndecided
+from fdalg.errors import InternalInconsistency, NotSplit, SplitUndecided
 from fdalg.fields import GF, QQ
 from fdalg.invariants import commutator_subspace
 from fdalg.linalg import span
@@ -17,6 +22,9 @@ from fdalg.morita import basic_algebra_data, inflate, inflation_dim
 from fdalg.oracle import RADICAL_ORACLE_CAP, radical_oracle
 from fdalg.structure import (
     _ideal_contains_products,
+    _is_nilpotent,
+    _kernel_combos,
+    _trace_gram,
     cartan_matrix,
     ell,
     ext1_diagonal,
@@ -336,3 +344,118 @@ def test_batched_ideal_test_matches_loop(corpus):
             assert _ideal_contains_products(a, sub) == want, entry.name
             verdicts.add(want)
     assert verdicts == {True, False}
+
+
+# -- char-p radical stages: lifted power traces against the charpoly loop ------
+
+
+def _generic(a):
+    """A copy with generic provenance and an empty cache: the char-p route runs."""
+    return Algebra(a.field, a.mul, a.unit, _canonical=True)
+
+
+def _charpoly_stage_reference(a, vecs, power):
+    """Reference stage matrix: G[y][x] = c_power(L_x L_y), one charpoly per pair."""
+    p, d = a.field.p, a.dim
+    m = len(vecs)
+    ls = np.tensordot(np.array(vecs, dtype=np.int64), a._np_left_stack, axes=([1], [0])) % p
+    gram = [[0] * m for _ in range(m)]
+    for y in range(m):
+        prods = _numutil.mat_mul_mod(ls.reshape(m * d, d), ls[y], p).reshape(m, d, d)
+        for x in range(m):
+            gram[y][x] = _kernels.fp_charpoly(prods[x].tolist(), p)[d - power]
+    return gram
+
+
+def _radical_charp_reference(a):
+    """(stage spaces, radical) of the charpoly stage loop that power traces replaced."""
+    F = a.field
+    p, d = F.p, a.dim
+    vecs = [tuple(a._unit_vec(i)) for i in range(d)]
+    vecs = _kernel_combos(F, _trace_gram(a, vecs), vecs)
+    stages = []
+    power = p
+    while power <= d and vecs:
+        sub = span(F, d, vecs)
+        if _ideal_contains_products(a, sub) and _is_nilpotent(a, sub):
+            return stages, sub
+        stages.append(sub)
+        vecs = _kernel_combos(F, _charpoly_stage_reference(a, vecs, power), vecs)
+        power *= p
+    return stages, span(F, d, vecs)
+
+
+def _power_trace_route(a, monkeypatch):
+    """(stage spaces, radical) of structure.radical, recording each stage it runs."""
+    stages = []
+    real = structure._power_trace_gram
+
+    def recording(alg, sub, power):
+        stages.append(sub)
+        return real(alg, sub, power)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(structure, "_power_trace_gram", recording)
+        rad = radical(a)
+    return stages, rad
+
+
+def _charp_differential_inputs(corpus):
+    for entry in corpus:
+        a = entry.algebra
+        if a.field.characteristic not in (2, 3, 5):
+            continue
+        yield entry.name, a
+        if _split_or_none(a) is None:
+            continue
+        b = basic_algebra_data(a)[0]
+        ell = len(semisimple_decomposition(a).components)
+        for mult in itertools.product((1, 2), repeat=ell):
+            if any(m > 1 for m in mult) and inflation_dim(b, list(mult)) <= 16:
+                yield f"{entry.name} inflated {mult}", inflate(b, list(mult))
+    for field in (F2, F3, F5):
+        for seed in range(140):
+            yield f"quiver(seed={seed})/{field}", random_quiver_algebra(field, seed, max_dim=24)
+
+
+def test_power_trace_stages_match_charpoly_reference(corpus, monkeypatch):
+    stages_run = cutting = oracle_checked = 0
+    for name, a in _charp_differential_inputs(corpus):
+        want_stages, want_rad = _radical_charp_reference(_generic(a))
+        got_stages, got_rad = _power_trace_route(_generic(a), monkeypatch)
+        assert got_stages == want_stages, name
+        assert got_rad == want_rad, name
+        if got_stages and a.field.p ** a.dim <= RADICAL_ORACLE_CAP:
+            assert got_rad == radical_oracle(_generic(a)), name
+            oracle_checked += 1
+        stages_run += len(got_stages)
+        cutting += sum(nxt.dim < cur.dim for cur, nxt in zip(got_stages, got_stages[1:] + [got_rad]))
+    assert stages_run >= 300 and cutting >= 200 and oracle_checked >= 150
+
+
+def test_stage_space_that_is_not_an_ideal_raises(monkeypatch):
+    monkeypatch.setattr(structure, "_ideal_contains_products", lambda a, sub: False)
+    with pytest.raises(InternalInconsistency, match="not a two-sided ideal"):
+        radical(_generic(matrix_algebra(F2, 4)))
+
+
+def test_power_trace_not_divisible_raises(monkeypatch):
+    real = structure._lifted_power_traces
+    monkeypatch.setattr(structure, "_lifted_power_traces",
+                        lambda a, w, power, modulus: (real(a, w, power, modulus) + 1) % modulus)
+    with pytest.raises(InternalInconsistency, match="not divisible"):
+        radical(_generic(matrix_algebra(F2, 4)))
+
+
+def test_radical_stages_make_no_charpoly(monkeypatch):
+    m4 = matrix_algebra(F2, 4)
+    infl = inflate(basic_algebra_data(kronecker(F3, 4))[0], [2, 1])
+    want = [_radical_charp_reference(_generic(a))[1] for a in (m4, infl)]
+
+    def no_charpoly(mat, p):
+        raise AssertionError("fp_charpoly called")
+
+    monkeypatch.setattr(_kernels, "fp_charpoly", no_charpoly)
+    got = [_power_trace_route(_generic(a), monkeypatch) for a in (m4, infl)]
+    assert [rad for _, rad in got] == want
+    assert want[0].dim == 0 and len(got[0][0]) >= 1 and len(got[1][0]) >= 2
