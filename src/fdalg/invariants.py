@@ -210,10 +210,6 @@ def rad_in_commutators(a: Algebra) -> bool:
     return all(k.contains(v) for v in radical(a).basis_vectors())
 
 
-def is_commutative(a: Algebra) -> bool:
-    return a.is_commutative()
-
-
 def is_local(a: Algebra, seed: int = 0) -> Optional[bool]:
     """One primitive idempotent in A/J; None when splitting is undecided over Q."""
     from .errors import SplitUndecided

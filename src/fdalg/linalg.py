@@ -65,9 +65,6 @@ class Matrix:
         z, o = field.zero(), field.one()
         return Matrix(field, n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
 
-    def row(self, i: int) -> Tuple:
-        return self.entries[i]
-
     def transpose(self) -> "Matrix":
         return Matrix(self.field, self.cols, self.rows,
                       tuple(zip(*self.entries)) if self.entries else ())
@@ -246,17 +243,22 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     stacked = Matrix(F, ru + rv, u.ambient_dim,
                      tuple(list(u.basis.entries) + list(v.basis.entries)))
     null = kernel(stacked.transpose())
-    vecs = []
-    for row in null.basis.entries:
-        a = row[:ru]
-        vec = [F.zero()] * u.ambient_dim
-        for coeff, brow in zip(a, u.basis.entries):
-            if coeff:
-                for k, x in enumerate(brow):
+    coeffs = [row[:ru] for row in null.basis.entries]
+    return span(F, u.ambient_dim, combine(F, coeffs, u.basis.entries))
+
+
+def combine(field: Field, coeff_rows: Iterable[Sequence], vecs: Sequence[Sequence]) -> List[Tuple]:
+    """sum_j c_j·vecs[j] for each coefficient row c, skipping zero terms."""
+    out = []
+    for row in coeff_rows:
+        acc = [field.zero()] * len(vecs[0])
+        for c, v in zip(row, vecs):
+            if c:
+                for k, x in enumerate(v):
                     if x:
-                        vec[k] = F.add(vec[k], F.mul(coeff, x))
-        vecs.append(vec)
-    return span(F, u.ambient_dim, vecs)
+                        acc[k] = field.add(acc[k], field.mul(c, x))
+        out.append(tuple(acc))
+    return out
 
 
 def contains(u: Subspace, vec: Sequence) -> bool:

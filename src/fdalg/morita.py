@@ -141,28 +141,15 @@ def tau_map(a: Algebra, e: Element, witness: FullnessWitness,
     # the coset map is induced by the linear map x -> sum_k (e v_k) x (u_k e)
     sides = [(a.multiply_coords(e.coords, v.coords), a.multiply_coords(u.coords, e.coords))
              for u, v in witness.pairs]
-    if a._np_ok:
-        import numpy as np
 
-        from . import _numutil
-
-        p = F.p
-        total = np.zeros((a.dim, a.dim), dtype=np.int64)
+    def raw_tau(vec) -> Tuple:
+        acc = [F.zero()] * a.dim
         for ev, ue in sides:
-            total = (total + _numutil.mat_mul_mod(a._np_left(ev), a._np_right(ue), p)) % p
-
-        def raw_tau(vec) -> Tuple:
-            out = total @ np.asarray([int(x) for x in vec], dtype=np.int64) % p
-            return tuple(int(x) for x in out)
-    else:
-        def raw_tau(vec) -> Tuple:
-            acc = [F.zero()] * a.dim
-            for ev, ue in sides:
-                term = a.sandwich_coords(ev, vec, ue)
-                for i, x in enumerate(term):
-                    if x:
-                        acc[i] = F.add(acc[i], x)
-            return tuple(acc)
+            term = a.sandwich_coords(ev, vec, ue)
+            for i, x in enumerate(term):
+                if x:
+                    acc[i] = F.add(acc[i], x)
+        return tuple(acc)
 
     def tau_of(vec) -> Tuple:
         coords = sub.coords_of(raw_tau(vec))

@@ -22,7 +22,7 @@ from . import _numutil
 from .algebras import Algebra, Element, corner_data, peirce_rows
 from .errors import BadParameter, InternalInconsistency, NotSplit, SplitUndecided, TooLarge
 from .fields import Field
-from .linalg import Matrix, Subspace, _subspace_from_acc, echelon_for, kernel, span
+from .linalg import Matrix, Subspace, _subspace_from_acc, combine, echelon_for, kernel, span
 from .polyfactor import (
     degree,
     factor_fp,
@@ -105,59 +105,35 @@ def quotient_algebra(a: Algebra, ideal: Subspace) -> QuotientData:
 # -- radical -----------------------------------------------------------------
 
 
-def _trace_gram(a: Algebra, vecs: List[Tuple]) -> List[List]:
-    """G[x][y] = tr(L_x · L_y) over the given vectors."""
+def _trace_gram(a: Algebra) -> Tuple[Tuple, ...]:
+    """G[i][j] = tr(L_{b_i} · L_{b_j}) over the basis.
+
+    By associativity L_x·L_y = L_{xy}, so G[i][j] = tr(L_{b_i b_j}) =
+    sum_k c_ijk τ_k with τ_k = tr(L_{b_k}) = sum_j c_kjj: each structure
+    constant is read once.  On a tensor that is not associative this is not
+    the trace form, but every route's radical is certified before use.
+    """
     F = a.field
-    if a._np_ok:
-        import numpy as np
-
-        p = F.p
-        vm = np.array([[int(c) for c in v] for v in vecs], dtype=np.int64)
-        ls = np.tensordot(vm, a._np_left_stack, axes=([1], [0])) % p
-        g = np.einsum("aij,bji->ab", ls, ls) % p
-        return [[int(x) for x in row] for row in g]
-    mats = [a.left_regular_coords(v) for v in vecs]
-    m = len(vecs)
-    out = []
-    for x in range(m):
-        row = []
-        ex = mats[x].entries
-        for y in range(m):
-            ey = mats[y].entries
-            acc = F.zero()
-            for i in range(a.dim):
-                for j in range(a.dim):
-                    if ex[i][j] and ey[j][i]:
-                        acc = F.add(acc, F.mul(ex[i][j], ey[j][i]))
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _combine(field: Field, coeff_rows: List[Tuple], vecs: List[Tuple]) -> List[Tuple]:
-    out = []
-    for row in coeff_rows:
-        acc = [field.zero()] * len(vecs[0])
-        for c, v in zip(row, vecs):
-            if c:
-                for k, x in enumerate(v):
-                    if x:
-                        acc[k] = field.add(acc[k], field.mul(c, x))
-        out.append(tuple(acc))
-    return out
+    p = F.p
+    traces = [sum(plane[j][j] for j in range(a.dim)) for plane in a.mul]
+    tau = [(k, t % p if p else t) for k, t in enumerate(traces)]
+    tau = [(k, t) for k, t in tau if t]
+    zero = F.zero()
+    gram = [[sum((row[k] * t for k, t in tau if row[k]), zero) for row in plane] for plane in a.mul]
+    return tuple(tuple(x % p if p else x for x in row) for row in gram)
 
 
 def _kernel_combos(field: Field, gram: List[List], vecs: List[Tuple]) -> List[Tuple]:
     """Restrict to the null space of the given pairing matrix."""
     m = len(vecs)
     null = kernel(Matrix(field, m, m, tuple(map(tuple, gram))))
-    return _combine(field, null.basis_vectors(), vecs)
+    return combine(field, null.basis_vectors(), vecs)
 
 
 def _radical_char0(a: Algebra) -> List[Tuple]:
-    vecs = [tuple(a._unit_vec(i)) for i in range(a.dim)]
-    gram = _trace_gram(a, vecs)
-    return _kernel_combos(a.field, gram, vecs)
+    """Rad(A) in characteristic 0: the kernel of the trace form."""
+    d = a.dim
+    return kernel(Matrix(a.field, d, d, _trace_gram(a))).basis_vectors()
 
 
 def _lifted_power_traces(a: Algebra, w, power: int, modulus: int):
@@ -230,9 +206,7 @@ def _radical_charp(a: Algebra) -> Tuple[Subspace, bool]:
     """
     F = a.field
     p, d = F.p, a.dim
-    vecs = [tuple(a._unit_vec(i)) for i in range(d)]
-    gram = _trace_gram(a, vecs)
-    vecs = _kernel_combos(F, gram, vecs)
+    vecs = kernel(Matrix(F, d, d, _trace_gram(a))).basis_vectors()
     power = p
     while power <= d and vecs:
         sub = span(F, d, vecs)
@@ -295,22 +269,9 @@ def _is_nilpotent(a: Algebra, sub: Subspace) -> bool:
 
 def _subspace_product(a: Algebra, u_rows: List[Tuple], v_rows: List[Tuple]) -> Subspace:
     acc = echelon_for(a.field, a.dim)
-    if a._np_ok and u_rows and v_rows:
-        import numpy as np
-
-        p = a.field.p
-        vm = np.array([[int(c) for c in v] for v in v_rows], dtype=np.int64)
-        for u in u_rows:
-            lu = a._np_left(u)
-            prods = _numutil.mat_mul_mod(vm, lu.T, p)
-            for row in prods:
-                acc.insert(row.tolist())
-                if acc.rank == a.dim:
-                    break
-    else:
-        for u in u_rows:
-            for v in v_rows:
-                acc.insert(list(a.multiply_coords(u, v)))
+    for u in u_rows:
+        for v in v_rows:
+            acc.insert(list(a.multiply_coords(u, v)))
     return _subspace_from_acc(a.field, a.dim, acc)
 
 
@@ -543,15 +504,9 @@ def _recurse_split(b: Algebra, z, minpoly, pieces, rng) -> List[Tuple[Tuple, int
     out = []
     for e in idems:
         sub, rows = corner_data(b, e)
-        for coords, cdim in _primitive_decomposition(sub, rng):
-            F = b.field
-            acc = [F.zero()] * b.dim
-            for c, row in zip(coords, rows):
-                if c:
-                    for k, x in enumerate(row):
-                        if x:
-                            acc[k] = F.add(acc[k], F.mul(c, x))
-            out.append((tuple(acc), cdim))
+        prims = _primitive_decomposition(sub, rng)
+        lifted = combine(b.field, [coords for coords, _ in prims], rows)
+        out += [(x, cdim) for x, (_, cdim) in zip(lifted, prims)]
     return out
 
 

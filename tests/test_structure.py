@@ -1,9 +1,10 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
-from fdalg import _kernels, _numutil, structure
+from fdalg import _kernels, _numutil, algebras, structure
 from fdalg.algebras import Algebra, corner_data, direct_sum, matrix_algebra
 from fdalg.corpus import (
     cyclic_group_algebra,
@@ -38,6 +39,7 @@ from fdalg.structure import (
     structure_report,
     wedderburn_split,
 )
+from test_algebras import _rescaled
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
@@ -300,8 +302,17 @@ def test_wrong_radical_candidate_is_rejected():
 def test_inherited_row_outside_corner_raises(monkeypatch):
     a = lower_triangular(F5, 2)
     radical(a)
-    # e00·T_2·e00 = span{e00}; a corrupted projection lands on e10 instead
-    monkeypatch.setattr(Algebra, "sandwich_coords", lambda self, l, x, r: (0, 1, 0))
+    # e00·T_2·e00 = span{e00}; a corrupted projection e·r·e of a radical row
+    # lands on e10 instead.  The corruption starts once the corner basis is
+    # built, so the corner itself is sound and only the projections are wrong.
+    real_peirce_rows = algebras.peirce_rows
+
+    def peirce_rows_then_corrupt(alg, e, f):
+        sub = real_peirce_rows(alg, e, f)
+        monkeypatch.setattr(Algebra, "sandwich_coords", lambda self, l, x, r: (0, 1, 0))
+        return sub
+
+    monkeypatch.setattr(algebras, "peirce_rows", peirce_rows_then_corrupt)
     with pytest.raises(RuntimeError, match="left the corner"):
         corner_data(a, a.basis_element(0))
 
@@ -346,6 +357,43 @@ def test_batched_ideal_test_matches_loop(corpus):
     assert verdicts == {True, False}
 
 
+# -- the trace form against the regular matrices, entry by entry ---------------
+
+
+def _trace_gram_reference(a):
+    """G[x][y] = tr(L_x L_y) over the basis, from the left regular matrices."""
+    F = a.field
+    mats = [a.left_regular_coords(a._unit_vec(i)).entries for i in range(a.dim)]
+    out = []
+    for ex in mats:
+        row = []
+        for ey in mats:
+            acc = F.zero()
+            for i in range(a.dim):
+                for j in range(a.dim):
+                    if ex[i][j] and ey[j][i]:
+                        acc = F.add(acc, F.mul(ex[i][j], ey[j][i]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, QQ, GF(BIG_P)], ids=str)
+def test_trace_gram_matches_regular_matrix_reference(corpus, field):
+    rng = random.Random(field.p)
+    F = field
+    inputs = [e.algebra for e in corpus if e.algebra.field == F]
+    inputs += [_rescaled(F, [[[F.coerce(c) for c in row] for row in plane] for plane in src.mul],
+                         [F.coerce(c) for c in src.unit], rng)
+               for src in (e.algebra for e in corpus if e.name.endswith("/Q")) if src.dim <= 9]
+    nonzero = 0
+    for a in inputs:
+        got = _trace_gram(a)
+        assert got == _trace_gram_reference(a), a
+        nonzero += any(map(any, got))
+    assert len(inputs) >= 20 and nonzero >= 15
+
+
 # -- char-p radical stages: lifted power traces against the charpoly loop ------
 
 
@@ -372,7 +420,7 @@ def _radical_charp_reference(a):
     F = a.field
     p, d = F.p, a.dim
     vecs = [tuple(a._unit_vec(i)) for i in range(d)]
-    vecs = _kernel_combos(F, _trace_gram(a, vecs), vecs)
+    vecs = _kernel_combos(F, _trace_gram_reference(a), vecs)
     stages = []
     power = p
     while power <= d and vecs:
