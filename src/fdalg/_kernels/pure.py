@@ -9,6 +9,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 
+from ..fields import rational
+
 BACKEND_NAME = "pure"
 
 
@@ -79,7 +81,11 @@ class FpEchelon:
 
 
 class QEchelon:
-    """Incremental RREF accumulator over Q, using exact Fractions."""
+    """Incremental RREF accumulator over Q.
+
+    Takes canonical rationals (an int when integral, else a Fraction) and
+    keeps every entry it computes canonical, so integral entries stay ints.
+    """
 
     __slots__ = ("width", "_rows", "_pivots")
 
@@ -99,14 +105,14 @@ class QEchelon:
         return [row[:] for row in self._rows]
 
     def reduce(self, row):
-        r = [x if isinstance(x, Fraction) else Fraction(x) for x in row]
+        r = list(row)
         for piv, base in zip(self._pivots, self._rows):
             c = r[piv]
             if c:
                 for k in range(piv, self.width):
                     b = base[k]
                     if b:
-                        r[k] = r[k] - c * b
+                        r[k] = rational(r[k] - c * b)
         return r
 
     def insert(self, row) -> bool:
@@ -120,14 +126,15 @@ class QEchelon:
             return False
         c = r[piv]
         if c != 1:
-            r = [x / c for x in r]
+            inv = rational(Fraction(1, c))
+            r = [rational(x * inv) for x in r]
         for base in self._rows:
             c = base[piv]
             if c:
                 for k in range(piv, self.width):
                     x = r[k]
                     if x:
-                        base[k] = base[k] - c * x
+                        base[k] = rational(base[k] - c * x)
         pos = bisect_left(self._pivots, piv)
         self._pivots.insert(pos, piv)
         self._rows.insert(pos, r)

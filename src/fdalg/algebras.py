@@ -54,9 +54,10 @@ class ValidationReport:
 class Element:
     """A coordinate vector over a named parent algebra.
 
-    The public constructor coerces every coordinate with ``Field.coerce``.
-    Arithmetic results, basis, unit and zero elements already hold canonical
-    scalars and pass ``_canonical=True``.
+    The public constructor coerces every coordinate with ``Field.coerce`` to
+    the canonical scalar: a residue over F_p, and over Q an int when integral,
+    else a Fraction.  Arithmetic results, basis, unit and zero elements
+    already hold canonical scalars and pass ``_canonical=True``.
     """
 
     __slots__ = ("algebra", "coords")
@@ -122,7 +123,8 @@ class Algebra:
     """Finite-dimensional unital associative algebra over F_p or Q.
 
     The public constructor coerces every scalar with ``Field.coerce``, so
-    outside data may hold ints, Fractions or scalar strings.  The package's
+    outside data may hold ints, Fractions or scalar strings; over Q the
+    canonical scalar is an int when integral, else a Fraction.  The package's
     own builders (matrix_algebra, direct_sum, corner_data, the group,
     quotient, inflation, quiver and corpus constructions, parse_algebra_text)
     make canonical scalars and pass ``_canonical=True``: shape checks only.

@@ -1,13 +1,16 @@
 """Exact scalar arithmetic: prime fields F_p and the rationals Q.
 
-Scalars are plain Python values: residues 0..p-1 (int) over F_p and
-`fractions.Fraction` over Q.  Both are canonical forms, so structural
-equality of vectors and matrices is semantic equality.
+Scalars are plain Python values: residues 0..p-1 (int) over F_p, and over Q
+an int when the value is integral, else a `fractions.Fraction` with
+denominator > 1 (``rational``).  Both are canonical forms, so structural
+equality of vectors and matrices is semantic equality, and arithmetic on
+integral rationals stays machine-int arithmetic.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 from .errors import BadParameter
 
@@ -16,6 +19,11 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # the bases above, 399165290221 * 798330580441.  Below it ``is_prime`` is
 # proven correct; at or above it the answer may be wrong.
 MR_PROVEN_BOUND = 318665857834031151167461
+
+
+def rational(x):
+    """The canonical form of an int or Fraction: an int when it is integral."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
 def is_prime(n: int) -> bool:
@@ -88,17 +96,17 @@ class Field:
     # -- scalar arithmetic ------------------------------------------------
 
     def zero(self):
-        return 0 if self.kind == "prime" else Fraction(0)
+        return 0
 
     def one(self):
-        return 1 if self.kind == "prime" else Fraction(1)
+        return 1
 
     def coerce(self, x):
         """Canonicalize an int / Fraction / scalar string into this field."""
         if type(x) is int:
             if self.kind == "prime":
                 return x % self.p if (x >= self.p or x < 0) else x
-            return Fraction(x)
+            return x
         if isinstance(x, str):
             return self.parse_scalar(x)
         if self.kind == "prime":
@@ -107,16 +115,20 @@ class Field:
                     return x.numerator % self.p
                 return x.numerator % self.p * self.inv(x.denominator % self.p) % self.p
             return int(x) % self.p
-        return Fraction(x)
+        if type(x) is Fraction:
+            return rational(x)
+        if isinstance(x, Integral):  # bool, numpy integers: a Python int
+            return int(x)
+        return rational(Fraction(x))
 
     def add(self, a, b):
-        return (a + b) % self.p if self.kind == "prime" else a + b
+        return (a + b) % self.p if self.kind == "prime" else rational(a + b)
 
     def sub(self, a, b):
-        return (a - b) % self.p if self.kind == "prime" else a - b
+        return (a - b) % self.p if self.kind == "prime" else rational(a - b)
 
     def mul(self, a, b):
-        return a * b % self.p if self.kind == "prime" else a * b
+        return a * b % self.p if self.kind == "prime" else rational(a * b)
 
     def neg(self, a):
         return -a % self.p if self.kind == "prime" else -a
@@ -126,7 +138,7 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         if self.kind == "prime":
             return pow(a, self.p - 2, self.p)
-        return Fraction(1) / a
+        return rational(Fraction(1, a))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -141,13 +153,11 @@ class Field:
                 raise BadParameter(f"zero denominator in scalar {text!r}")
             if self.kind == "prime":
                 return a % self.p * self.inv(b % self.p) % self.p
-            return Fraction(a, b)
+            return rational(Fraction(a, b))
         return self.coerce(int(text))
 
     def format_scalar(self, x) -> str:
-        if self.kind == "prime":
-            return str(x)
-        return str(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        return str(x)
 
 
 QQ = Field.rationals()

@@ -7,7 +7,6 @@ so two subspaces are equal iff their ``Subspace`` values compare equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -23,19 +22,24 @@ def echelon_for(field: Field, width: int):
     return _kernels.q_echelon(width)
 
 
+_INT = frozenset((int,))
+
+
 def _kernel_row(field: Field, vec: Sequence) -> Sequence:
-    """``vec`` as the echelon kernels take it: they reduce ints mod p and lift
-    every scalar to Fraction over Q, so only a vector over F_p holding a
-    non-int (a Fraction or a string: then its sum is no int, or raises) is
-    coerced."""
+    """``vec`` as the echelon kernels take it: canonical scalars, except that
+    the F_p kernels reduce ints mod p themselves.  A vector of ints passes as
+    it is; any other (one holding a Fraction, a float or a scalar string) is
+    coerced.  Over Q the test reads the entry types, since a sum of Fractions
+    costs a gcd per entry."""
     if field.p:
         try:
             if type(sum(vec)) is int:
                 return vec
         except TypeError:
             pass
-        return [field.coerce(x) for x in vec]
-    return vec
+    elif set(map(type, vec)) <= _INT:
+        return vec
+    return [field.coerce(x) for x in vec]
 
 
 @dataclass(frozen=True)
@@ -154,8 +158,7 @@ class Subspace:
         p = self.field.p
         if p:
             return tuple(vec[i] % p for i in self.pivots)
-        return tuple(x if type(x) is Fraction else Fraction(x)
-                     for x in map(vec.__getitem__, self.pivots))
+        return tuple(map(vec.__getitem__, self.pivots))
 
     def complement_positions(self) -> Tuple[int, ...]:
         """Coordinate positions whose unit vectors complement this subspace."""

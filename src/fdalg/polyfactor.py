@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InternalInconsistency
-from .fields import MR_PROVEN_BOUND, Field, is_prime
+from .fields import MR_PROVEN_BOUND, Field, is_prime, rational
 from .linalg import Matrix, kernel
 
 SCAN_LIMIT = 4096  # full s-scan in gcd splitting for p up to this
@@ -275,20 +275,21 @@ def _bounded_divisors(n: int) -> Optional[List[int]]:
     return sorted(divs)
 
 
-def rational_linear_factors(f: List[Fraction]) -> Tuple[Dict[Fraction, int], List[Fraction], bool]:
+def rational_linear_factors(f: List) -> Tuple[Dict, List, bool]:
     """Extract rational roots with multiplicity.
 
     Returns (roots, cofactor, decided): cofactor is the monic leftover with no
     rational roots; decided is False when divisor enumeration was not
-    exhaustive, in which case missing roots are possible.
+    exhaustive, in which case missing roots are possible.  Roots and
+    coefficients are canonical rationals: an int when integral.
     """
     field = Field.rationals()
-    f = monic(field, [Fraction(c) for c in f])
-    roots: Dict[Fraction, int] = {}
+    f = monic(field, [field.coerce(c) for c in f])
+    roots: Dict = {}
     decided = True
     # strip powers of x
     while f and f[0] == 0:
-        roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
+        roots[0] = roots.get(0, 0) + 1
         f = f[1:]
     if degree(f) < 1:
         return roots, f, decided
@@ -304,16 +305,16 @@ def rational_linear_factors(f: List[Fraction]) -> Tuple[Dict[Fraction, int], Lis
     candidates = set()
     for pnum in d0:
         for qden in dn:
-            candidates.add(Fraction(pnum, qden))
-            candidates.add(Fraction(-pnum, qden))
+            candidates.add(rational(Fraction(pnum, qden)))
+            candidates.add(rational(Fraction(-pnum, qden)))
     for r in sorted(candidates):
         while degree(f) >= 1:
-            val = Fraction(0)
+            val = 0
             for c in reversed(f):
                 val = val * r + c
             if val != 0:
                 break
-            f, rem = poly_divmod(field, f, [-r, Fraction(1)])
+            f, rem = poly_divmod(field, f, [-r, 1])
             if rem:
                 raise InternalInconsistency("rational root does not divide the polynomial")
             roots[r] = roots.get(r, 0) + 1

@@ -435,10 +435,8 @@ def _splitting_candidates(b: Algebra, rng):
         for _ in range(RANDOM_SPLIT_TRIES_FP):
             yield tuple(rng.randrange(F.p) for _ in range(d))
     else:
-        from fractions import Fraction
-
         for _ in range(RANDOM_SPLIT_TRIES_Q):
-            yield tuple(Fraction(rng.randint(-9, 9)) for _ in range(d))
+            yield tuple(rng.randint(-9, 9) for _ in range(d))
 
 
 def _exhaustive_candidates(b: Algebra):

@@ -394,5 +394,9 @@ def test_public_constructor_canonicalizes():
     assert _typed(a) == ([(int, 1)], [(int, 1)])
     b = Algebra(F5, [[[Fraction(1, 2), "1/3"], [0, 7]], [[0, 0], [0, -1]]], [1, 0])
     assert b.mul == (((3, 2), (0, 2)), ((0, 0), (0, 4)))
+    # over Q an integral value is an int, never a Fraction with denominator 1
     q = Algebra(QQ, [[[1]]], [1])
-    assert _typed(q) == ([(Fraction, 1)], [(Fraction, 1)])
+    assert _typed(q) == ([(int, 1)], [(int, 1)])
+    h = Algebra(QQ, [[[Fraction(4, 2), "6/3"], [0, "5/3"]], [[0, 0], [0, 1.5]]], [1, 0])
+    assert [(type(c), c) for c in h.mul[0][0] + h.mul[0][1] + h.mul[1][1]] == [
+        (int, 2), (int, 2), (int, 0), (Fraction, Fraction(5, 3)), (int, 0), (Fraction, Fraction(3, 2))]

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -176,9 +177,27 @@ def test_public_entry_points_canonicalize_input():
     assert _types([u.coords_of((-4, 7, 12))]) == {int}
     assert solve_in_span(F5, [[-1, 0], [0, 6]], [Fraction(1, 2), 7]) == [2, 2]
 
+    # over Q an integral scalar is an int and any other a Fraction with
+    # denominator > 1, whatever form it came in
     w = span(QQ, 2, [[2, 4]])
-    assert w.basis_vectors() == [(1, 2)] and _types(w.basis_vectors()) == {Fraction}
-    assert w.coords_of((3, 6)) == (3,) and _types([w.coords_of((3, 6))]) == {Fraction}
-    assert _types([w.reduce((1, 1))]) == {Fraction}
+    assert w.basis_vectors() == [(1, 2)] and _types(w.basis_vectors()) == {int}
+    assert w.coords_of((3, 6)) == (3,) and _types([w.coords_of((3, 6))]) == {int}
+    assert _types([w.reduce((1, 1))]) == {int}
     coeffs = solve_in_span(QQ, [[2, 0], [0, 3]], [1, 1])
     assert coeffs == [Fraction(1, 2), Fraction(1, 3)] and _types([coeffs]) == {Fraction}
+    assert QQ.coerce(Fraction(4, 2)) == 2 and type(QQ.coerce(Fraction(4, 2))) is int
+    assert QQ.coerce("6/3") == 2 and type(QQ.coerce("6/3")) is int
+    assert [(type(x), x) for x in map(QQ.coerce, (np.int64(3), True, 4.0, 2.5))] == [
+        (int, 3), (int, 1), (int, 4), (Fraction, Fraction(5, 2))]
+    assert w.coords_of((Fraction(4, 2), "8/2")) == (2,) and _types([w.coords_of((Fraction(4, 2), "8/2"))]) == {int}
+    assert w.reduce(("6/3", 0)) == (0, -4) and _types([w.reduce(("6/3", 0))]) == {int}
+    v = span(QQ, 2, [["5/3", 0], [0, Fraction(6, 3)]])
+    assert v.basis_vectors() == [(1, 0), (0, 1)] and _types(v.basis_vectors()) == {int}
+    x = span(QQ, 2, [[3, "5/3"]])
+    assert x.basis_vectors() == [(1, Fraction(5, 9))]
+    assert _types([x.basis_vectors()[0][1:]]) == {Fraction}
+    # 1/2 + 1/2: a reduction whose Fraction arithmetic lands on an integer
+    half = span(QQ, 2, [[1, Fraction(1, 2)]])
+    assert half.reduce((0, Fraction(1, 2))) == (0, Fraction(1, 2))
+    r = half.reduce((-1, Fraction(1, 2)))
+    assert r == (0, 1) and _types([r]) == {int}

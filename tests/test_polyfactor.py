@@ -27,3 +27,12 @@ def test_small_constant_term_still_decided():
     assert decided
     assert roots == {Fraction(2): 1, Fraction(3): 1}
     assert cofactor == [Fraction(1)]
+
+
+def test_rational_roots_are_canonical():
+    # x^2 (x - 2)(2x - 1)(x^2 + 1) = 2x^6 - 5x^5 + 4x^4 - 5x^3 + 2x^2
+    roots, cofactor, decided = rational_linear_factors([0, 0, 2, -5, 4, -5, 2])
+    assert decided
+    assert roots == {0: 2, Fraction(1, 2): 1, 2: 1}
+    assert [type(r) for r in sorted(roots)] == [int, Fraction, int]
+    assert cofactor == [1, 0, 1] and {type(c) for c in cofactor} == {int}
