@@ -166,16 +166,6 @@ class Algebra:
             self._cache["np_tensor"] = t
         return t
 
-    @property
-    def _np_left_stack(self):
-        """L[i] = matrix of left multiplication by b_i (maps coords to coords)."""
-        s = self._cache.get("np_left")
-        if s is None:
-            c = self._np_tensor
-            s = c.transpose(0, 2, 1).copy()  # L_i[k, j] = c[i, j, k]
-            self._cache["np_left"] = s
-        return s
-
     # -- elements ------------------------------------------------------------
 
     def element(self, coords) -> Element:
@@ -264,18 +254,6 @@ class Algebra:
         if x.algebra is not self:
             raise ParentMismatch("element of another algebra")
         return self.right_regular_coords(x.coords)
-
-    def power(self, x: Element, e: int) -> Element:
-        if e < 0:
-            raise BadParameter("negative power")
-        acc = self.unit_element()
-        base = x
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
 
     # -- validation -------------------------------------------------------
 

@@ -18,7 +18,8 @@ from .linalg import Matrix, Subspace, _subspace_from_acc, echelon_for, kernel, s
 from .structure import (
     IdempotentSet,
     loewy_length,
-    primitive_idempotents,
+    peirce_grid,
+    peirce_radical_diagonal,
     radical,
     radical_power,
     semisimple_decomposition,
@@ -159,50 +160,28 @@ def _element_power(a: Algebra, coords, e: int):
 def acyc_cyc_space(a: Algebra, idems: IdempotentSet, n: int) -> Subspace:
     """Off-diagonal Peirce span plus the level-n diagonal radical span.
 
-    Requires a basic algebra (every primitive idempotent its own iso class).
+    Reads the memoized ``peirce_grid`` and ``peirce_radical_diagonal`` of
+    ``idems.seed``.  Requires a basic algebra (every primitive idempotent its
+    own iso class).
     """
     if len(idems.iso_classes) != len(idems.idempotents):
         raise NotBasic("requires one primitive idempotent per iso class")
-    F = a.field
-    es = idems.idempotents
-    vecs: List[Sequence] = []
-    for i, ei in enumerate(es):
-        for j, ej in enumerate(es):
-            if i == j:
-                continue
-            for b in range(a.dim):
-                v = a.multiply_coords(
-                    a.multiply_coords(ei.coords, a._unit_vec(b)), ej.coords)
-                if any(v):
-                    vecs.append(v)
-    jn = radical_power(a, n)
-    for ei in es:
-        for w in jn.basis_vectors():
-            v = a.multiply_coords(a.multiply_coords(ei.coords, w), ei.coords)
-            if any(v):
-                vecs.append(v)
-    return span(F, a.dim, vecs)
+    grid = peirce_grid(a, idems.seed)
+    vecs = [v for i, row in enumerate(grid) for j, sub in enumerate(row) if i != j
+            for v in sub.basis_vectors()]
+    vecs += [v for sub in peirce_radical_diagonal(a, n, idems.seed) for v in sub.basis_vectors()]
+    return span(a.field, a.dim, vecs)
 
 
 def peirce_codim_bound(a: Algebra, n: int, seed: int = 0) -> int:
     """Sum over basic representatives of dim e_i A e_i - dim e_i J^n e_i.
 
-    Upper bound for codim K_n(A); tight for n = 1, 2.  Memoized per (n, seed).
+    Upper bound for codim K_n(A); tight for n = 1, 2.  Read from the memoized
+    ``peirce_grid`` and ``peirce_radical_diagonal``.
     """
-    from .structure import peirce_component, _peirce_section
-
-    key = ("peirce_bound", n, seed)
-    cached = a._cache.get(key)
-    if cached is not None:
-        return cached
-    idems = primitive_idempotents(a, seed)
-    reps = [idems.idempotents[r] for r in idems.basic_representatives]
-    jn = radical_power(a, n)
-    total = 0
-    for e in reps:
-        total += peirce_component(a, e, e).dim - _peirce_section(a, e, jn)
-    a._cache[key] = total
-    return total
+    grid = peirce_grid(a, seed)
+    return sum(grid[i][i].dim - sub.dim
+               for i, sub in enumerate(peirce_radical_diagonal(a, n, seed)))
 
 
 def rad_in_commutators(a: Algebra) -> bool:

@@ -14,10 +14,10 @@ from typing import List, Optional, Sequence, Tuple
 from .algebras import Algebra, Element, corner_data
 from .errors import BadParameter, InternalInconsistency, NotBasic, NotFull, ParentMismatch
 from .invariants import commutator_subspace, k_n_space, k_of
-from .linalg import Matrix, Subspace, echelon_for, kernel, solve_in_span, span
+from .linalg import Matrix, echelon_for, kernel, solve_in_span, span
 from .structure import (
     loewy_length,
-    peirce_component,
+    peirce_grid,
     primitive_idempotents,
     radical_power,
 )
@@ -229,8 +229,8 @@ def inflate(a: Algebra, multiplicities: Sequence[int], seed: int = 0) -> Algebra
     For a basic algebra with primitive idempotents e_1..e_l, the result is the
     endomorphism algebra of the projective generator with the given
     multiplicities: basis elements are (class i, copy r, class j, copy s, w)
-    with w running over a basis of e_i A e_j, multiplied like matrix units
-    with entry composition in A.
+    with w running over a basis of e_i A e_j (read from ``peirce_grid``),
+    multiplied like matrix units with entry composition in A.
     """
     idems = primitive_idempotents(a, seed)
     l = len(idems.iso_classes)
@@ -242,9 +242,7 @@ def inflate(a: Algebra, multiplicities: Sequence[int], seed: int = 0) -> Algebra
         raise BadParameter("multiplicities must be positive")
     F = a.field
     es = [idems.idempotents[r] for r in idems.basic_representatives]
-    peirce: List[List[Subspace]] = [
-        [peirce_component(a, es[i], es[j]) for j in range(l)] for i in range(l)
-    ]
+    peirce = peirce_grid(a, seed)
     basis = []
     for i in range(l):
         for r in range(multiplicities[i]):
@@ -284,12 +282,5 @@ def inflate(a: Algebra, multiplicities: Sequence[int], seed: int = 0) -> Algebra
 
 def inflation_dim(a: Algebra, multiplicities: Sequence[int], seed: int = 0) -> int:
     """Dimension the inflation will have, without building it."""
-    idems = primitive_idempotents(a, seed)
-    es = [idems.idempotents[r] for r in idems.basic_representatives]
-    l = len(es)
-    total = 0
-    for i in range(l):
-        for j in range(l):
-            total += (multiplicities[i] * multiplicities[j]
-                      * peirce_component(a, es[i], es[j]).dim)
-    return total
+    return sum(multiplicities[i] * multiplicities[j] * sub.dim
+               for i, row in enumerate(peirce_grid(a, seed)) for j, sub in enumerate(row))

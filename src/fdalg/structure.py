@@ -10,6 +10,13 @@ g_i(z) = (tr(L̃_z^{p^i}) mod p^{i+1}) / p^i for an integer lift L̃_z of L_z
 Appl. Algebra 117/118 (1997)); over a prime field each stage is an honest
 linear system.  Every route's output is checked to be a nilpotent two-sided
 ideal before it is returned.
+
+The Peirce table lives here too: ``peirce_grid`` spans each e_i·A·e_j and
+``peirce_radical_diagonal`` each e_i·J^n·e_i over the basic representatives
+of ``primitive_idempotents``, once per (algebra, seed) and (algebra, n,
+seed).  The Cartan matrix, the Ext^1 diagonal, the diagonal codimension
+bound, the basic-algebra span ``acyc_cyc_space`` and progenerator inflation
+all read those two memos.
 """
 from __future__ import annotations
 
@@ -139,13 +146,14 @@ def _radical_char0(a: Algebra) -> List[Tuple]:
 def _lifted_power_traces(a: Algebra, w, power: int, modulus: int):
     """tr(L̃_w^power) mod modulus for each row w of an (m, d) int64 array.
 
-    L̃_w is the lift of L_w with entries in [0, p), taken from
-    ``_np_left_stack``; the m matrices are raised by square-and-multiply as
-    one (m, d, d) batch, reduced mod the modulus after every product.
+    L̃_w is the lift of L_w with entries in [0, p).  Contracting w with the
+    tensor gives its transpose, Σ_i w_i c[i, j, k] = L̃_w[k, j], and
+    tr((L̃ᵀ)^k) = tr(L̃^k).  The m matrices are raised by square-and-multiply
+    as one (m, d, d) batch, reduced mod the modulus after every product.
     """
     import numpy as np
 
-    base = np.tensordot(w, a._np_left_stack, axes=([1], [0])) % a.field.p
+    base = np.tensordot(w, a._np_tensor, axes=([1], [0])) % a.field.p
     result = None
     e = power
     while True:
@@ -366,23 +374,19 @@ def _coprime_pieces_fp(field: Field, minpoly, rng) -> Optional[List[List]]:
     return pieces
 
 
-def _coprime_pieces_q(field: Field, minpoly) -> Tuple[Optional[List[List]], bool]:
-    """(pieces, certain): pieces None when no coprime split is visible."""
-    roots, cofactor, decided = rational_linear_factors(minpoly)
+def _coprime_pieces_q(field: Field, minpoly) -> Optional[List[List]]:
+    """Coprime prime-power pieces of the minimal polynomial, or None when no
+    coprime split is visible."""
+    roots, cofactor, _ = rational_linear_factors(minpoly)
     pieces = []
     for r, e in roots.items():
         piece = [field.one()]
         for _ in range(e):
             piece = poly_mul(field, piece, [field.neg(r), field.one()])
         pieces.append(piece)
-    leftover = degree(cofactor) >= 1
-    if leftover:
+    if degree(cofactor) >= 1:
         pieces.append(monic(field, cofactor))
-    if len(pieces) >= 2:
-        return pieces, decided
-    # single piece: certain only if it is a pure linear power and enumeration was complete
-    certain = decided and not leftover
-    return None, certain
+    return pieces if len(pieces) >= 2 else None
 
 
 def _poly_invmod(field: Field, f, m):
@@ -457,11 +461,10 @@ def _primitive_decomposition(b: Algebra, rng) -> List[Tuple[Tuple, int]]:
     if b.dim == 1:
         return [(tuple(b.unit), 1)]
     F = b.field
-    tainted = False
     field_certificate = False
 
     def try_candidate(z):
-        nonlocal tainted, field_certificate
+        nonlocal field_certificate
         mp = minimal_polynomial(b, z)
         if F.is_prime_field:
             pieces = _coprime_pieces_fp(F, mp, rng)
@@ -470,10 +473,7 @@ def _primitive_decomposition(b: Algebra, rng) -> List[Tuple[Tuple, int]]:
                 if len(fac) == 1 and next(iter(fac.values())) == 1:
                     field_certificate = True
             return z, mp, pieces
-        pieces, certain = _coprime_pieces_q(F, mp)
-        if pieces is None and not certain:
-            tainted = True
-        return z, mp, pieces
+        return z, mp, _coprime_pieces_q(F, mp)
 
     for cand in _splitting_candidates(b, rng):
         z, mp, pieces = try_candidate(cand)
@@ -508,10 +508,6 @@ def _recurse_split(b: Algebra, z, minpoly, pieces, rng) -> List[Tuple[Tuple, int
     return out
 
 
-def peirce_component(a: Algebra, e: Element, f: Element) -> Subspace:
-    return peirce_rows(a, e.coords, f.coords)
-
-
 def semisimple_decomposition(a: Algebra, seed: int = 0) -> SemisimpleDecomposition:
     """Decomposition data of A/Rad(A): primitives, components, split flag."""
     key = ("ss_decomp", seed)
@@ -525,7 +521,8 @@ def semisimple_decomposition(a: Algebra, seed: int = 0) -> SemisimpleDecompositi
     primitives = [coords for coords, _ in prim]
     corner_dims = [cd for _, cd in prim]
     m = len(primitives)
-    # group into components: e_i S e_j != 0 iff same Wedderburn component
+    # group into components: in a semisimple algebra e_i S e_j != 0 iff e_i
+    # and e_j lie in the same Wedderburn component, a symmetric relation
     parent = list(range(m))
 
     def find(x):
@@ -534,27 +531,26 @@ def semisimple_decomposition(a: Algebra, seed: int = 0) -> SemisimpleDecompositi
             x = parent[x]
         return x
 
-    peirce_dim: Dict[Tuple[int, int], int] = {}
+    basis = [s._unit_vec(k) for k in range(s.dim)]
     for i in range(m):
-        for j in range(m):
-            dim_ij = peirce_rows(s, primitives[i], primitives[j]).dim
-            peirce_dim[(i, j)] = dim_ij
-            if dim_ij and find(i) != find(j):
+        for j in range(i + 1, m):
+            if find(i) != find(j) and any(
+                    any(s.sandwich_coords(primitives[i], b, primitives[j])) for b in basis):
                 parent[find(i)] = find(j)
     groups: Dict[int, List[int]] = {}
     for i in range(m):
         groups.setdefault(find(i), []).append(i)
     components = [sorted(g) for g in sorted(groups.values(), key=lambda g: min(g))]
-    component_dims = []
-    central = []
     F = s.field
+    central = []
     for comp in components:
-        component_dims.append(sum(peirce_dim[(i, j)] for i in comp for j in comp))
         acc = [F.zero()] * s.dim
         for i in comp:
             for k, x in enumerate(primitives[i]):
                 acc[k] = F.add(acc[k], x)
         central.append(tuple(acc))
+    # c·S·c is the direct sum of the e_i·S·e_j over i, j in the component
+    component_dims = [peirce_rows(s, c, c).dim for c in central]
     split = all(cd == 1 for cd in corner_dims) and all(
         component_dims[c] == len(comp) ** 2 for c, comp in enumerate(components)
     )
@@ -633,7 +629,43 @@ def primitive_idempotents(a: Algebra, seed: int = 0) -> IdempotentSet:
     return result
 
 
-# -- Cartan data ----------------------------------------------------------------
+# -- the Peirce table and Cartan data -------------------------------------------
+
+
+def peirce_component(a: Algebra, e: Element, f: Element) -> Subspace:
+    """The Peirce component e·A·f of any two elements."""
+    return peirce_rows(a, e.coords, f.coords)
+
+
+def _basic_representatives(a: Algebra, seed: int) -> List[Element]:
+    idems = primitive_idempotents(a, seed)
+    return [idems.idempotents[r] for r in idems.basic_representatives]
+
+
+def peirce_grid(a: Algebra, seed: int = 0) -> Tuple[Tuple[Subspace, ...], ...]:
+    """grid[i][j] = e_i·A·e_j over the basic representatives e_1..e_l of
+    ``primitive_idempotents(a, seed)``; memoized per seed."""
+    key = ("peirce_grid", seed)
+    grid = a._cache.get(key)
+    if grid is None:
+        es = [e.coords for e in _basic_representatives(a, seed)]
+        grid = tuple(tuple(peirce_rows(a, e, f) for f in es) for e in es)
+        a._cache[key] = grid
+    return grid
+
+
+def peirce_radical_diagonal(a: Algebra, n: int, seed: int = 0) -> Tuple[Subspace, ...]:
+    """diag[i] = e_i·J^n·e_i over the basic representatives, spanned by the
+    e_i·w·e_i for w in a basis of J^n; memoized per (n, seed).  It equals
+    J^n ∩ e_i·A·e_i (Lam, *A First Course in Noncommutative Rings*, §21)."""
+    key = ("peirce_radical_diagonal", n, seed)
+    diag = a._cache.get(key)
+    if diag is None:
+        rows = radical_power(a, n).basis_vectors()
+        diag = tuple(span(a.field, a.dim, [a.sandwich_coords(e.coords, w, e.coords) for w in rows])
+                     for e in _basic_representatives(a, seed))
+        a._cache[key] = diag
+    return diag
 
 
 @dataclass
@@ -648,39 +680,16 @@ class StructureReport:
 
 
 def cartan_matrix(a: Algebra, seed: int = 0) -> List[List[int]]:
-    """C[i][j] = dim e_i A e_j over basic representatives; memoized per seed."""
-    key = ("cartan", seed)
-    cached = a._cache.get(key)
-    if cached is None:
-        idems = primitive_idempotents(a, seed)
-        reps = [idems.idempotents[r] for r in idems.basic_representatives]
-        cached = tuple(tuple(peirce_component(a, ei, ej).dim for ej in reps) for ei in reps)
-        a._cache[key] = cached
-    return [list(row) for row in cached]
+    """C[i][j] = dim e_i A e_j over basic representatives, read from the
+    memoized ``peirce_grid``."""
+    return [[sub.dim for sub in row] for row in peirce_grid(a, seed)]
 
 
 def ext1_diagonal(a: Algebra, seed: int = 0) -> List[int]:
-    """dim e_i (J/J^2) e_i per iso class (the Ext^1(S_i, S_i) dimensions);
-    memoized per seed."""
-    key = ("ext1", seed)
-    cached = a._cache.get(key)
-    if cached is None:
-        idems = primitive_idempotents(a, seed)
-        reps = [idems.idempotents[r] for r in idems.basic_representatives]
-        j1 = radical(a)
-        j2 = radical_power(a, 2)
-        cached = tuple(_peirce_section(a, e, j1) - _peirce_section(a, e, j2) for e in reps)
-        a._cache[key] = cached
-    return list(cached)
-
-
-def _peirce_section(a: Algebra, e: Element, sub: Subspace) -> int:
-    """dim of e·W·e for a subspace W."""
-    rows = []
-    for w in sub.basis_vectors():
-        val = a.multiply_coords(a.multiply_coords(e.coords, w), e.coords)
-        rows.append(val)
-    return span(a.field, a.dim, rows).dim
+    """dim e_i (J/J^2) e_i per iso class (the Ext^1(S_i, S_i) dimensions),
+    read from the memoized ``peirce_radical_diagonal`` at levels 1 and 2."""
+    j1, j2 = peirce_radical_diagonal(a, 1, seed), peirce_radical_diagonal(a, 2, seed)
+    return [x.dim - y.dim for x, y in zip(j1, j2)]
 
 
 def structure_report(a: Algebra, seed: int = 0) -> StructureReport:

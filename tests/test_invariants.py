@@ -319,28 +319,29 @@ def test_report_and_suite_share_memoized_analyses(monkeypatch):
 
     calls = {"search": 0, "peirce": 0}
     search = fdalg.invariants._symmetrizing_form_search
-    peirce_component = fdalg.structure.peirce_component
+    peirce_rows = fdalg.structure.peirce_rows
 
     def counting_search(a, seed, budget):
         calls["search"] += 1
         return search(a, seed, budget)
 
-    def counting_peirce(a, e, f):
-        calls["peirce"] += 1
-        return peirce_component(a, e, f)
+    def counting_peirce_rows(alg, e, f):
+        if alg is a:  # the grid's spans; the Wedderburn grouping spans on A/J
+            calls["peirce"] += 1
+        return peirce_rows(alg, e, f)
 
     monkeypatch.setattr(fdalg.invariants, "_symmetrizing_form_search", counting_search)
-    monkeypatch.setattr(fdalg.structure, "peirce_component", counting_peirce)
+    monkeypatch.setattr(fdalg.structure, "peirce_rows", counting_peirce_rows)
     a = lower_triangular(F5, 3)
     report = build_report(a, 0)  # runs the theorem suite too; k = l, so it searches
-    l, ll = len(report["cartan"]), report["loewy_length"]
+    l = len(report["cartan"])
     assert report["k"] == report["ell"] and report["theorems_ok"]
-    # Cartan entries plus the diagonal Peirce terms of each level's bound, once each
-    assert calls == {"search": 1, "peirce": l * l + ll * l}
+    # each e_i·A·e_j over the basic representatives is spanned once per seed
+    assert calls == {"search": 1, "peirce": l * l}
     verify_theorem_suite(a, 0)
-    assert calls == {"search": 1, "peirce": l * l + ll * l}
+    assert calls == {"search": 1, "peirce": l * l}
     verify_theorem_suite(a, 1)
-    assert calls == {"search": 2, "peirce": 2 * (l * l + ll * l)}
+    assert calls == {"search": 2, "peirce": 2 * l * l}
 
 
 def test_memoized_results_are_fresh_objects():

@@ -17,8 +17,8 @@ from fdalg.corpus import (
 )
 from fdalg.errors import InternalInconsistency, NotSplit, SplitUndecided
 from fdalg.fields import GF, QQ
-from fdalg.invariants import commutator_subspace
-from fdalg.linalg import span
+from fdalg.invariants import acyc_cyc_space, commutator_subspace
+from fdalg.linalg import span, subspace_intersect
 from fdalg.morita import basic_algebra_data, inflate, inflation_dim
 from fdalg.oracle import RADICAL_ORACLE_CAP, radical_oracle
 from fdalg.structure import (
@@ -406,7 +406,9 @@ def _charpoly_stage_reference(a, vecs, power):
     """Reference stage matrix: G[y][x] = c_power(L_x L_y), one charpoly per pair."""
     p, d = a.field.p, a.dim
     m = len(vecs)
-    ls = np.tensordot(np.array(vecs, dtype=np.int64), a._np_left_stack, axes=([1], [0])) % p
+    # contracting with the tensor gives L̃ᵀ, so transpose back to L̃[k, j] = Σ_i v_i c[i, j, k]
+    ls = np.tensordot(np.array(vecs, dtype=np.int64), a._np_tensor,
+                      axes=([1], [0])).transpose(0, 2, 1) % p
     gram = [[0] * m for _ in range(m)]
     for y in range(m):
         prods = _numutil.mat_mul_mod(ls.reshape(m * d, d), ls[y], p).reshape(m, d, d)
@@ -507,3 +509,76 @@ def test_radical_stages_make_no_charpoly(monkeypatch):
     got = [_power_trace_route(_generic(a), monkeypatch) for a in (m4, infl)]
     assert [rad for _, rad in got] == want
     assert want[0].dim == 0 and len(got[0][0]) >= 1 and len(got[1][0]) >= 2
+
+
+# -- the Peirce table against per-pair spans ------------------------------------
+
+
+def _acyc_cyc_reference(a, idems, n):
+    """The off-diagonal plus level-n diagonal-radical span, from the hand loops
+    over basis images and J^n rows that the Peirce table replaced."""
+    es = idems.idempotents
+    vecs = []
+    for i, ei in enumerate(es):
+        for j, ej in enumerate(es):
+            if i != j:
+                vecs += [a.sandwich_coords(ei.coords, a._unit_vec(b), ej.coords)
+                         for b in range(a.dim)]
+    for ei in es:
+        vecs += [a.sandwich_coords(ei.coords, w, ei.coords)
+                 for w in radical_power(a, n).basis_vectors()]
+    return span(a.field, a.dim, vecs)
+
+
+def _wedderburn_reference(a, dec):
+    """(components, component dims) of A/J from all m² Peirce dims e_i·S·e_j."""
+    s = semisimple_quotient(a).algebra
+    prims = dec.primitives
+    m = len(prims)
+    dims = [[algebras.peirce_rows(s, e, f).dim for f in prims] for e in prims]
+    comp_of = list(range(m))
+    for i in range(m):
+        for j in range(m):
+            if dims[i][j] and comp_of[i] != comp_of[j]:
+                old, new = comp_of[i], comp_of[j]
+                comp_of = [new if c == old else c for c in comp_of]
+    groups = {}
+    for i in range(m):
+        groups.setdefault(comp_of[i], []).append(i)
+    components = sorted(groups.values(), key=min)
+    return components, [sum(dims[i][j] for i in c for j in c) for c in components]
+
+
+def _peirce_inputs(corpus):
+    for entry in corpus:
+        yield entry.name, entry.algebra
+    for field in (F2, F3):
+        for seed in range(10):
+            yield f"quiver(seed={seed})/{field}", random_quiver_algebra(field, seed, max_dim=16)
+
+
+def test_peirce_table_matches_per_pair_spans(corpus):
+    grids = basic = levels = 0
+    for name, a in _peirce_inputs(corpus):
+        try:
+            dec = semisimple_decomposition(a)
+        except SplitUndecided:
+            continue
+        assert (dec.components, dec.component_dims) == _wedderburn_reference(a, dec), name
+        if not dec.split:
+            continue
+        idems = primitive_idempotents(a)
+        reps = [idems.idempotents[r] for r in idems.basic_representatives]
+        grid = structure.peirce_grid(a)
+        assert [list(row) for row in grid] == [
+            [structure.peirce_component(a, e, f) for f in reps] for e in reps], name
+        grids += 1
+        for n in range(1, loewy_length(a) + 1):
+            diag = structure.peirce_radical_diagonal(a, n)
+            assert list(diag) == [subspace_intersect(radical_power(a, n), grid[i][i])
+                                  for i in range(len(reps))], (name, n)
+            levels += 1
+            if len(idems) == len(idems.iso_classes):
+                assert acyc_cyc_space(a, idems, n) == _acyc_cyc_reference(a, idems, n), (name, n)
+                basic += 1
+    assert grids >= 100 and basic >= 250 and levels >= 300
