@@ -29,8 +29,7 @@ VALIDATE_FULL_CAP = 64
 @dataclass(frozen=True)
 class Provenance:
     kind: str  # "generic" | "quiver" | "group"
-    # quiver: vertex idempotent coordinate vectors and arrow-ideal basis rows
-    vertex_idempotents: Optional[Tuple[Tuple, ...]] = None
+    # quiver: arrow-ideal basis rows
     arrow_ideal_rows: Optional[Tuple[Tuple, ...]] = None
     # group: order and conjugacy-class partition of basis indices
     group_order: Optional[int] = None

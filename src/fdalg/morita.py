@@ -8,6 +8,8 @@ onto K_n(B)/K(B).
 """
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -16,8 +18,10 @@ from .errors import BadParameter, InternalInconsistency, NotBasic, NotFull, Pare
 from .invariants import commutator_subspace, k_n_space, k_of
 from .linalg import Matrix, echelon_for, kernel, solve_in_span, span
 from .structure import (
+    IdempotentCandidate,
     loewy_length,
     peirce_grid,
+    peirce_radical_diagonal,
     primitive_idempotents,
     radical_power,
 )
@@ -65,9 +69,29 @@ class FullnessWitness:
 
 
 def fullness_witness(a: Algebra, e: Element) -> FullnessWitness:
-    """Solve 1 = sum c_(i,j) b_i e b_j; NotFull when span{b_i e b_j} != A."""
+    """Pairs (u_k, v_k) with 1 = sum u_k e v_k; NotFull when there are none.
+
+    When A carries a ``"fullness_candidate"`` for this e (``inflate`` hands
+    over the matrix units for e = sum of one diagonal unit per class), those
+    pairs are used; otherwise 1 = sum c_(i,j) b_i e b_j is solved over the
+    products that raise the rank.  Either way the witness is verified, and
+    one that does not sum to 1 raises InternalInconsistency.
+    """
     if e.algebra is not a:
         raise ParentMismatch("idempotent from another algebra")
+    candidate = a._cache.get("fullness_candidate")
+    if candidate is not None and candidate[0] == e.coords:
+        pairs = [(Element(a, u, _canonical=True), Element(a, v, _canonical=True))
+                 for u, v in candidate[1]]
+    else:
+        pairs = _solved_pairs(a, e)
+    witness = FullnessWitness(e, pairs)
+    if not witness.verify():
+        raise InternalInconsistency("fullness witness does not sum to the unit")
+    return witness
+
+
+def _solved_pairs(a: Algebra, e: Element) -> List[Tuple[Element, Element]]:
     d = a.dim
     rows = []  # the products that raised the rank: a basis of their span
     index = []
@@ -84,14 +108,8 @@ def fullness_witness(a: Algebra, e: Element) -> FullnessWitness:
     coeffs = solve_in_span(a.field, rows, a.unit)
     if coeffs is None:
         raise NotFull("span{b_i e b_j} does not contain 1; the idempotent is not full")
-    pairs = []
-    for c, (i, j) in zip(coeffs, index):
-        if c:
-            pairs.append((a.basis_element(i).scale(c), a.basis_element(j)))
-    witness = FullnessWitness(e, pairs)
-    if not witness.verify():
-        raise InternalInconsistency("fullness witness does not sum to the unit")
-    return witness
+    return [(a.basis_element(i).scale(c), a.basis_element(j))
+            for c, (i, j) in zip(coeffs, index) if c]
 
 
 @dataclass
@@ -223,15 +241,8 @@ def verify_morita_invariance(a: Algebra, seed: int = 0) -> MoritaReport:
 # -- progenerator inflation ---------------------------------------------------
 
 
-def inflate(a: Algebra, multiplicities: Sequence[int], seed: int = 0) -> Algebra:
-    """Blown-up Morita-equivalent algebra: block matrices over the Peirce grid.
-
-    For a basic algebra with primitive idempotents e_1..e_l, the result is the
-    endomorphism algebra of the projective generator with the given
-    multiplicities: basis elements are (class i, copy r, class j, copy s, w)
-    with w running over a basis of e_i A e_j (read from ``peirce_grid``),
-    multiplied like matrix units with entry composition in A.
-    """
+def _inflation_classes(a: Algebra, multiplicities: Sequence[int], seed: int) -> int:
+    """The number l of iso classes, once A is known basic and the vector fits."""
     idems = primitive_idempotents(a, seed)
     l = len(idems.iso_classes)
     if len(idems.idempotents) != l:
@@ -240,47 +251,111 @@ def inflate(a: Algebra, multiplicities: Sequence[int], seed: int = 0) -> Algebra
         raise BadParameter(f"need {l} multiplicities, got {len(multiplicities)}")
     if any(m < 1 for m in multiplicities):
         raise BadParameter("multiplicities must be positive")
-    F = a.field
+    return l
+
+
+def inflate(a: Algebra, multiplicities: Sequence[int], seed: int = 0) -> Algebra:
+    """Blown-up Morita-equivalent algebra: block matrices over the Peirce grid.
+
+    For a basic algebra with primitive idempotents e_1..e_l, the result B is
+    the endomorphism algebra of the projective generator with the given
+    multiplicities: basis elements are (class i, copy r, class j, copy s, w)
+    with w running over a basis of e_i A e_j (read from ``peirce_grid``),
+    multiplied like matrix units with entry composition in A.  Each product
+    of Peirce basis vectors is taken once and copied into every block.
+
+    B is handed three things the construction knows, each certified where
+    it is read:
+
+    - ``"radical_candidate"``: Rad B = Hom(P, P·Rad A) (Anderson and Fuller,
+      *Rings and Categories of Modules*; Lam, *A First Course in
+      Noncommutative Rings*, §21), the blocks (i, r, j, s) with i != j whole
+      (A is basic, so e_i A e_j lies in Rad A) and e_i·Rad(A)·e_i in the
+      blocks (i, r, i, s); ``structure.radical`` certifies it;
+    - ``"idempotent_candidate"``: the diagonal units ε_(i,r), the unit of A's
+      e_i in block (i, r, i, r), grouped by i with representative ε_(i,0),
+      and the matrix units between ε_(i,0) and ε_(i,r);
+      ``structure.primitive_idempotents`` certifies them;
+    - ``"fullness_candidate"``: for e = sum_i ε_(i,0), the pairs
+      (M_(i,r),(i,0), M_(i,0),(i,r)) of matrix units, whose products
+      M·e·M' are the ε_(i,r) and sum to 1; ``fullness_witness`` verifies them.
+    """
+    l = _inflation_classes(a, multiplicities, seed)
+    idems = primitive_idempotents(a, seed)
     es = [idems.idempotents[r] for r in idems.basic_representatives]
-    peirce = peirce_grid(a, seed)
-    basis = []
-    for i in range(l):
-        for r in range(multiplicities[i]):
-            for j in range(l):
-                for s in range(multiplicities[j]):
-                    for w in range(peirce[i][j].dim):
-                        basis.append((i, r, j, s, w))
-    index = {b: k for k, b in enumerate(basis)}
-    dim = len(basis)
+    F = a.field
     z = F.zero()
+    peirce = peirce_grid(a, seed)
+    vecs = [[sub.basis_vectors() for sub in row] for row in peirce]
+    copies = [(i, r) for i in range(l) for r in range(multiplicities[i])]
+    offset = {}  # first basis index of block (i, r, j, s); the basis runs block by block
+    dim = 0
+    for i, r in copies:
+        for j, s in copies:
+            offset[(i, r, j, s)] = dim
+            dim += peirce[i][j].dim
     mul = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
-    for p1, (i, r, j, s, w1) in enumerate(basis):
-        w1v = peirce[i][j].basis_vectors()[w1]
-        for p2, (j2, s2, t, u, w2) in enumerate(basis):
-            if j2 != j or s2 != s:
-                continue
-            w2v = peirce[j][t].basis_vectors()[w2]
-            prod = a.multiply_coords(w1v, w2v)
-            coords = peirce[i][t].coords_of(prod)
+    m = multiplicities
+    for i, j, t in itertools.product(range(l), repeat=3):
+        for (w1, x), (w2, y) in itertools.product(enumerate(vecs[i][j]), enumerate(vecs[j][t])):
+            coords = peirce[i][t].coords_of(a.multiply_coords(x, y))
             if coords is None:
                 raise InternalInconsistency("Peirce components not multiplicatively closed")
-            row = mul[p1][p2]
-            for widx, c in enumerate(coords):
-                if c:
-                    row[index[(i, r, t, u, widx)]] = c
-    unit = [z] * dim
-    for i in range(l):
-        ecoords = peirce[i][i].coords_of(es[i].coords)
-        if ecoords is None:
+            nz = [(widx, c) for widx, c in enumerate(coords) if c]
+            if not nz:
+                continue
+            for r, s, u in itertools.product(range(m[i]), range(m[j]), range(m[t])):
+                row = mul[offset[(i, r, j, s)] + w1][offset[(j, s, t, u)] + w2]
+                base = offset[(i, r, t, u)]
+                for widx, c in nz:
+                    row[base + widx] = c
+
+    diag = peirce_radical_diagonal(a, 1, seed)
+    ecoords, jcoords = [], []  # e_i, and a basis of e_i·Rad(A)·e_i, in e_i A e_i
+    for i, e in enumerate(es):
+        c = peirce[i][i].coords_of(e.coords)
+        if c is None:
             raise InternalInconsistency("idempotent lies outside its own Peirce component")
-        for r in range(multiplicities[i]):
-            for widx, c in enumerate(ecoords):
-                if c:
-                    unit[index[(i, r, i, r, widx)]] = c
-    return Algebra(F, mul, unit, _canonical=True)
+        ecoords.append(c)
+        jcoords.append([peirce[i][i].coords_of(x) for x in diag[i].basis_vectors()])
+
+    def block_vector(block, coords) -> Tuple:
+        out = [z] * dim
+        out[offset[block]:offset[block] + len(coords)] = coords
+        return tuple(out)
+
+    def matrix_unit(i, r, s) -> Tuple:
+        """e_i in block (i, r, i, s)."""
+        return block_vector((i, r, i, s), ecoords[i])
+
+    def add(x, y) -> Tuple:
+        return tuple(F.add(p, q) for p, q in zip(x, y))
+
+    units = [matrix_unit(i, r, r) for i, r in copies]
+    b = Algebra(F, mul, functools.reduce(add, units), _canonical=True)
+
+    rad_rows = []
+    for i, r in copies:
+        for j, s in copies:
+            if i != j:
+                base = offset[(i, r, j, s)]
+                rad_rows += [b._unit_vec(base + w) for w in range(peirce[i][j].dim)]
+            else:
+                rad_rows += [block_vector((i, r, i, s), c) for c in jcoords[i]]
+    b._cache["radical_candidate"] = rad_rows
+    b._cache["idempotent_candidate"] = IdempotentCandidate(
+        tuple(units),
+        tuple(tuple(k for k, (i, _) in enumerate(copies) if i == c) for c in range(l)),
+        {k: (matrix_unit(i, 0, r), matrix_unit(i, r, 0)) for k, (i, r) in enumerate(copies) if r})
+    e = functools.reduce(add, [matrix_unit(i, 0, 0) for i in range(l)])
+    b._cache["fullness_candidate"] = (
+        e, tuple((matrix_unit(i, r, 0), matrix_unit(i, 0, r)) for i, r in copies))
+    return b
 
 
 def inflation_dim(a: Algebra, multiplicities: Sequence[int], seed: int = 0) -> int:
-    """Dimension the inflation will have, without building it."""
+    """Dimension the inflation will have, without building it; rejects the
+    same inputs as ``inflate``."""
+    _inflation_classes(a, multiplicities, seed)
     return sum(multiplicities[i] * multiplicities[j] * sub.dim
                for i, row in enumerate(peirce_grid(a, seed)) for j, sub in enumerate(row))

@@ -512,8 +512,7 @@ def build_path_algebra(q: QuiverPresentation, cap: int = DEFAULT_CAP) -> PathAlg
         row = [z] * dim
         row[i] = field.one()
         arrow_rows.append(tuple(row))
-    prov = Provenance("quiver", vertex_idempotents=tuple(vert_rows),
-                      arrow_ideal_rows=tuple(arrow_rows))
+    prov = Provenance("quiver", arrow_ideal_rows=tuple(arrow_rows))
     alg = Algebra(field, mul, unit, prov, _canonical=True)
     pb = PathBasis(
         labels=[_path_label(q, p, s) for (s, p) in basis_paths],

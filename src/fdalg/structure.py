@@ -1,15 +1,26 @@
 """Radical, semisimple quotient, primitive idempotents, Cartan data.
 
-The Jacobson radical comes from one of four routes: the arrow ideal for
-quiver-built algebras, the rows e·Rad(A)·e that a corner eAe inherits from a
-parent whose radical is known (Rad(eAe) = e·Rad(A)·e), the kernel of the
-regular trace form in characteristic zero, and in characteristic p the chain
-of lifted power-trace conditions g_i(xy) = 0, with
-g_i(z) = (tr(L̃_z^{p^i}) mod p^{i+1}) / p^i for an integer lift L̃_z of L_z
-(Rónyai, J. Symbolic Comput. 9 (1990); Cohen, Ivanyos and Wales, J. Pure
-Appl. Algebra 117/118 (1997)); over a prime field each stage is an honest
-linear system.  Every route's output is checked to be a nilpotent two-sided
-ideal before it is returned.
+The Jacobson radical comes from one of four routes:
+
+- the arrow ideal, for quiver-built algebras;
+- rows a construction hands over as ``"radical_candidate"``: a corner eAe
+  inherits e·Rad(A)·e from a parent whose radical is known
+  (Rad(eAe) = e·Rad(A)·e), and a progenerator inflation End_B(P) gets
+  Hom(P, P·Rad B) (``morita.inflate``);
+- the kernel of the regular trace form, in characteristic zero;
+- in characteristic p, the chain of lifted power-trace conditions
+  g_i(xy) = 0, with g_i(z) = (tr(L̃_z^{p^i}) mod p^{i+1}) / p^i for an integer
+  lift L̃_z of L_z (Rónyai, J. Symbolic Comput. 9 (1990); Cohen, Ivanyos and
+  Wales, J. Pure Appl. Algebra 117/118 (1997)); over a prime field each stage
+  is an honest linear system.
+
+Every route's output is checked to be a nilpotent two-sided ideal before it
+is returned, and the check caches the chain of its powers.
+
+Primitive idempotents come from one of two routes.  An algebra that carries
+an ``"idempotent_candidate"`` (an ``IdempotentCandidate``; inflations hand one
+over) has it certified by ``primitive_idempotents``; any other algebra has
+its semisimple quotient split by minimal polynomials and the pieces lifted.
 
 The Peirce table lives here too: ``peirce_grid`` spans each e_i·A·e_j and
 ``peirce_radical_diagonal`` each e_i·J^n·e_i over the basic representatives
@@ -588,17 +599,46 @@ class IdempotentSet:
         return len(self.idempotents)
 
 
-def primitive_idempotents(a: Algebra, seed: int = 0) -> IdempotentSet:
-    """Lift a split semisimple decomposition to primitive idempotents of A.
+@dataclass(frozen=True)
+class IdempotentCandidate:
+    """Primitive idempotents a construction hands over, in coordinates.
 
-    Lifting iterates x -> 3x^2 - 2x^3 (the defect squares each pass, so
-    nilpotency of the radical forces convergence), pushed through shrinking
-    corners so the lifts stay pairwise orthogonal.
+    ``iso_classes`` partitions the indices of ``idempotents``, each class
+    listing its representative first.  ``matrix_units[k] = (u, v)`` for every
+    other index k, with r its class representative: u in e_r·A·e_k and v in
+    e_k·A·e_r with u·v = e_r and v·u = e_k.
+    """
+
+    idempotents: Tuple[Tuple, ...]
+    iso_classes: Tuple[Tuple[int, ...], ...]
+    matrix_units: Dict[int, Tuple[Tuple, Tuple]]
+
+
+def primitive_idempotents(a: Algebra, seed: int = 0) -> IdempotentSet:
+    """A complete set of primitive orthogonal idempotents, grouped by iso class.
+
+    An algebra carrying an ``"idempotent_candidate"`` gets that set, certified
+    by ``_certified_candidate``; ``morita.inflate`` hands over the diagonal
+    matrix units of End_B(P), with their iso classes and the matrix units
+    between copies.  Otherwise a split semisimple decomposition of A/Rad(A)
+    is lifted: x -> 3x^2 - 2x^3 (the defect squares each pass, so nilpotency
+    of the radical forces convergence), pushed through shrinking corners so
+    the lifts stay pairwise orthogonal.
     """
     key = ("idempotents", seed)
     cached = a._cache.get(key)
     if cached is not None:
         return cached
+    candidate = a._cache.get("idempotent_candidate")
+    if candidate is not None:
+        result = _certified_candidate(a, candidate, seed)
+    else:
+        result = _lifted_idempotents(a, seed)
+    a._cache[key] = result
+    return result
+
+
+def _lifted_idempotents(a: Algebra, seed: int) -> IdempotentSet:
     dec = semisimple_decomposition(a, seed)
     if not dec.split:
         raise NotSplit("primitive idempotents require a split algebra")
@@ -623,10 +663,60 @@ def primitive_idempotents(a: Algebra, seed: int = 0) -> IdempotentSet:
         total = total + x
     if total != unit:
         raise InternalInconsistency("lifted idempotents do not sum to the unit")
-    result = IdempotentSet(lifted, [list(c) for c in dec.components],
-                           [c[0] for c in dec.components], seed)
-    a._cache[key] = result
-    return result
+    return IdempotentSet(lifted, [list(c) for c in dec.components],
+                         [c[0] for c in dec.components], seed)
+
+
+def _certified_candidate(a: Algebra, cand: IdempotentCandidate, seed: int) -> IdempotentSet:
+    """Certify a handed-over set, or raise InternalInconsistency.
+
+    With J = Rad(A), the checks are: each e is idempotent, the set is
+    pairwise orthogonal and sums to 1; dim e_r·A·e_r − dim e_r·J·e_r = 1 for
+    each representative r, so e_r·(A/J)·e_r is the ground field and e_r is a
+    split primitive; e_r·A·e_s ⊆ J for representatives r ≠ s, so they are
+    not isomorphic; and each other member of a class is isomorphic to its
+    representative through its matrix units.  The representatives' Peirce
+    table and e_r·J·e_r, spanned for the checks, are memoized for ``seed``.
+    """
+    F = a.field
+    es = cand.idempotents
+    mul = a.multiply_coords
+    classes = cand.iso_classes
+    if sorted(k for c in classes for k in c) != list(range(len(es))) or not all(classes):
+        raise InternalInconsistency("handed-over iso classes do not partition the idempotents")
+    total = [F.zero()] * a.dim
+    for x, e in enumerate(es):
+        if mul(e, e) != e:
+            raise InternalInconsistency(f"handed-over idempotent {x} is not idempotent")
+        if any(any(mul(e, f)) for y, f in enumerate(es) if y != x):
+            raise InternalInconsistency(f"handed-over idempotent {x} is not orthogonal to the rest")
+        total = [F.add(t, c) for t, c in zip(total, e)]
+    if tuple(total) != a.unit:
+        raise InternalInconsistency("handed-over idempotents do not sum to the unit")
+    reps = [c[0] for c in classes]
+    rad = radical(a)
+    grid = _peirce_table(a, [es[r] for r in reps])
+    diag = _sandwich_diagonal(a, rad, [es[r] for r in reps])
+    for i, row in enumerate(grid):
+        if row[i].dim - diag[i].dim != 1:
+            raise InternalInconsistency(f"handed-over representative {reps[i]} is not a split primitive")
+        for j, sub in enumerate(row):
+            if j != i and not all(rad.contains(w) for w in sub.basis_vectors()):
+                raise InternalInconsistency(
+                    f"handed-over representatives {reps[i]} and {reps[j]} are isomorphic")
+    for c in classes:
+        r = es[c[0]]
+        for k in c[1:]:
+            u, v = cand.matrix_units.get(k, (None, None))
+            e = es[k]
+            if (u is None or a.sandwich_coords(r, u, e) != u or a.sandwich_coords(e, v, r) != v
+                    or mul(u, v) != r or mul(v, u) != e):
+                raise InternalInconsistency(
+                    f"handed-over idempotent {k} is not isomorphic to its representative {c[0]}")
+    a._cache.setdefault(("peirce_grid", seed), grid)
+    a._cache.setdefault(("peirce_radical_diagonal", 1, seed), diag)
+    return IdempotentSet([Element(a, e, _canonical=True) for e in es], [list(c) for c in classes],
+                         reps, seed)
 
 
 # -- the Peirce table and Cartan data -------------------------------------------
@@ -637,9 +727,19 @@ def peirce_component(a: Algebra, e: Element, f: Element) -> Subspace:
     return peirce_rows(a, e.coords, f.coords)
 
 
-def _basic_representatives(a: Algebra, seed: int) -> List[Element]:
+def _basic_representatives(a: Algebra, seed: int) -> List[Tuple]:
     idems = primitive_idempotents(a, seed)
-    return [idems.idempotents[r] for r in idems.basic_representatives]
+    return [idems.idempotents[r].coords for r in idems.basic_representatives]
+
+
+def _peirce_table(a: Algebra, es: List[Tuple]) -> Tuple[Tuple[Subspace, ...], ...]:
+    return tuple(tuple(peirce_rows(a, e, f) for f in es) for e in es)
+
+
+def _sandwich_diagonal(a: Algebra, sub: Subspace, es: List[Tuple]) -> Tuple[Subspace, ...]:
+    """The spans of e·w·e over a basis w of the subspace, for each e."""
+    rows = sub.basis_vectors()
+    return tuple(span(a.field, a.dim, [a.sandwich_coords(e, w, e) for w in rows]) for e in es)
 
 
 def peirce_grid(a: Algebra, seed: int = 0) -> Tuple[Tuple[Subspace, ...], ...]:
@@ -648,8 +748,7 @@ def peirce_grid(a: Algebra, seed: int = 0) -> Tuple[Tuple[Subspace, ...], ...]:
     key = ("peirce_grid", seed)
     grid = a._cache.get(key)
     if grid is None:
-        es = [e.coords for e in _basic_representatives(a, seed)]
-        grid = tuple(tuple(peirce_rows(a, e, f) for f in es) for e in es)
+        grid = _peirce_table(a, _basic_representatives(a, seed))
         a._cache[key] = grid
     return grid
 
@@ -661,9 +760,7 @@ def peirce_radical_diagonal(a: Algebra, n: int, seed: int = 0) -> Tuple[Subspace
     key = ("peirce_radical_diagonal", n, seed)
     diag = a._cache.get(key)
     if diag is None:
-        rows = radical_power(a, n).basis_vectors()
-        diag = tuple(span(a.field, a.dim, [a.sandwich_coords(e.coords, w, e.coords) for w in rows])
-                     for e in _basic_representatives(a, seed))
+        diag = _sandwich_diagonal(a, radical_power(a, n), _basic_representatives(a, seed))
         a._cache[key] = diag
     return diag
 

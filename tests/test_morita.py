@@ -10,9 +10,9 @@ from fdalg.corpus import (
     truncated_polynomial,
     two_loop_q_algebra,
 )
-from fdalg.errors import NotFull
+from fdalg.errors import BadParameter, InternalInconsistency, NotFull, SplitUndecided
 from fdalg.fields import GF, QQ
-from fdalg.invariants import codim_series, k_of
+from fdalg.invariants import codim_series, k_n_space, k_of
 from fdalg.morita import (
     basic_algebra,
     basic_algebra_data,
@@ -23,7 +23,17 @@ from fdalg.morita import (
     tau_map,
     verify_morita_invariance,
 )
-from fdalg.structure import cartan_matrix, primitive_idempotents
+from fdalg.structure import (
+    IdempotentCandidate,
+    cartan_matrix,
+    ell,
+    ext1_diagonal,
+    loewy_length,
+    primitive_idempotents,
+    radical,
+    radical_power,
+    semisimple_decomposition,
+)
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
@@ -119,15 +129,14 @@ def test_inflate_two_loop_preserves_series():
     assert codim_series(infl).values == [1, 3, 3]
 
 
-def _cartan_canonical(c):
-    """Cartan matrix up to simultaneous permutation of the class labels."""
+def _cartan_canonical(c, ext1=None):
+    """Cartan matrix, and the Ext^1 diagonal if given, up to one simultaneous
+    permutation of the class labels."""
     n = len(c)
-    best = None
-    for perm in itertools.permutations(range(n)):
-        arranged = tuple(tuple(c[perm[i]][perm[j]] for j in range(n)) for i in range(n))
-        if best is None or arranged < best:
-            best = arranged
-    return best
+    ext1 = ext1 or [0] * n
+    return min((tuple(tuple(c[perm[i]][perm[j]] for j in range(n)) for i in range(n)),
+                tuple(ext1[i] for i in perm))
+               for perm in itertools.permutations(range(n)))
 
 
 def test_inflate_and_rebasic_idempotent_on_invariants():
@@ -177,10 +186,146 @@ def test_pruned_witness_gives_the_same_tau(field, monkeypatch):
     if field.p != 2:
         cases.append((two_loop_q_algebra(field, -1), [2]))
     for src, mult in cases:
-        a = inflate(basic_algebra(src), mult)
+        handed = inflate(basic_algebra(src), mult)
+        # a generic copy carries no handed-over pairs, so its witness is solved
+        a = Algebra(handed.field, handed.mul, handed.unit)
         b, e, rows = basic_algebra_data(a)
         w = fullness_witness(a, e)
         assert solved[-1] <= a.dim and len(w.pairs) <= a.dim and w.verify()
         full = _witness_over_all_products(a, e)
         assert full.verify()
         assert tau_map(a, e, w, b, rows).matrix == tau_map(a, e, full, b, rows).matrix
+        # the inflation's own matrix units give the same coset map, unsolved
+        n_solved = len(solved)
+        b, e, rows = basic_algebra_data(handed)
+        w = fullness_witness(handed, e)
+        assert len(solved) == n_solved and len(w.pairs) == sum(mult)
+        full = _witness_over_all_products(handed, e)
+        assert tau_map(handed, e, w, b, rows).matrix == tau_map(handed, e, full, b, rows).matrix
+
+
+@pytest.mark.parametrize("mult,message", [([1, 2, 3], "need 2 multiplicities, got 3"),
+                                          ([0, -1], "multiplicities must be positive"),
+                                          ([1], "need 2 multiplicities, got 1")])
+def test_inflation_dim_rejects_what_inflate_rejects(mult, message):
+    k1 = kronecker(F3, 1)
+    for build in (inflation_dim, inflate):
+        with pytest.raises(BadParameter, match=message):
+            build(k1, mult)
+
+
+# -- what inflate hands over ----------------------------------------------------
+
+
+def _small_inflations(corpus, cap=16):
+    """Inflations of dim <= cap of the basic algebras of the split corpus
+    algebras, by multiplicity vectors in {1,2,3}^l."""
+    for entry in corpus:
+        try:
+            dec = semisimple_decomposition(entry.algebra)
+        except SplitUndecided:
+            continue
+        if not dec.split:
+            continue
+        b = basic_algebra(entry.algebra)
+        for mult in itertools.product((1, 2, 3), repeat=len(dec.components)):
+            if inflation_dim(b, list(mult)) <= cap:
+                yield f"{entry.name} x{list(mult)}", inflate(b, list(mult)), list(mult)
+
+
+def test_handed_over_inflations_match_generic_copies(corpus):
+    # the generic copy carries no candidates, so every search route runs on it
+    fields = set()
+    checked = 0
+    for name, big, mult in _small_inflations(corpus):
+        generic = Algebra(big.field, big.mul, big.unit)
+        assert verify_morita_invariance(big) == verify_morita_invariance(generic), name
+        idems = primitive_idempotents(big)
+        assert [e.coords for e in idems.idempotents] == list(
+            big._cache["idempotent_candidate"].idempotents), name
+        assert [len(c) for c in idems.iso_classes] == mult, name
+        ll = loewy_length(big)
+        assert ll == loewy_length(generic), name
+        for n in range(1, ll + 1):
+            assert radical_power(big, n) == radical_power(generic, n), (name, n)
+            assert k_n_space(big, n).dim == k_n_space(generic, n).dim, (name, n)
+        assert _cartan_canonical(cartan_matrix(big), ext1_diagonal(big)) == _cartan_canonical(
+            cartan_matrix(generic), ext1_diagonal(generic)), name
+        # nothing above searched the inflation's semisimple quotient
+        assert ("ss_decomp", 0) not in big._cache, name
+        assert ell(big) == ell(generic) == len(mult), name
+        fields.add(str(big.field))
+        checked += 1
+    assert {"Fp:2", "Fp:3", "Fp:5", "Q"} <= fields
+    assert checked >= 100, checked
+
+
+def _corrupt(kind):
+    """A Kronecker inflation over F_3 with one handed-over object corrupted."""
+    big = inflate(kronecker(F3, 2), [2, 1])
+    cand = big._cache["idempotent_candidate"]
+    if kind == "radical row":
+        rows = big._cache["radical_candidate"]
+        rows[0] = cand.idempotents[0]
+    elif kind == "idempotent":
+        units = list(cand.idempotents)
+        units[1] = tuple(2 * x % 3 for x in units[1])
+        big._cache["idempotent_candidate"] = IdempotentCandidate(
+            tuple(units), cand.iso_classes, cand.matrix_units)
+    elif kind == "class grouping":
+        # copies 0 and 1 of the first class, claimed to be two classes
+        classes = ((0,), (1,)) + cand.iso_classes[1:]
+        big._cache["idempotent_candidate"] = IdempotentCandidate(
+            cand.idempotents, classes, {})
+    elif kind == "matrix unit":
+        u, v = cand.matrix_units[1]
+        big._cache["idempotent_candidate"] = IdempotentCandidate(
+            cand.idempotents, cand.iso_classes, {1: (v, u)})
+    elif kind == "fullness pair":
+        e, pairs = big._cache["fullness_candidate"]
+        big._cache["fullness_candidate"] = (e, (pairs[1], pairs[1]) + pairs[2:])
+    return big
+
+
+@pytest.mark.parametrize("kind,message", [
+    ("radical row", "radical candidate is not a two-sided ideal"),
+    ("idempotent", "idempotent 1 is not idempotent"),
+    ("class grouping", "representatives 0 and 1 are isomorphic"),
+    ("matrix unit", "idempotent 1 is not isomorphic to its representative 0"),
+    ("fullness pair", "fullness witness does not sum to the unit"),
+])
+def test_corrupted_hand_over_is_caught(kind, message):
+    with pytest.raises(InternalInconsistency, match=message):
+        verify_morita_invariance(_corrupt(kind))
+
+
+def test_corrupted_hand_over_is_caught_under_python_O():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import fdalg
+
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from test_morita import _corrupt; "
+            "from fdalg.errors import InternalInconsistency; "
+            "from fdalg.morita import verify_morita_invariance\n"
+            "try:\n    verify_morita_invariance(_corrupt('class grouping'))\n"
+            "except InternalInconsistency:\n    print('caught')\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fdalg.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-O", "-c", code, str(pathlib.Path(__file__).parent)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["caught"]
+
+
+def test_dropped_radical_row_is_caught():
+    # a nilpotent ideal smaller than the radical passes the radical check;
+    # the idempotent certificate sees that it leaves e_r·(A/J)·e_r too big
+    big = inflate(truncated_polynomial(F5, 3), [2])
+    rows = big._cache["radical_candidate"]  # M_2(J) for J = (x, x^2): x, x^2 per block
+    big._cache["radical_candidate"] = rows[1::2]  # M_2(J^2)
+    assert radical(big).dim == 4
+    with pytest.raises(InternalInconsistency, match="split primitive"):
+        primitive_idempotents(big)
