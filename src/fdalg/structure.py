@@ -699,7 +699,8 @@ def _certified_candidate(a: Algebra, cand: IdempotentCandidate, seed: int) -> Id
     diag = _sandwich_diagonal(a, rad, [es[r] for r in reps])
     for i, row in enumerate(grid):
         if row[i].dim - diag[i].dim != 1:
-            raise InternalInconsistency(f"handed-over representative {reps[i]} is not a split primitive")
+            raise InternalInconsistency(
+                f"handed-over representative {reps[i]} is not a split primitive")
         for j, sub in enumerate(row):
             if j != i and not all(rad.contains(w) for w in sub.basis_vectors()):
                 raise InternalInconsistency(
