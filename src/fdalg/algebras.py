@@ -29,8 +29,9 @@ VALIDATE_FULL_CAP = 64
 @dataclass(frozen=True)
 class Provenance:
     kind: str  # "generic" | "quiver" | "group"
-    # quiver: arrow-ideal basis rows
-    arrow_ideal_rows: Optional[Tuple[Tuple, ...]] = None
+    # quiver: the path length of each basis element (``structure.radical``
+    # certifies the grading and reads Rad A = A_{>=1}, J^n = A_{>=n} off it)
+    degrees: Optional[Tuple[int, ...]] = None
     # group: order and conjugacy-class partition of basis indices
     group_order: Optional[int] = None
     conjugacy_classes: Optional[Tuple[Tuple[int, ...], ...]] = None

@@ -149,7 +149,11 @@ def _random_quiver_text(rng: random.Random, trunc: Optional[int]) -> Tuple[str, 
 
 def random_quiver_algebra(field: Field, seed: int, trunc: Optional[int] = None,
                           max_dim: int = 40) -> Algebra:
-    """Seeded admissible quiver algebra (quiver provenance, so Rad is known)."""
+    """Seeded admissible quiver algebra.  It keeps what ``build_path_algebra``
+    hands over, its path-length grading and vertex idempotents, so its
+    radical, radical powers, primitive idempotents and semisimple
+    decomposition are certified rather than searched for, and it is its own
+    basic corner."""
     rng = random.Random(seed)
     for _ in range(100):
         try:
@@ -194,7 +198,8 @@ def random_local_algebra(field: Field, seed: int, generators: Optional[int] = No
             continue
         alg = built.algebra
         if alg.dim <= max_dim:
-            # strip quiver provenance: the radical must be recomputed honestly
+            # a fresh algebra without the grading or the vertex idempotents:
+            # the radical and idempotents must be recomputed honestly
             return Algebra(field, alg.mul, alg.unit, Provenance("generic"), _canonical=True)
     raise GeneratorFailed(f"no local algebra of dim <= {max_dim} after 100 draws")
 

@@ -190,12 +190,20 @@ def span(field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> Subspac
     return _subspace_from_acc(field, ambient_dim, _accumulate(field, ambient_dim, vectors))
 
 
+def coordinate_subspace(field: Field, ambient_dim: int, positions: Iterable[int]) -> Subspace:
+    """The span of the unit vectors at the given increasing positions; those
+    unit vectors are already its RREF basis."""
+    z, o = field.zero(), field.one()
+    rows = tuple(tuple(o if i == pos else z for i in range(ambient_dim)) for pos in positions)
+    return Subspace(field, ambient_dim, Matrix(field, len(rows), ambient_dim, rows))
+
+
 def zero_subspace(field: Field, ambient_dim: int) -> Subspace:
-    return Subspace(field, ambient_dim, Matrix(field, 0, ambient_dim, ()))
+    return coordinate_subspace(field, ambient_dim, ())
 
 
 def full_subspace(field: Field, ambient_dim: int) -> Subspace:
-    return Subspace(field, ambient_dim, Matrix.identity(field, ambient_dim))
+    return coordinate_subspace(field, ambient_dim, range(ambient_dim))
 
 
 def rref(m: Matrix) -> Tuple[Matrix, int, List[int]]:

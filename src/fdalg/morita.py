@@ -38,13 +38,23 @@ def basic_idempotent(a: Algebra, seed: int = 0) -> Element:
 
 def basic_algebra_data(a: Algebra, seed: int = 0) -> Tuple[Algebra, Element, List[Tuple]]:
     """(B, e, rows): the basic corner B = eAe, cached per seed so every caller
-    shares one B and everything cached on it."""
+    shares one B and everything cached on it.
+
+    When A is already basic, e = 1 and the corner would be a copy of A's
+    tensor on the same basis, so B is A itself, with the standard basis rows;
+    A is then handed the fullness pair (1, 1), which ``fullness_witness``
+    still verifies, unless it already carries a candidate.
+    """
     key = ("basic", seed)
     cached = a._cache.get(key)
     if cached is None:
         e = basic_idempotent(a, seed)
-        alg, rows = corner_data(a, e)
-        cached = (alg, e, rows)
+        if e.coords == a.unit:
+            cached = (a, e, [a._unit_vec(i) for i in range(a.dim)])
+            a._cache.setdefault("fullness_candidate", (a.unit, ((a.unit, a.unit),)))
+        else:
+            alg, rows = corner_data(a, e)
+            cached = (alg, e, rows)
         a._cache[key] = cached
     return cached
 

@@ -23,7 +23,8 @@ from typing import Dict, List, Optional, Tuple
 from .algebras import Algebra, Element, Provenance
 from .errors import NotAdmissible, QuiverSyntaxError, UnsupportedRelations
 from .fields import Field
-from .linalg import Subspace, echelon_for, span
+from .linalg import Subspace, coordinate_subspace, echelon_for
+from .structure import IdempotentCandidate
 
 DEFAULT_CAP = 32
 PATH_CAP = 20000
@@ -439,6 +440,19 @@ def build_path_algebra(q: QuiverPresentation, cap: int = DEFAULT_CAP) -> PathAlg
     non-pivot paths of the graded ideal component, and products reduce through
     the same echelon data.  Since the bound N certifies that length-N paths
     die in the ideal, any product of total length >= N is zero.
+
+    The algebra is handed what the construction fixes, each certified where
+    it is read:
+
+    - its grading, the path length of each basis element, as
+      ``Provenance.degrees``: ``structure.radical`` certifies it and reads
+      Rad A = A_{>=1} and J^n = A_{>=n} off it;
+    - the vertex idempotents, each its own iso class, as an
+      ``"idempotent_candidate"``: ``structure.radical`` certifies them, and
+      the primitive idempotents, the semisimple decomposition, the Cartan
+      matrix and the Ext^1 diagonal follow vertex order.
+
+    FQ/I is basic, so its basic corner is the algebra itself.
     """
     field = q.field
     n_bound = admissibility_bound(q, cap)
@@ -502,24 +516,17 @@ def build_path_algebra(q: QuiverPresentation, cap: int = DEFAULT_CAP) -> PathAlg
     for v in range(nv):
         unit[v] = field.one()
 
-    vert_rows = []
-    for v in range(nv):
-        row = [z] * dim
-        row[v] = field.one()
-        vert_rows.append(tuple(row))
-    arrow_rows = []
-    for i in range(nv, dim):
-        row = [z] * dim
-        row[i] = field.one()
-        arrow_rows.append(tuple(row))
-    prov = Provenance("quiver", arrow_ideal_rows=tuple(arrow_rows))
-    alg = Algebra(field, mul, unit, prov, _canonical=True)
+    lengths = [len(p) for (_, p) in basis_paths]
+    alg = Algebra(field, mul, unit, Provenance("quiver", degrees=tuple(lengths)), _canonical=True)
+    vertices = [alg._unit_vec(v) for v in range(nv)]
+    alg._cache["idempotent_candidate"] = IdempotentCandidate(
+        tuple(vertices), tuple((v,) for v in range(nv)), {})
     pb = PathBasis(
         labels=[_path_label(q, p, s) for (s, p) in basis_paths],
-        lengths=[len(p) for (_, p) in basis_paths],
+        lengths=lengths,
         sources=[s for (s, _) in basis_paths],
         targets=[q.arrows[p[-1]].target if p else s for (s, p) in basis_paths],
         paths=[p for (_, p) in basis_paths],
     )
-    ideal = span(field, dim, arrow_rows) if arrow_rows else span(field, dim, [])
-    return PathAlgebraResult(alg, [alg.element(r) for r in vert_rows], ideal, pb, n_bound)
+    return PathAlgebraResult(alg, [Element(alg, v, _canonical=True) for v in vertices],
+                             coordinate_subspace(field, dim, range(nv, dim)), pb, n_bound)

@@ -2,7 +2,11 @@
 
 The Jacobson radical comes from one of four routes:
 
-- the arrow ideal, for quiver-built algebras;
+- the path-length grading of a quiver build (``Provenance.degrees``): once
+  the grading, its degree-0 idempotents and the generation of each degree
+  by degree 1 are certified, Rad A = A_{>=1} and J^n = A_{>=n} (Assem,
+  Simson and Skowroński, *Elements of the Representation Theory of
+  Associative Algebras* I, §II.1-2), with no product of subspaces;
 - rows a construction hands over as ``"radical_candidate"``: a corner eAe
   inherits e·Rad(A)·e from a parent whose radical is known
   (Rad(eAe) = e·Rad(A)·e), and a progenerator inflation End_B(P) gets
@@ -14,13 +18,20 @@ The Jacobson radical comes from one of four routes:
   Wales, J. Pure Appl. Algebra 117/118 (1997)); over a prime field each stage
   is an honest linear system.
 
-Every route's output is checked to be a nilpotent two-sided ideal before it
-is returned, and the check caches the chain of its powers.
+Every route's output is checked before it is returned: the graded route by
+its own certificate, the others as a nilpotent two-sided ideal, a check that
+caches the chain of its powers.  When A also carries an idempotent
+candidate, ``radical`` certifies the candidate against it, which proves the
+radical complete (dim A - dim J = sum n_i^2 over the classes).
 
 Primitive idempotents come from one of two routes.  An algebra that carries
-an ``"idempotent_candidate"`` (an ``IdempotentCandidate``; inflations hand one
-over) has it certified by ``primitive_idempotents``; any other algebra has
-its semisimple quotient split by minimal polynomials and the pieces lifted.
+an ``"idempotent_candidate"`` (an ``IdempotentCandidate``: inflations hand
+over their diagonal matrix units, quiver builds their vertex idempotents)
+gets that set, certified; any other algebra has its semisimple quotient
+split by minimal polynomials and the pieces lifted.  The semisimple
+decomposition follows the same split: from a certified candidate it is read
+off (images in A/J, corner dims 1, components the iso classes, of dims
+n_i^2, split), and only otherwise searched.
 
 The Peirce table lives here too: ``peirce_grid`` spans each e_i·A·e_j and
 ``peirce_radical_diagonal`` each e_i·J^n·e_i over the basic representatives
@@ -31,6 +42,7 @@ all read those two memos.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -40,7 +52,16 @@ from . import _numutil
 from .algebras import Algebra, Element, corner_data, peirce_rows
 from .errors import BadParameter, InternalInconsistency, NotSplit, SplitUndecided, TooLarge
 from .fields import Field
-from .linalg import Matrix, Subspace, _subspace_from_acc, combine, echelon_for, kernel, span
+from .linalg import (
+    Matrix,
+    Subspace,
+    _subspace_from_acc,
+    combine,
+    coordinate_subspace,
+    echelon_for,
+    kernel,
+    span,
+)
 from .polyfactor import (
     degree,
     factor_fp,
@@ -301,15 +322,78 @@ def _check_radical(a: Algebra, rad: Subspace):
         raise InternalInconsistency("radical candidate is not nilpotent")
 
 
+def _graded_radical(a: Algebra, degrees: Sequence[int]) -> Subspace:
+    """Rad A = A_{>=1} and J^n = A_{>=n} for a grading of the basis, certified.
+
+    The checks, each raising InternalInconsistency:
+
+    - the degrees are non-negative, one per basis element;
+    - every nonzero c_ijk has deg k = deg i + deg j, so A = (+)_m A_m is graded
+      and A_{>=1} is a nilpotent two-sided ideal, inside Rad A;
+    - the degree-0 basis elements are pairwise orthogonal idempotents, so
+      A/A_{>=1} ~ A_0 is a product of copies of the field, semisimple, and
+      Rad A lies inside A_{>=1};
+    - for each m >= 2 the products (degree 1)·(degree m-1) of basis elements
+      span A_m (by rank), so A_m = A_1^(m-n)·A_n lies in J^n for m >= n, and
+      J^n = A_{>=n}.
+
+    The chain of powers down to zero is cached with the radical.
+    """
+    F, d = a.field, a.dim
+    if len(degrees) != d or min(degrees) < 0:
+        raise InternalInconsistency("the grading does not give each basis element a degree >= 0")
+    for i, plane in enumerate(a.mul):
+        for j, row in enumerate(plane):
+            if not any(row):
+                continue
+            want = degrees[i] + degrees[j]
+            for k, c in enumerate(row):
+                if c and degrees[k] != want:
+                    raise InternalInconsistency(
+                        f"structure constant c_({i},{j},{k}) is not homogeneous in the grading")
+    by_degree: Dict[int, List[int]] = {}
+    for i, g in enumerate(degrees):
+        by_degree.setdefault(g, []).append(i)
+    vertices = by_degree.get(0, [])
+    zero = (F.zero(),) * d
+    for i in vertices:
+        if a.mul[i][i] != a._unit_vec(i):
+            raise InternalInconsistency(f"degree-0 basis element {i} is not idempotent")
+    for i, j in itertools.permutations(vertices, 2):
+        if a.mul[i][j] != zero:
+            raise InternalInconsistency(f"degree-0 basis elements {i} and {j} are not orthogonal")
+    top = max(degrees)
+    for m in range(2, top + 1):
+        targets = by_degree.get(m)
+        if not targets:
+            continue
+        acc = echelon_for(F, len(targets))
+        for i, j in itertools.product(by_degree.get(1, []), by_degree.get(m - 1, [])):
+            acc.insert([a.mul[i][j][k] for k in targets])
+            if acc.rank == len(targets):
+                break
+        else:
+            raise InternalInconsistency(f"degree {m} is not generated by the arrows")
+    powers = [coordinate_subspace(F, d, [i for i, g in enumerate(degrees) if g >= n])
+              for n in range(1, top + 2)]
+    a._cache["rad_powers"] = powers
+    return powers[0]
+
+
 def radical(a: Algebra) -> Subspace:
-    """Jacobson radical as a canonical subspace of the coordinate space."""
+    """Jacobson radical as a canonical subspace of the coordinate space.
+
+    When A carries an ``"idempotent_candidate"``, that candidate is certified
+    against the radical before either is cached (``_certify_candidate``);
+    the certificate also proves the radical complete.
+    """
     cached = a._cache.get("radical")
     if cached is not None:
         return cached
     verified = False
     inherited = a._cache.get("radical_candidate")
-    if a.provenance.kind == "quiver":
-        rad = span(a.field, a.dim, a.provenance.arrow_ideal_rows or [])
+    if a.provenance.degrees is not None:
+        rad, verified = _graded_radical(a, a.provenance.degrees), True
     elif inherited is not None:
         rad = span(a.field, a.dim, inherited)
     elif a.field.characteristic == 0:
@@ -318,6 +402,9 @@ def radical(a: Algebra) -> Subspace:
         rad, verified = _radical_charp(a)
     if not verified:
         _check_radical(a, rad)
+    candidate = a._cache.get("idempotent_candidate")
+    if candidate is not None:
+        a._cache["candidate_peirce_grid"] = _certify_candidate(a, candidate, rad)
     a._cache["radical"] = rad
     return rad
 
@@ -526,6 +613,10 @@ def semisimple_decomposition(a: Algebra, seed: int = 0) -> SemisimpleDecompositi
     if cached is not None:
         return cached
     qd = semisimple_quotient(a)
+    if "idempotent_candidate" in a._cache:
+        result = _candidate_decomposition(a, qd, seed)
+        a._cache[key] = result
+        return result
     s = qd.algebra
     rng = random.Random(seed)
     prim = _primitive_decomposition(s, rng)
@@ -569,6 +660,26 @@ def semisimple_decomposition(a: Algebra, seed: int = 0) -> SemisimpleDecompositi
                                      component_dims, central, split)
     a._cache[key] = result
     return result
+
+
+def _candidate_decomposition(a: Algebra, qd: QuotientData, seed: int) -> SemisimpleDecomposition:
+    """The decomposition read off a certified idempotent candidate: its
+    certificate makes A/J the product of the M_{n_i}(F) over its classes, so
+    the primitives are the images of its idempotents, each with corner dim 1,
+    the components are its classes, of dims n_i^2, and A is split."""
+    idems = primitive_idempotents(a, seed)
+    F = a.field
+
+    def image(x: Sequence) -> Tuple:
+        red = qd.ideal.reduce(x)
+        return tuple(red[i] for i in qd.positions)
+
+    primitives = [image(e.coords) for e in idems.idempotents]
+    central = [tuple(functools.reduce(F.add, col) for col in zip(*(primitives[k] for k in c)))
+               for c in idems.iso_classes]
+    return SemisimpleDecomposition(primitives, [1] * len(primitives),
+                                   [list(c) for c in idems.iso_classes],
+                                   [len(c) ** 2 for c in idems.iso_classes], central, True)
 
 
 def wedderburn_split(a: Algebra, seed: int = 0) -> Tuple[List[Element], bool]:
@@ -617,13 +728,14 @@ class IdempotentCandidate:
 def primitive_idempotents(a: Algebra, seed: int = 0) -> IdempotentSet:
     """A complete set of primitive orthogonal idempotents, grouped by iso class.
 
-    An algebra carrying an ``"idempotent_candidate"`` gets that set, certified
-    by ``_certified_candidate``; ``morita.inflate`` hands over the diagonal
-    matrix units of End_B(P), with their iso classes and the matrix units
-    between copies.  Otherwise a split semisimple decomposition of A/Rad(A)
-    is lifted: x -> 3x^2 - 2x^3 (the defect squares each pass, so nilpotency
-    of the radical forces convergence), pushed through shrinking corners so
-    the lifts stay pairwise orthogonal.
+    An algebra carrying an ``"idempotent_candidate"`` gets that set, which
+    ``radical`` certifies (``_certify_candidate``): ``morita.inflate`` hands
+    over the diagonal matrix units of End_B(P), with their iso classes and
+    the matrix units between copies, and ``quiver.build_path_algebra`` the
+    vertex idempotents, each its own class.  Otherwise a split semisimple
+    decomposition of A/Rad(A) is lifted: x -> 3x^2 - 2x^3 (the defect
+    squares each pass, so nilpotency of the radical forces convergence),
+    pushed through shrinking corners so the lifts stay pairwise orthogonal.
     """
     key = ("idempotents", seed)
     cached = a._cache.get(key)
@@ -631,7 +743,11 @@ def primitive_idempotents(a: Algebra, seed: int = 0) -> IdempotentSet:
         return cached
     candidate = a._cache.get("idempotent_candidate")
     if candidate is not None:
-        result = _certified_candidate(a, candidate, seed)
+        radical(a)  # certifies the candidate and keeps its Peirce table
+        a._cache.setdefault(("peirce_grid", seed), a._cache["candidate_peirce_grid"])
+        result = IdempotentSet([Element(a, e, _canonical=True) for e in candidate.idempotents],
+                               [list(c) for c in candidate.iso_classes],
+                               [c[0] for c in candidate.iso_classes], seed)
     else:
         result = _lifted_idempotents(a, seed)
     a._cache[key] = result
@@ -667,16 +783,25 @@ def _lifted_idempotents(a: Algebra, seed: int) -> IdempotentSet:
                          [c[0] for c in dec.components], seed)
 
 
-def _certified_candidate(a: Algebra, cand: IdempotentCandidate, seed: int) -> IdempotentSet:
-    """Certify a handed-over set, or raise InternalInconsistency.
+def _certify_candidate(a: Algebra, cand: IdempotentCandidate,
+                       rad: Subspace) -> Tuple[Tuple[Subspace, ...], ...]:
+    """Certify a handed-over set against a nilpotent ideal J inside Rad(A),
+    or raise InternalInconsistency; returns the representatives' Peirce table.
 
-    With J = Rad(A), the checks are: each e is idempotent, the set is
-    pairwise orthogonal and sums to 1; dim e_r·A·e_r − dim e_r·J·e_r = 1 for
-    each representative r, so e_r·(A/J)·e_r is the ground field and e_r is a
-    split primitive; e_r·A·e_s ⊆ J for representatives r ≠ s, so they are
-    not isomorphic; and each other member of a class is isomorphic to its
-    representative through its matrix units.  The representatives' Peirce
-    table and e_r·J·e_r, spanned for the checks, are memoized for ``seed``.
+    The checks: each e is a nonzero idempotent, the set is pairwise
+    orthogonal and sums to 1; e_r·A·e_s ⊆ J for representatives r != s; each other member k of a
+    class is isomorphic to its representative r through its matrix units
+    (u·v = e_r, v·u = e_k); and dim A - dim J = sum n_i^2 over the classes.
+
+    Why that suffices: A/J is the sum of the ē_k·(A/J)·ē_l.  The matrix
+    units make each one with k, l in one class isomorphic to its
+    representative's ē_r·(A/J)·ē_r, which holds ē_r != 0 (a nilpotent J holds
+    no nonzero idempotent), and put each one
+    with k, l in different classes inside the image of e_r·A·e_s, which is 0.
+    So dim A/J = sum n_i^2·dim ē_r·(A/J)·ē_r >= sum n_i^2, with equality
+    exactly when every ē_r·(A/J)·ē_r is the field: then A/J is the product of
+    the M_{n_i}(F), semisimple, so J is all of Rad(A), each e_r is a split
+    primitive and representatives of different classes are not isomorphic.
     """
     F = a.field
     es = cand.idempotents
@@ -686,6 +811,8 @@ def _certified_candidate(a: Algebra, cand: IdempotentCandidate, seed: int) -> Id
         raise InternalInconsistency("handed-over iso classes do not partition the idempotents")
     total = [F.zero()] * a.dim
     for x, e in enumerate(es):
+        if not any(e):
+            raise InternalInconsistency(f"handed-over idempotent {x} is zero")
         if mul(e, e) != e:
             raise InternalInconsistency(f"handed-over idempotent {x} is not idempotent")
         if any(any(mul(e, f)) for y, f in enumerate(es) if y != x):
@@ -694,13 +821,8 @@ def _certified_candidate(a: Algebra, cand: IdempotentCandidate, seed: int) -> Id
     if tuple(total) != a.unit:
         raise InternalInconsistency("handed-over idempotents do not sum to the unit")
     reps = [c[0] for c in classes]
-    rad = radical(a)
     grid = _peirce_table(a, [es[r] for r in reps])
-    diag = _sandwich_diagonal(a, rad, [es[r] for r in reps])
     for i, row in enumerate(grid):
-        if row[i].dim - diag[i].dim != 1:
-            raise InternalInconsistency(
-                f"handed-over representative {reps[i]} is not a split primitive")
         for j, sub in enumerate(row):
             if j != i and not all(rad.contains(w) for w in sub.basis_vectors()):
                 raise InternalInconsistency(
@@ -714,10 +836,12 @@ def _certified_candidate(a: Algebra, cand: IdempotentCandidate, seed: int) -> Id
                     or mul(u, v) != r or mul(v, u) != e):
                 raise InternalInconsistency(
                     f"handed-over idempotent {k} is not isomorphic to its representative {c[0]}")
-    a._cache.setdefault(("peirce_grid", seed), grid)
-    a._cache.setdefault(("peirce_radical_diagonal", 1, seed), diag)
-    return IdempotentSet([Element(a, e, _canonical=True) for e in es], [list(c) for c in classes],
-                         reps, seed)
+    squares = sum(len(c) ** 2 for c in classes)
+    if a.dim - rad.dim != squares:
+        raise InternalInconsistency(
+            f"the radical misses part of Rad(A): dim A - dim J = {a.dim - rad.dim}, "
+            f"but the handed-over classes give sum n_i^2 = {squares}")
+    return grid
 
 
 # -- the Peirce table and Cartan data -------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -33,7 +34,9 @@ from fdalg.structure import (
     radical,
     radical_power,
     semisimple_decomposition,
+    semisimple_quotient,
 )
+from test_structure import _wedderburn_reference
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
@@ -254,6 +257,14 @@ def test_handed_over_inflations_match_generic_copies(corpus):
         # nothing above searched the inflation's semisimple quotient
         assert ("ss_decomp", 0) not in big._cache, name
         assert ell(big) == ell(generic) == len(mult), name
+        dec, gdec = semisimple_decomposition(big), semisimple_decomposition(generic)
+        assert (dec.components, dec.component_dims) == _wedderburn_reference(big, dec), name
+        assert sorted(dec.component_dims) == sorted(gdec.component_dims), name
+        assert dec.split and dec.corner_dims == [1] * sum(mult), name
+        s = semisimple_quotient(big).algebra
+        assert all(s.multiply_coords(c, c) == c for c in dec.central_idempotents), name
+        assert functools.reduce(lambda x, y: tuple(map(s.field.add, x, y)),
+                                dec.central_idempotents) == s.unit, name
         fields.add(str(big.field))
         checked += 1
     assert {"Fp:2", "Fp:3", "Fp:5", "Q"} <= fields
@@ -321,11 +332,13 @@ def test_corrupted_hand_over_is_caught_under_python_O():
 
 
 def test_dropped_radical_row_is_caught():
-    # a nilpotent ideal smaller than the radical passes the radical check;
-    # the idempotent certificate sees that it leaves e_r·(A/J)·e_r too big
+    # a nilpotent ideal smaller than the radical passes the ideal and nilpotency
+    # checks; dim A - dim J = sum n_i^2 over the certified classes does not
     big = inflate(truncated_polynomial(F5, 3), [2])
     rows = big._cache["radical_candidate"]  # M_2(J) for J = (x, x^2): x, x^2 per block
     big._cache["radical_candidate"] = rows[1::2]  # M_2(J^2)
-    assert radical(big).dim == 4
-    with pytest.raises(InternalInconsistency, match="split primitive"):
+    with pytest.raises(InternalInconsistency, match="misses part of Rad"):
+        radical(big)
+    assert "radical" not in big._cache
+    with pytest.raises(InternalInconsistency, match="misses part of Rad"):
         primitive_idempotents(big)

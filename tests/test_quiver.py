@@ -1,12 +1,27 @@
 import pytest
 
-from fdalg.errors import NotAdmissible, QuiverSyntaxError, UnsupportedRelations
+from fdalg import structure
+from fdalg.algebras import Algebra, Provenance
+from fdalg.corpus import kronecker, random_quiver_algebra, two_loop_q_algebra
+from fdalg.errors import InternalInconsistency, NotAdmissible, QuiverSyntaxError, UnsupportedRelations
 from fdalg.fields import GF, QQ
-from fdalg.linalg import span
+from fdalg.invariants import k_n_space
+from fdalg.morita import basic_algebra_data, verify_morita_invariance
 from fdalg.quiver import admissibility_bound, build_path_algebra, parse_quiver
-from fdalg.structure import radical
+from fdalg.structure import (
+    IdempotentCandidate,
+    cartan_matrix,
+    ell,
+    ext1_diagonal,
+    loewy_length,
+    radical,
+    radical_power,
+    semisimple_decomposition,
+)
+from test_morita import _cartan_canonical
+from test_structure import _wedderburn_reference
 
-F2, F5 = GF(2), GF(5)
+F2, F3, F5 = GF(2), GF(3), GF(5)
 
 LOOP3 = "vertices: v; arrows: x: v->v; relations: x^3"
 KRONECKER2 = "vertices: u v; arrows: a1: u->v, a2: u->v; relations:"
@@ -129,3 +144,135 @@ def test_syntax_error_positions():
         assert False
     except QuiverSyntaxError as exc:
         assert exc.line == 2
+
+
+# -- what quiver builds hand over ------------------------------------------------
+
+
+def _quiver_families(field):
+    """Quiver presentations of the named families: kronecker, truncated,
+    lower_triangular (the linear quiver) and two_loop (only where q = 2 is
+    neither 0 nor 1)."""
+    out = [(f"kronecker({n})", kronecker(field, n)) for n in (1, 2, 3)]
+    for n in (2, 3, 4):
+        src = f"vertices: v; arrows: x: v->v; relations: x^{n}"
+        out.append((f"truncated({n})", build_path_algebra(parse_quiver(src, field)).algebra))
+    for n in (2, 3, 4):
+        vs = " ".join(f"v{i}" for i in range(n))
+        arrows = ", ".join(f"a{i}: v{i} -> v{i+1}" for i in range(n - 1))
+        src = f"vertices: {vs}; arrows: {arrows}; relations:"
+        out.append((f"lower_triangular({n})", build_path_algebra(parse_quiver(src, field)).algebra))
+    if field.p != 2:
+        out.append(("two_loop(2)", two_loop_q_algebra(field, 2)))
+    return out
+
+
+def _hand_over_inputs():
+    for field in (F2, F3, F5, QQ):
+        for name, a in _quiver_families(field):
+            yield f"{name}/{field}", a
+    fields = (F2, F3, F5, QQ)
+    for seed in range(160):
+        field = fields[seed % 4]
+        yield f"random_quiver({seed})/{field}", random_quiver_algebra(field, seed, max_dim=24)
+
+
+def _analyses(a):
+    ll = loewy_length(a)
+    dec = semisimple_decomposition(a)
+    return {
+        "radical": radical(a),
+        "loewy": ll,
+        "powers": [radical_power(a, n) for n in range(1, ll + 2)],
+        "k_n": [k_n_space(a, n).dim for n in range(1, ll + 1)],
+        "ell": ell(a),
+        "split": dec.split,
+        "components": (sorted(dec.component_dims), sorted(dec.corner_dims)),
+        "cartan_ext1": _cartan_canonical(cartan_matrix(a), ext1_diagonal(a)),
+        "morita": verify_morita_invariance(a),
+    }
+
+
+def test_quiver_hand_over_matches_generic_copies(monkeypatch):
+    # the generic copy carries no grading and no candidate, so every search
+    # route runs on it
+    def no_search(b, rng):
+        raise AssertionError("_primitive_decomposition ran on a quiver build")
+
+    checked = 0
+    for name, a in _hand_over_inputs():
+        assert a.provenance.degrees is not None, name
+        with monkeypatch.context() as mp:
+            mp.setattr(structure, "_primitive_decomposition", no_search)
+            got = _analyses(a)
+            assert basic_algebra_data(a)[0] is a, name
+        dec = semisimple_decomposition(a)
+        assert (dec.components, dec.component_dims) == _wedderburn_reference(a, dec), name
+        generic = Algebra(a.field, a.mul, a.unit)
+        assert got == _analyses(generic), name
+        assert basic_algebra_data(generic)[0] is generic, name
+        checked += 1
+    assert checked >= 190, checked
+
+
+def _corrupt_quiver(kind):
+    """A quiver build with one handed-over object corrupted, as a fresh
+    algebra with the (possibly altered) tensor, grading and candidate."""
+    a = two_loop_q_algebra(F5, 2) if kind == "non-homogeneous" else kronecker(F3, 2)
+    mul = [[list(row) for row in plane] for plane in a.mul]
+    degrees = list(a.provenance.degrees)
+    cand = a._cache["idempotent_candidate"]
+    if kind == "non-homogeneous":
+        mul[1][2][0] = 1  # x·y gains a vertex term
+    elif kind == "not idempotent":
+        degrees[2] = 0  # an arrow claimed as a vertex
+    elif kind == "not orthogonal":
+        mul[0][1][0] = 1  # e_u·e_v = e_u
+    elif kind == "not generated":
+        degrees[3] = 2  # the second arrow claimed as a path of length 2
+    elif kind == "vertex idempotent":
+        units = list(cand.idempotents)
+        units[0] = tuple(2 * x % 3 for x in units[0])
+        cand = IdempotentCandidate(tuple(units), cand.iso_classes, {})
+    elif kind == "zero vertex idempotent":
+        # 0 and 1 pass every other check: idempotent, orthogonal, summing
+        # to 1, 0·A·1 = 0, and dim A - dim J = 2 = 1^2 + 1^2
+        units = (tuple(0 for _ in a.unit), a.unit)
+        cand = IdempotentCandidate(units, cand.iso_classes, {})
+    b = Algebra(a.field, mul, a.unit, Provenance("quiver", degrees=tuple(degrees)))
+    b._cache["idempotent_candidate"] = cand
+    return b
+
+
+@pytest.mark.parametrize("kind,message", [
+    ("non-homogeneous", r"c_\(1,2,0\) is not homogeneous"),
+    ("not idempotent", "degree-0 basis element 2 is not idempotent"),
+    ("not orthogonal", "degree-0 basis elements 0 and 1 are not orthogonal"),
+    ("not generated", "degree 2 is not generated by the arrows"),
+    ("vertex idempotent", "handed-over idempotent 0 is not idempotent"),
+    ("zero vertex idempotent", "handed-over idempotent 0 is zero"),
+])
+def test_corrupted_quiver_hand_over_is_caught(kind, message):
+    with pytest.raises(InternalInconsistency, match=message):
+        verify_morita_invariance(_corrupt_quiver(kind))
+
+
+def test_corrupted_quiver_hand_over_is_caught_under_python_O():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import fdalg
+
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from test_quiver import _corrupt_quiver; "
+            "from fdalg.errors import InternalInconsistency; "
+            "from fdalg.morita import verify_morita_invariance\n"
+            "try:\n    verify_morita_invariance(_corrupt_quiver('not generated'))\n"
+            "except InternalInconsistency:\n    print('caught')\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fdalg.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-O", "-c", code, str(pathlib.Path(__file__).parent)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["caught"]
