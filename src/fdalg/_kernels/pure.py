@@ -11,8 +11,6 @@ from fractions import Fraction
 
 from ..fields import rational
 
-BACKEND_NAME = "pure"
-
 
 class FpEchelon:
     """Incremental reduced row echelon accumulator over F_p.

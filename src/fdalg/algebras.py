@@ -215,6 +215,17 @@ class Algebra:
         """l·x·r in coordinates, as two products."""
         return self.multiply_coords(self.multiply_coords(l, x), r)
 
+    def power_coords(self, x: Sequence, e: int) -> Tuple:
+        """x^e in coordinates, by square-and-multiply."""
+        acc = tuple(self.unit)
+        base = tuple(x)
+        while e:
+            if e & 1:
+                acc = self.multiply_coords(acc, base)
+            base = self.multiply_coords(base, base)
+            e >>= 1
+        return acc
+
     def left_regular_coords(self, x: Sequence) -> Matrix:
         """Matrix of y -> x·y in coordinates (columns are images of basis)."""
         F = self.field

@@ -232,14 +232,10 @@ def verify_theorem_suite(a: Algebra, seed: int = 0) -> TheoremReport:
     try:
         dec = semisimple_decomposition(a, seed)
         split = dec.split
-        undecided = False
+        split_why = "algebra is not split over its field"
     except SplitUndecided as exc:
         split = False
-        undecided = True
-        reason = str(exc)
-
-    split_why = ("splitting undecided over Q" if undecided
-                 else "algebra is not split over its field")
+        split_why = f"splitting undecided: {exc}"
     if not split:
         for name in ("series_starts_at_simple_count", "series_level2_ext_identity",
                      "k_between_ext_and_cartan_bounds", "codim_bound_per_level",

@@ -51,7 +51,9 @@ class NotSplit(FdalgError):
 
 
 class SplitUndecided(FdalgError):
-    """Splitting could not be decided with the available factorization."""
+    """Whether A/J splits is undecided: over Q, a piece's minimal polynomials
+    admit no rational linear split; over F_p, where field pieces are certified,
+    no candidate split a piece that is not a field."""
 
 
 class NotBasic(FdalgError):

@@ -118,7 +118,7 @@ def p_power_space(a: Algebra) -> Subspace:
     cols = []
     for pos in positions:
         b = a._unit_vec(pos)
-        bp = _element_power(a, b, p)
+        bp = a.power_coords(b, p)
         red = kspace.reduce(bp)
         cols.append([red[i] for i in positions])
     phi = Matrix(F, q, q, tuple(tuple(cols[j][i] for j in range(q)) for i in range(q)))
@@ -141,17 +141,6 @@ def p_power_space(a: Algebra) -> Subspace:
     result = subspace_sum(kspace, span(F, a.dim, lifts))
     a._cache["p_power_space"] = result
     return result
-
-
-def _element_power(a: Algebra, coords, e: int):
-    acc = tuple(a.unit)
-    base = tuple(coords)
-    while e:
-        if e & 1:
-            acc = a.multiply_coords(acc, base)
-        base = a.multiply_coords(base, base)
-        e >>= 1
-    return acc
 
 
 # -- Peirce-diagonal spaces and the codimension bound ---------------------------
@@ -264,8 +253,7 @@ def _trial(a: Algebra, dual: List[Tuple], coeffs: Sequence) -> Optional[Tuple]:
     return tuple(lam) if _nondegenerate(a, lam) else None
 
 
-def symmetrizing_form_search(a: Algebra, seed: int = 0,
-                             budget: int = SYMMETRIC_BUDGET) -> SymmetricVerdict:
+def symmetrizing_form_search(a: Algebra, seed: int = 0) -> SymmetricVerdict:
     """Search for a linear form vanishing on K(A) with nondegenerate Gram matrix.
 
     Such a form lambda is a symmetrizing form: lambda(xy - yx) = 0 makes
@@ -278,22 +266,22 @@ def symmetrizing_form_search(a: Algebra, seed: int = 0,
       = k(A).  So dim Z(A) != k(A) proves A is not symmetric; this is checked
       first, from the cached centre and commutator space.
     * An exhaustive scan of every nonzero form on A/K(A), over F_p when p^k
-      fits in the budget.
+      fits in ``SYMMETRIC_BUDGET``.
 
     Otherwise 64 seeded random forms are tried, and "unknown" means none of
     them was nondegenerate.  ``reason`` names the certificate, scan or search.
-    Memoized per (seed, budget); each call returns a fresh ``SymmetricVerdict``.
+    Memoized per seed; each call returns a fresh ``SymmetricVerdict``.
     """
-    key = ("symmetric", seed, budget)
+    key = ("symmetric", seed)
     cached = a._cache.get(key)
     if cached is None:
-        verdict = _symmetrizing_form_search(a, seed, budget)
+        verdict = _symmetrizing_form_search(a, seed)
         cached = (verdict.kind, verdict.functional, verdict.reason)
         a._cache[key] = cached
     return SymmetricVerdict(*cached)
 
 
-def _symmetrizing_form_search(a: Algebra, seed: int, budget: int) -> SymmetricVerdict:
+def _symmetrizing_form_search(a: Algebra, seed: int) -> SymmetricVerdict:
     F = a.field
     m = k_of(a)
     z = a.center().dim
@@ -303,7 +291,7 @@ def _symmetrizing_form_search(a: Algebra, seed: int, budget: int) -> SymmetricVe
                          "form would make K(A)^perp = Z(A)")
     dual = _dual_basis(a)
     found = "functional found: it vanishes on K(A) and lambda(xy) is nondegenerate"
-    if F.is_prime_field and F.p ** m <= budget:
+    if F.is_prime_field and F.p ** m <= SYMMETRIC_BUDGET:
         # nonzero multiples of a form share its Gram rank, so the lexicographically
         # first nondegenerate vector has leading coefficient 1: scan only those,
         # in lexicographic order (a later leading position comes first)

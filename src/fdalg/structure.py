@@ -28,10 +28,12 @@ Primitive idempotents come from one of two routes.  An algebra that carries
 an ``"idempotent_candidate"`` (an ``IdempotentCandidate``: inflations hand
 over their diagonal matrix units, quiver builds their vertex idempotents)
 gets that set, certified; any other algebra has its semisimple quotient
-split by minimal polynomials and the pieces lifted.  The semisimple
-decomposition follows the same split: from a certified candidate it is read
-off (images in A/J, corner dims 1, components the iso classes, of dims
-n_i^2, split), and only otherwise searched.
+split by minimal polynomials and the pieces lifted.  Over F_p a commutative
+piece is first tested by Frobenius (``_is_field_fp``): a field F_{p^f} is one
+primitive of corner dim f, and only a piece that is not a field is searched.
+The semisimple decomposition follows the same split: from a certified
+candidate it is read off (images in A/J, corner dims 1, components the iso
+classes, of dims n_i^2, split), and only otherwise searched.
 
 The Peirce table lives here too: ``peirce_grid`` spans each e_i·A·e_j and
 ``peirce_radical_diagonal`` each e_i·J^n·e_i over the basic representatives
@@ -74,7 +76,6 @@ from .polyfactor import (
     trim,
 )
 
-EXHAUSTIVE_SPLIT_CAP = 2 ** 16
 RANDOM_SPLIT_TRIES_FP = 256
 RANDOM_SPLIT_TRIES_Q = 64
 
@@ -541,57 +542,51 @@ def _splitting_candidates(b: Algebra, rng):
             yield tuple(rng.randint(-9, 9) for _ in range(d))
 
 
-def _exhaustive_candidates(b: Algebra):
-    p, d = b.field.p, b.dim
-    for coords in itertools.product(range(p), repeat=d):
-        if any(coords):
-            yield coords
+def _is_field_fp(b: Algebra) -> bool:
+    """Whether a commutative algebra over F_p is a field.
+
+    Frobenius z -> z^p is F_p-linear on b.  It is injective exactly when b is
+    reduced, that is a product of fields F_{p^f}, and then its fixed points are
+    one copy of F_p per factor (Rónyai, J. Symbolic Comput. 9 (1990)).  So b
+    is a field iff rank{b_i^p} = d and rank{b_i^p - b_i} = d - 1; nothing is
+    assumed about b's radical.
+    """
+    F, d = b.field, b.dim
+    images = [b.power_coords(b._unit_vec(i), F.p) for i in range(d)]
+    if span(F, d, images).dim != d:
+        return False
+    shifted = [tuple(F.sub(x, y) for x, y in zip(img, b._unit_vec(i)))
+               for i, img in enumerate(images)]
+    return span(F, d, shifted).dim == d - 1
 
 
 def _primitive_decomposition(b: Algebra, rng) -> List[Tuple[Tuple, int]]:
     """Primitive orthogonal idempotents of a semisimple unital algebra.
 
     Returns (coordinates, corner dim) pairs; corner dim 1 certifies a split
-    primitive, larger corners are certified field components (possible only
-    over F_p, by Wedderburn's little theorem).  Raises SplitUndecided when
-    rational factorization cannot settle the structure.
+    primitive, a larger corner is a field F_{p^f} certified by ``_is_field_fp``
+    (over F_p a primitive corner is a division ring, hence a field, by
+    Wedderburn's little theorem).  Any other piece is split by the minimal
+    polynomial of a candidate element.  Raises SplitUndecided when no
+    candidate splits a piece: over F_p, a piece that is not a field; over Q,
+    a piece whose minimal polynomials admit no rational linear split.
     """
     if b.dim == 1:
         return [(tuple(b.unit), 1)]
     F = b.field
-    field_certificate = False
-
-    def try_candidate(z):
-        nonlocal field_certificate
+    if F.is_prime_field and b.is_commutative() and _is_field_fp(b):
+        return [(tuple(b.unit), b.dim)]
+    for z in _splitting_candidates(b, rng):
         mp = minimal_polynomial(b, z)
         if F.is_prime_field:
             pieces = _coprime_pieces_fp(F, mp, rng)
-            if pieces is None and degree(mp) == b.dim and b.is_commutative():
-                fac = factor_fp(F, mp, rng)
-                if len(fac) == 1 and next(iter(fac.values())) == 1:
-                    field_certificate = True
-            return z, mp, pieces
-        return z, mp, _coprime_pieces_q(F, mp)
-
-    for cand in _splitting_candidates(b, rng):
-        z, mp, pieces = try_candidate(cand)
+        else:
+            pieces = _coprime_pieces_q(F, mp)
         if pieces:
             return _recurse_split(b, z, mp, pieces, rng)
-    if F.is_prime_field and not field_certificate:
-        if F.p ** b.dim <= EXHAUSTIVE_SPLIT_CAP:
-            for cand in _exhaustive_candidates(b):
-                z, mp, pieces = try_candidate(cand)
-                if pieces:
-                    return _recurse_split(b, z, mp, pieces, rng)
-            # exhaustion proves there is no proper idempotent: division ring,
-            # hence a finite field
-            field_certificate = True
-        else:
-            raise SplitUndecided(
-                "no splitting element found within budget and the algebra is too "
-                "large to exhaust")
-    if F.is_prime_field and field_certificate:
-        return [(tuple(b.unit), b.dim)]
+    if F.is_prime_field:
+        raise SplitUndecided(f"no candidate, {RANDOM_SPLIT_TRIES_FP} random ones included, "
+                             "splits a piece that is not a field")
     raise SplitUndecided("minimal polynomials admit no rational linear split")
 
 

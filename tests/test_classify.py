@@ -107,6 +107,13 @@ def test_theorem_suite_nonsplit_skips():
     assert statuses["codim_series_monotone_stabilizes"] == "pass"
 
 
+def test_theorem_suite_undecided_skips_name_the_reason():
+    rep = verify_theorem_suite(cyclic_group_algebra(QQ, 3))  # Q x Q(omega)
+    details = {line.name: line.detail for line in rep.lines}
+    assert details["series_starts_at_simple_count"] == (
+        "splitting undecided: minimal polynomials admit no rational linear split")
+
+
 def test_classifier_exclusivity_on_sample():
     seen = set()
     for alg, expected in [

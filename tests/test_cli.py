@@ -193,17 +193,37 @@ def test_internal_inconsistency_exits_5(tmp_path, capsys, monkeypatch):
     assert "internal error: fullness witness does not sum to the unit" in stderr
 
 
-def test_package_has_no_assert_statements():
-    # `python -O` strips assert; certificate checks must raise instead
+def _package_modules():
+    """(path inside the package, parsed module) for every module of fdalg."""
     import ast
     import pathlib
 
     import fdalg
 
     root = pathlib.Path(fdalg.__file__).parent
+    return [(path.relative_to(root), ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted(root.rglob("*.py"))]
+
+
+def _exported(tree):
+    """The names a module lists in __all__."""
+    import ast
+
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            names |= set(ast.literal_eval(node.value))
+    return names
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` strips assert; certificate checks must raise instead
+    import ast
+
     found = []
-    for path in sorted(root.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for path, tree in _package_modules():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
@@ -213,19 +233,11 @@ def test_package_has_no_unused_module_imports():
     # every name a module imports at top level is used in that module
     # (the package's __init__ re-exports its names through __all__)
     import ast
-    import pathlib
 
-    import fdalg
-
-    root = pathlib.Path(fdalg.__file__).parent
     found = []
-    for path in sorted(root.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for path, tree in _package_modules():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-                used |= set(ast.literal_eval(node.value))
+        used |= _exported(tree)
         for node in tree.body:
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
@@ -234,6 +246,40 @@ def test_package_has_no_unused_module_imports():
                     name = (alias.asname or alias.name).split(".")[0]
                     if name not in used:
                         found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
+
+
+def test_package_reads_every_private_name_and_constant():
+    # a module-level private name (leading underscore) or UPPER_CASE constant
+    # is read somewhere in the package: by name, as an attribute, or through
+    # __all__; an unread one is a leftover of deleted code
+    import ast
+
+    modules = _package_modules()
+    read = set()
+    for _, tree in modules:
+        read |= _exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    found = []
+    for path, tree in modules:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name] if node.name.startswith("_") else []
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            for name in names:
+                if name.startswith("__"):
+                    continue
+                if (name.startswith("_") or name.isupper()) and name not in read:
+                    found.append(f"{path}:{node.lineno}: {name}")
     assert found == []
 
 

@@ -321,9 +321,9 @@ def test_report_and_suite_share_memoized_analyses(monkeypatch):
     search = fdalg.invariants._symmetrizing_form_search
     peirce_rows = fdalg.structure.peirce_rows
 
-    def counting_search(a, seed, budget):
+    def counting_search(a, seed):
         calls["search"] += 1
-        return search(a, seed, budget)
+        return search(a, seed)
 
     def counting_peirce_rows(alg, e, f):
         if alg is a:  # the grid's spans; the Wedderburn grouping spans on A/J

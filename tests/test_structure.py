@@ -128,6 +128,62 @@ def test_split_undecided_over_q():
         primitive_idempotents(a)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2 ** 31 + 11])
+def test_cyclic_group_decomposition_closed_form(p):
+    # with n = p^a·n', F_p[C_n]/J = F_p[x]/(x^n' - 1), whose factors are the
+    # fields F_{p^|O|} over the orbits O of x -> p·x on Z/n'
+    field = GF(p)
+    for n in range(2, 13):
+        m = n
+        while m % p == 0:
+            m //= p
+        orbits = {frozenset(x * p ** i % m for i in range(m)) for x in range(m)}
+        sizes = sorted(len(o) for o in orbits)
+        dec = semisimple_decomposition(cyclic_group_algebra(field, n))
+        assert (len(dec.components), dec.split, sorted(dec.corner_dims)) == (
+            len(sizes), sizes == [1] * len(sizes), sizes), n
+
+
+def _poly_quotient(field, low):
+    """F[x]/(x^n + low[n-1]·x^(n-1) + ... + low[0]) on the basis 1, x, ..., x^(n-1)."""
+    n = len(low)
+    z, o = field.zero(), field.one()
+    powers = [[o if i == k else z for i in range(n)] for k in range(n)]
+    for _ in range(n - 1):  # x·x^k, with x^n = -(low[0] + ... + low[n-1]·x^(n-1))
+        prev = powers[-1]
+        powers.append([field.sub(prev[i - 1] if i else z, field.mul(prev[-1], low[i]))
+                       for i in range(n)])
+    return Algebra(field, [[powers[i + j] for j in range(n)] for i in range(n)], powers[0])
+
+
+@pytest.mark.parametrize("p,low", [(2, (1, 1)), (3, (1, 0)), (2 ** 31 + 11, (1, 0))])
+def test_is_field_fp_accepts_quadratic_fields(p, low):
+    # x^2 + x + 1 over F_2; x^2 + 1 over F_3 and over 2^31 + 11, both 3 mod 4
+    assert structure._is_field_fp(_poly_quotient(GF(p), low))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_is_field_fp_matches_root_test(p):
+    # a monic f of degree 2 or 3 is irreducible iff it has no root in F_p, and
+    # F_p[x]/(f) is a field iff f is irreducible
+    field = GF(p)
+    for n in (2, 3):
+        for low in itertools.product(range(p), repeat=n):
+            rootless = all((t ** n + sum(c * t ** i for i, c in enumerate(low))) % p
+                           for t in range(p))
+            assert structure._is_field_fp(_poly_quotient(field, low)) == rootless, low
+
+
+@pytest.mark.parametrize("p", [2, 3, 2 ** 31 + 11])
+def test_is_field_fp_rejects_split_and_nonreduced(p):
+    field = GF(p)
+    fp = truncated_polynomial(field, 1)
+    # Frobenius is the identity on F_p x F_p: injective, fixing a plane
+    assert not structure._is_field_fp(direct_sum(fp, fp))
+    # and kills x in F_p[x]/(x^2): not injective
+    assert not structure._is_field_fp(truncated_polynomial(field, 2))
+
+
 def test_primitive_idempotents_local():
     a = two_loop_q_algebra(F5, 2)
     idems = primitive_idempotents(a)
