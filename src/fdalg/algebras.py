@@ -226,46 +226,6 @@ class Algebra:
             e >>= 1
         return acc
 
-    def left_regular_coords(self, x: Sequence) -> Matrix:
-        """Matrix of y -> x·y in coordinates (columns are images of basis)."""
-        F = self.field
-        cols = []
-        for j in range(self.dim):
-            col = [F.zero()] * self.dim
-            for i, xi in enumerate(x):
-                if xi:
-                    row = self.mul[i][j]
-                    for k, ck in enumerate(row):
-                        if ck:
-                            col[k] = F.add(col[k], F.mul(xi, ck))
-            cols.append(col)
-        rows = tuple(tuple(cols[j][k] for j in range(self.dim)) for k in range(self.dim))
-        return Matrix(F, self.dim, self.dim, rows)
-
-    def right_regular_coords(self, x: Sequence) -> Matrix:
-        """Matrix of y -> y·x in coordinates."""
-        F = self.field
-        rows_out = [[F.zero()] * self.dim for _ in range(self.dim)]
-        for j, xj in enumerate(x):
-            if not xj:
-                continue
-            for i in range(self.dim):
-                row = self.mul[i][j]
-                for k, ck in enumerate(row):
-                    if ck:
-                        rows_out[k][i] = F.add(rows_out[k][i], F.mul(xj, ck))
-        return Matrix(F, self.dim, self.dim, tuple(tuple(r) for r in rows_out))
-
-    def left_regular(self, x: Element) -> Matrix:
-        if x.algebra is not self:
-            raise ParentMismatch("element of another algebra")
-        return self.left_regular_coords(x.coords)
-
-    def right_regular(self, x: Element) -> Matrix:
-        if x.algebra is not self:
-            raise ParentMismatch("element of another algebra")
-        return self.right_regular_coords(x.coords)
-
     # -- validation -------------------------------------------------------
 
     def validate(self, full: Optional[bool] = None, sample_seed: int = 0) -> ValidationReport:

@@ -24,16 +24,28 @@ caches the chain of its powers.  When A also carries an idempotent
 candidate, ``radical`` certifies the candidate against it, which proves the
 radical complete (dim A - dim J = sum n_i^2 over the classes).
 
-Primitive idempotents come from one of two routes.  An algebra that carries
-an ``"idempotent_candidate"`` (an ``IdempotentCandidate``: inflations hand
-over their diagonal matrix units, quiver builds their vertex idempotents)
-gets that set, certified; any other algebra has its semisimple quotient
-split by minimal polynomials and the pieces lifted.  Over F_p a commutative
-piece is first tested by Frobenius (``_is_field_fp``): a field F_{p^f} is one
-primitive of corner dim f, and only a piece that is not a field is searched.
+Primitive idempotents come from one of three routes:
+
+- handed over: an algebra that carries an ``"idempotent_candidate"`` (an
+  ``IdempotentCandidate``: inflations hand over their diagonal matrix units,
+  quiver builds their vertex idempotents) gets that set, certified, and a
+  set that fails raises InternalInconsistency;
+- guessed from the basis: for any other algebra (parsed text, group
+  algebras, ``lower_triangular``, ``truncated_polynomial``) ``radical``
+  tries the basis vectors on the support of the unit, grouped by the Peirce
+  blocks of the basis (``_basis_candidate``); a guess that passes the same
+  certificate is cached as the candidate, and one that fails is dropped;
+- searched: otherwise the semisimple quotient is split by minimal
+  polynomials and the pieces lifted.  Over F_p a commutative piece is first
+  tested by Frobenius (``_is_field_fp``): a field F_{p^f} is one primitive of
+  corner dim f, and only a piece that is not a field is searched.
+
 The semisimple decomposition follows the same split: from a certified
-candidate it is read off (images in A/J, corner dims 1, components the iso
-classes, of dims n_i^2, split), and only otherwise searched.
+candidate, handed over or guessed, it is read off (images in A/J, corner
+dims 1, components the iso classes, of dims n_i^2, split), and only
+otherwise searched.  When the idempotents are basis vectors and the basis
+lies in their Peirce blocks, the certificate reads the Peirce table off the
+basis (``_coordinate_blocks``) instead of spanning it.
 
 The Peirce table lives here too: ``peirce_grid`` spans each e_i·A·e_j and
 ``peirce_radical_diagonal`` each e_i·J^n·e_i over the basic representatives
@@ -386,7 +398,8 @@ def radical(a: Algebra) -> Subspace:
 
     When A carries an ``"idempotent_candidate"``, that candidate is certified
     against the radical before either is cached (``_certify_candidate``);
-    the certificate also proves the radical complete.
+    the certificate also proves the radical complete.  When it carries none,
+    the basis may supply one (``_adopt_basis_candidate``).
     """
     cached = a._cache.get("radical")
     if cached is not None:
@@ -406,6 +419,8 @@ def radical(a: Algebra) -> Subspace:
     candidate = a._cache.get("idempotent_candidate")
     if candidate is not None:
         a._cache["candidate_peirce_grid"] = _certify_candidate(a, candidate, rad)
+    else:
+        _adopt_basis_candidate(a, rad)
     a._cache["radical"] = rad
     return rad
 
@@ -549,15 +564,23 @@ def _is_field_fp(b: Algebra) -> bool:
     reduced, that is a product of fields F_{p^f}, and then its fixed points are
     one copy of F_p per factor (Rónyai, J. Symbolic Comput. 9 (1990)).  So b
     is a field iff rank{b_i^p} = d and rank{b_i^p - b_i} = d - 1; nothing is
-    assumed about b's radical.
+    assumed about b's radical.  Both spans grow one image at a time, and the
+    test stops at the first image b_i^p that does not raise the first rank or
+    the second shifted image b_i^p - b_i that does not raise the second.
     """
     F, d = b.field, b.dim
-    images = [b.power_coords(b._unit_vec(i), F.p) for i in range(d)]
-    if span(F, d, images).dim != d:
-        return False
-    shifted = [tuple(F.sub(x, y) for x, y in zip(img, b._unit_vec(i)))
-               for i, img in enumerate(images)]
-    return span(F, d, shifted).dim == d - 1
+    images, shifted = echelon_for(F, d), echelon_for(F, d)
+    misses = 0
+    for i in range(d):
+        basis = b._unit_vec(i)
+        img = b.power_coords(basis, F.p)
+        if not images.insert(img):
+            return False
+        if not shifted.insert([F.sub(x, y) for x, y in zip(img, basis)]):
+            misses += 1
+            if misses == 2:
+                return False
+    return misses == 1
 
 
 def _primitive_decomposition(b: Algebra, rng) -> List[Tuple[Tuple, int]]:
@@ -723,22 +746,28 @@ class IdempotentCandidate:
 def primitive_idempotents(a: Algebra, seed: int = 0) -> IdempotentSet:
     """A complete set of primitive orthogonal idempotents, grouped by iso class.
 
-    An algebra carrying an ``"idempotent_candidate"`` gets that set, which
-    ``radical`` certifies (``_certify_candidate``): ``morita.inflate`` hands
-    over the diagonal matrix units of End_B(P), with their iso classes and
-    the matrix units between copies, and ``quiver.build_path_algebra`` the
-    vertex idempotents, each its own class.  Otherwise a split semisimple
-    decomposition of A/Rad(A) is lifted: x -> 3x^2 - 2x^3 (the defect
-    squares each pass, so nilpotency of the radical forces convergence),
-    pushed through shrinking corners so the lifts stay pairwise orthogonal.
+    Three routes, tried in this order once ``radical`` has run:
+
+    - handed over: an ``"idempotent_candidate"`` that ``radical`` certifies
+      (``_certify_candidate``): ``morita.inflate`` hands over the diagonal
+      matrix units of End_B(P), with their iso classes and the matrix units
+      between copies, and ``quiver.build_path_algebra`` the vertex
+      idempotents, each its own class;
+    - guessed from the basis: with nothing handed over, ``radical`` caches
+      the basis vectors on the support of the unit as the candidate when
+      they pass the same certificate (``_basis_candidate``);
+    - searched: a split semisimple decomposition of A/Rad(A) is lifted:
+      x -> 3x^2 - 2x^3 (the defect squares each pass, so nilpotency of the
+      radical forces convergence), pushed through shrinking corners so the
+      lifts stay pairwise orthogonal.
     """
     key = ("idempotents", seed)
     cached = a._cache.get(key)
     if cached is not None:
         return cached
+    radical(a)  # certifies a handed-over candidate, or adopts one from the basis
     candidate = a._cache.get("idempotent_candidate")
     if candidate is not None:
-        radical(a)  # certifies the candidate and keeps its Peirce table
         a._cache.setdefault(("peirce_grid", seed), a._cache["candidate_peirce_grid"])
         result = IdempotentSet([Element(a, e, _canonical=True) for e in candidate.idempotents],
                                [list(c) for c in candidate.iso_classes],
@@ -797,6 +826,10 @@ def _certify_candidate(a: Algebra, cand: IdempotentCandidate,
     exactly when every ē_r·(A/J)·ē_r is the field: then A/J is the product of
     the M_{n_i}(F), semisimple, so J is all of Rad(A), each e_r is a split
     primitive and representatives of different classes are not isomorphic.
+
+    When the idempotents are basis vectors and every basis vector lies in one
+    block e_r·A·e_s, the table is read off the basis (``_coordinate_blocks``)
+    instead of spanned.
     """
     F = a.field
     es = cand.idempotents
@@ -816,7 +849,12 @@ def _certify_candidate(a: Algebra, cand: IdempotentCandidate,
     if tuple(total) != a.unit:
         raise InternalInconsistency("handed-over idempotents do not sum to the unit")
     reps = [c[0] for c in classes]
-    grid = _peirce_table(a, [es[r] for r in reps])
+    blocks = _coordinate_blocks(a, es)
+    if blocks is None:
+        grid = _peirce_table(a, [es[r] for r in reps])
+    else:
+        grid = tuple(tuple(coordinate_subspace(F, a.dim, blocks.get((r, s), ())) for s in reps)
+                     for r in reps)
     for i, row in enumerate(grid):
         for j, sub in enumerate(row):
             if j != i and not all(rad.contains(w) for w in sub.basis_vectors()):
@@ -837,6 +875,106 @@ def _certify_candidate(a: Algebra, cand: IdempotentCandidate,
             f"the radical misses part of Rad(A): dim A - dim J = {a.dim - rad.dim}, "
             f"but the handed-over classes give sum n_i^2 = {squares}")
     return grid
+
+
+def _coordinate_blocks(a: Algebra,
+                       es: Sequence[Tuple]) -> Optional[Dict[Tuple[int, int], List[int]]]:
+    """The basis vectors of each Peirce block e_r·A·e_s, when the basis is
+    adapted to the e's; otherwise None.
+
+    Adapted means: every e is a basis vector, and each b_m has
+    e_r·b_m = b_m = b_m·e_s for some (r, s), read off the structure
+    constants with no product.  For pairwise orthogonal idempotents summing
+    to 1, A is the direct sum of the e_r·A·e_s, so that (r, s) is unique, and
+    the d basis vectors, each inside its block, span every block: e_r·A·e_s
+    is the coordinate subspace on its basis vectors.  The caller checks
+    orthogonality and the sum.
+    """
+    positions = []
+    for e in es:
+        support = [i for i, c in enumerate(e) if c]
+        if len(support) != 1 or e[support[0]] != a.field.one():
+            return None
+        positions.append(support[0])
+    blocks: Dict[Tuple[int, int], List[int]] = {}
+    for m in range(a.dim):
+        b = a._unit_vec(m)
+        left = next((r for r, i in enumerate(positions) if a.mul[i][m] == b), None)
+        right = next((s for s, i in enumerate(positions) if a.mul[m][i] == b), None)
+        if left is None or right is None:
+            return None
+        blocks.setdefault((left, right), []).append(m)
+    return blocks
+
+
+def _basis_candidate(a: Algebra, rad: Subspace) -> Optional[IdempotentCandidate]:
+    """Primitive idempotents guessed from the basis, or None.
+
+    The guess: the basis vectors b_i on the support S of the unit, each with
+    coefficient 1, pairwise orthogonal idempotents, and every basis vector in
+    one of their Peirce blocks (``_coordinate_blocks``).  i ~ j when the
+    block (i, j) holds a basis vector outside J; a class's representative is
+    its first member.  The guess is dropped unless dim A - dim J = sum n_i^2
+    over the classes, a test that needs no product.  For each other member k
+    of a class with representative r, the matrix units are basis vectors u in
+    block (r, k) and v in block (k, r) with u·v = c·e_r, c != 0, and v scaled
+    by 1/c.  ``_certify_candidate`` then decides whether the guess holds.
+    """
+    F, d = a.field, a.dim
+    support = [i for i, c in enumerate(a.unit) if c]
+    es = [a._unit_vec(i) for i in support]
+    zero = (F.zero(),) * d
+    for i, e in zip(support, es):
+        if a.unit[i] != F.one() or a.mul[i][i] != e:
+            return None
+        if any(a.mul[i][j] != zero for j in support if j != i):
+            return None
+    blocks = _coordinate_blocks(a, es)
+    if blocks is None:
+        return None
+    label = list(range(len(es)))
+    for (r, s), ms in blocks.items():
+        if label[r] != label[s] and any(not rad.contains(a._unit_vec(m)) for m in ms):
+            label = [label[r] if x == label[s] else x for x in label]
+    classes = sorted([x for x in range(len(es)) if label[x] == c] for c in set(label))
+    if d - rad.dim != sum(len(c) ** 2 for c in classes):
+        return None
+    units = {}
+    for c in classes:
+        for k in c[1:]:
+            units[k] = _basis_matrix_units(a, support[c[0]], blocks.get((c[0], k), ()),
+                                           blocks.get((k, c[0]), ()))
+            if units[k] is None:
+                return None
+    return IdempotentCandidate(tuple(es), tuple(map(tuple, classes)), units)
+
+
+def _basis_matrix_units(a: Algebra, r: int, left: Sequence[int],
+                        right: Sequence[int]) -> Optional[Tuple[Tuple, Tuple]]:
+    """(b_u, b_v / c) for the first basis vectors u in ``left`` and v in
+    ``right`` with b_u·b_v = c·b_r, c != 0; or None."""
+    for u in left:
+        for v in right:
+            row = a.mul[u][v]
+            if row[r] and sum(map(bool, row)) == 1:
+                w = [a.field.zero()] * a.dim
+                w[v] = a.field.inv(row[r])
+                return a._unit_vec(u), tuple(w)
+    return None
+
+
+def _adopt_basis_candidate(a: Algebra, rad: Subspace):
+    """Cache the basis guess and its Peirce table when ``_certify_candidate``
+    accepts it; a guess that is dropped or fails leaves A to the search."""
+    cand = _basis_candidate(a, rad)
+    if cand is None:
+        return
+    try:
+        grid = _certify_candidate(a, cand, rad)
+    except InternalInconsistency:
+        return
+    a._cache["idempotent_candidate"] = cand
+    a._cache["candidate_peirce_grid"] = grid
 
 
 # -- the Peirce table and Cartan data -------------------------------------------

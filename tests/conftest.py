@@ -52,7 +52,6 @@ def _named_corpus() -> List[CorpusEntry]:
         for n in (2, 3, 4):
             add(f"matrix({n})/{field}", matrix_algebra(field, n))
         add(f"s3/{field}", s3_group_algebra(field))
-    add("matrix(4)/Fp:5", matrix_algebra(F5, 4))
     add("triangular(4)/Q", lower_triangular(QQ, 4))
     add("triangular(4)/Fp:3", lower_triangular(F3, 4))
     for field in (F2, F3, F5):

@@ -17,6 +17,7 @@ from fdalg.fields import GF, QQ
 from fdalg.invariants import k_of
 from fdalg.linalg import span
 from fdalg.structure import peirce_component
+from regular_matrices import left_regular_coords, right_regular_coords
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
@@ -123,10 +124,10 @@ def test_regular_representation_homomorphism():
     for _ in range(10):
         x = a.element([rng.randrange(3) for _ in range(4)])
         y = a.element([rng.randrange(3) for _ in range(4)])
-        lx, ly = a.left_regular(x), a.left_regular(y)
-        assert a.left_regular(x * y) == lx.matmul(ly)
-        rx, ry = a.right_regular(x), a.right_regular(y)
-        assert a.right_regular(x * y) == ry.matmul(rx)
+        lx, ly = left_regular_coords(a, x.coords), left_regular_coords(a, y.coords)
+        assert left_regular_coords(a, (x * y).coords) == lx.matmul(ly)
+        rx, ry = right_regular_coords(a, x.coords), right_regular_coords(a, y.coords)
+        assert right_regular_coords(a, (x * y).coords) == ry.matmul(rx)
 
 
 def test_associativity_random_sampling():
@@ -305,9 +306,9 @@ def test_products_match_tensor_reference(corpus, field):
             for y in vecs:
                 assert a.multiply_coords(x, y) == _tensor_product(a, x, y), entry
             # columns of the regular matrices are the images of the basis
-            assert a.left_regular_coords(x).transpose().entries == tuple(
+            assert left_regular_coords(a, x).transpose().entries == tuple(
                 _tensor_product(a, x, b) for b in basis), entry
-            assert a.right_regular_coords(x).transpose().entries == tuple(
+            assert right_regular_coords(a, x).transpose().entries == tuple(
                 _tensor_product(a, b, x) for b in basis), entry
         idems = _idempotents(a)
         for e in idems:

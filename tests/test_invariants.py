@@ -37,8 +37,8 @@ from fdalg.structure import loewy_length, primitive_idempotents
 F2, F3, F5 = GF(2), GF(3), GF(5)
 # symmetrizing_form_search's "yes" verdicts on the acceptance corpus, as
 # found before the centre certificate: count and sha256 of their lines
-YES_COUNT = 141
-YES_DIGEST = "bb39d9b35cdb3e4d2ab31738210143632562715b812b29304425b270529c9782"
+YES_COUNT = 140
+YES_DIGEST = "a5f3ff5003923c69316483d94e3bbe94d6b75afd3cfd2f3004573878a4c3a5d0"
 
 
 def test_commutator_ground_field():
@@ -291,7 +291,7 @@ def test_symmetric_verdicts_match_exhaustive_reference():
             verdict = symmetrizing_form_search(a)
             assert verdict.kind == ("yes" if _reference_symmetric(a) else "no"), name
             checked += 1
-    assert checked == 354
+    assert checked == 353
 
 
 def test_symmetric_yes_verdicts_verify_and_hold():
@@ -320,28 +320,40 @@ def test_report_and_suite_share_memoized_analyses(monkeypatch):
     calls = {"search": 0, "peirce": 0}
     search = fdalg.invariants._symmetrizing_form_search
     peirce_rows = fdalg.structure.peirce_rows
+    spanned = []  # the algebra whose Peirce spans are counted
 
     def counting_search(a, seed):
         calls["search"] += 1
         return search(a, seed)
 
     def counting_peirce_rows(alg, e, f):
-        if alg is a:  # the grid's spans; the Wedderburn grouping spans on A/J
+        if alg is spanned[0]:  # the grid's spans; the Wedderburn grouping spans on A/J
             calls["peirce"] += 1
         return peirce_rows(alg, e, f)
 
     monkeypatch.setattr(fdalg.invariants, "_symmetrizing_form_search", counting_search)
     monkeypatch.setattr(fdalg.structure, "peirce_rows", counting_peirce_rows)
-    a = lower_triangular(F5, 3)
+    # the unit of FS_3 is one basis vector, so the basis guess is dropped and the
+    # idempotents are searched
+    a = s3_group_algebra(F5)
+    spanned.append(a)
     report = build_report(a, 0)  # runs the theorem suite too; k = l, so it searches
     l = len(report["cartan"])
     assert report["k"] == report["ell"] and report["theorems_ok"]
+    assert "idempotent_candidate" not in a._cache
     # each e_i·A·e_j over the basic representatives is spanned once per seed
     assert calls == {"search": 1, "peirce": l * l}
     verify_theorem_suite(a, 0)
     assert calls == {"search": 1, "peirce": l * l}
     verify_theorem_suite(a, 1)
     assert calls == {"search": 2, "peirce": 2 * l * l}
+    # the matrix units E_ii of T_3 are the unit's support: the guessed idempotents
+    # are certified and their Peirce table is read off the basis, with no span
+    spanned[0] = b = lower_triangular(F5, 3)
+    for seed in (0, 1):
+        assert build_report(b, seed)["theorems_ok"]
+        verify_theorem_suite(b, seed)
+    assert calls == {"search": 4, "peirce": 2 * l * l}
 
 
 def test_memoized_results_are_fresh_objects():

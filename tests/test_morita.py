@@ -237,7 +237,8 @@ def _small_inflations(corpus, cap=16):
 
 
 def test_handed_over_inflations_match_generic_copies(corpus):
-    # the generic copy carries no candidates, so every search route runs on it
+    # the generic copy carries no hand-over: its radical comes from the trace
+    # routes and its idempotents from the basis guess or the search
     fields = set()
     checked = 0
     for name, big, mult in _small_inflations(corpus):

@@ -17,7 +17,8 @@ from fdalg.corpus import (
 )
 from fdalg.errors import InternalInconsistency, NotSplit, SplitUndecided
 from fdalg.fields import GF, QQ
-from fdalg.invariants import acyc_cyc_space, commutator_subspace
+from fdalg.formats import parse_algebra_text, write_algebra_text
+from fdalg.invariants import acyc_cyc_space, codim_series, commutator_subspace
 from fdalg.linalg import span, subspace_intersect
 from fdalg.morita import basic_algebra_data, inflate, inflation_dim
 from fdalg.oracle import RADICAL_ORACLE_CAP, radical_oracle
@@ -39,6 +40,7 @@ from fdalg.structure import (
     structure_report,
     wedderburn_split,
 )
+from regular_matrices import left_regular_coords
 from test_algebras import _rescaled
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
@@ -182,6 +184,17 @@ def test_is_field_fp_rejects_split_and_nonreduced(p):
     assert not structure._is_field_fp(direct_sum(fp, fp))
     # and kills x in F_p[x]/(x^2): not injective
     assert not structure._is_field_fp(truncated_polynomial(field, 2))
+
+
+def test_is_field_fp_stops_at_the_second_fixed_point(monkeypatch):
+    # on F_5^4 every b_i is fixed: the second shifted image already fails
+    fp = truncated_polynomial(F5, 1)
+    b = direct_sum(direct_sum(fp, fp), direct_sum(fp, fp))
+    powers = []
+    power = Algebra.power_coords
+    monkeypatch.setattr(Algebra, "power_coords", lambda a, x, e: powers.append(x) or power(a, x, e))
+    assert not structure._is_field_fp(b)
+    assert len(powers) == 2
 
 
 def test_primitive_idempotents_local():
@@ -419,7 +432,7 @@ def test_batched_ideal_test_matches_loop(corpus):
 def _trace_gram_reference(a):
     """G[x][y] = tr(L_x L_y) over the basis, from the left regular matrices."""
     F = a.field
-    mats = [a.left_regular_coords(a._unit_vec(i)).entries for i in range(a.dim)]
+    mats = [left_regular_coords(a, a._unit_vec(i)).entries for i in range(a.dim)]
     out = []
     for ex in mats:
         row = []
@@ -611,10 +624,14 @@ def _peirce_inputs(corpus):
     for field in (F2, F3):
         for seed in range(10):
             yield f"quiver(seed={seed})/{field}", random_quiver_algebra(field, seed, max_dim=16)
+    # inflations of basic algebras whose idempotents are basis vectors
+    yield "triangular(2)/Fp:3 x[2, 1]", inflate(lower_triangular(F3, 2), [2, 1])
+    yield "kronecker(2)/Fp:2 x[1, 2]", inflate(kronecker(F2, 2), [1, 2])
+    yield "truncated(3)/Fp:5 x[2]", inflate(truncated_polynomial(F5, 3), [2])
 
 
 def test_peirce_table_matches_per_pair_spans(corpus):
-    grids = basic = levels = 0
+    grids = basic = levels = coordinate = 0
     for name, a in _peirce_inputs(corpus):
         try:
             dec = semisimple_decomposition(a)
@@ -629,6 +646,9 @@ def test_peirce_table_matches_per_pair_spans(corpus):
         assert [list(row) for row in grid] == [
             [structure.peirce_component(a, e, f) for f in reps] for e in reps], name
         grids += 1
+        # read off the basis, with no span, when the idempotents are basis vectors
+        coordinate += structure._coordinate_blocks(
+            a, [e.coords for e in idems.idempotents]) is not None
         for n in range(1, loewy_length(a) + 1):
             diag = structure.peirce_radical_diagonal(a, n)
             assert list(diag) == [subspace_intersect(radical_power(a, n), grid[i][i])
@@ -638,3 +658,119 @@ def test_peirce_table_matches_per_pair_spans(corpus):
                 assert acyc_cyc_space(a, idems, n) == _acyc_cyc_reference(a, idems, n), (name, n)
                 basic += 1
     assert grids >= 100 and basic >= 250 and levels >= 300
+    assert coordinate >= 100 and grids - coordinate >= 8, (coordinate, grids)
+
+
+def _permuted_text(a, rng):
+    """A's structure-constant text on a shuffled basis, so a parse of it
+    carries no hand-over and its basis order is not A's."""
+    d = a.dim
+    perm = list(range(d))
+    rng.shuffle(perm)
+    mul = [[[a.mul[perm[i]][perm[j]][perm[k]] for k in range(d)] for j in range(d)]
+           for i in range(d)]
+    return write_algebra_text(Algebra(a.field, mul, [a.unit[perm[k]] for k in range(d)]))
+
+
+def _idempotent_summary(a):
+    """Radical power dims, k, the series, l, split, the Ext^1 multiset and
+    the Cartan matrix up to one simultaneous permutation."""
+    from test_morita import _cartan_canonical
+
+    series = codim_series(a)
+    dec = semisimple_decomposition(a)
+    ext1 = ext1_diagonal(a)
+    return ([radical_power(a, n).dim for n in range(1, loewy_length(a) + 1)], series.k,
+            series.values, len(dec.components), dec.split, sorted(ext1),
+            _cartan_canonical(cartan_matrix(a), ext1))
+
+
+def test_basis_guess_matches_search_on_permuted_corpus(corpus, monkeypatch):
+    rng = random.Random(16)
+    compared = guessed = reordered = 0
+    for entry in corpus:
+        try:
+            if not semisimple_decomposition(entry.algebra).split:
+                continue
+        except SplitUndecided:
+            continue
+        text = _permuted_text(entry.algebra, rng)
+        a = parse_algebra_text(text)
+        got = _idempotent_summary(a)
+        guessed += "idempotent_candidate" in a._cache
+        with monkeypatch.context() as m:
+            m.setattr(structure, "_adopt_basis_candidate", lambda alg, rad: None)
+            b = parse_algebra_text(text)
+            want = _idempotent_summary(b)
+            searched = structure._lifted_idempotents(b, 0)
+        assert "idempotent_candidate" not in b._cache, entry.name
+        assert got == want, entry.name
+        idems = primitive_idempotents(a)
+        assert sorted(map(len, idems.iso_classes)) == sorted(map(len, searched.iso_classes))
+        reordered += cartan_matrix(a) != cartan_matrix(b)
+        compared += 1
+    assert compared >= 90 and guessed >= 80 and reordered >= 20, (compared, guessed, reordered)
+
+
+# M_2(F_5) x F_5 on the basis 1_M, 1_F, E_12, E_21, E_11: the unit's support
+# {1_M, 1_F} is a pair of orthogonal idempotents, but 1_M is not primitive
+M2_PLUS_F_TEXT = """algebra dim=5 field=Fp:5
+unit: 1 1 0 0 0
+mul 0 0 0 1
+mul 0 2 2 1
+mul 0 3 3 1
+mul 0 4 4 1
+mul 2 0 2 1
+mul 3 0 3 1
+mul 4 0 4 1
+mul 1 1 1 1
+mul 2 3 4 1
+mul 3 2 0 1
+mul 3 2 4 4
+mul 4 2 2 1
+mul 3 4 3 1
+mul 4 4 4 1
+"""
+
+
+def _m2_plus_f_summary():
+    a = parse_algebra_text(M2_PLUS_F_TEXT)
+    idems = primitive_idempotents(a)
+    return ("idempotent_candidate" in a._cache, ell(a), len(idems),
+            sorted(map(len, idems.iso_classes)), cartan_matrix(a))
+
+
+def test_rejected_basis_guess_falls_back_to_the_search(monkeypatch):
+    a = parse_algebra_text(M2_PLUS_F_TEXT)
+    assert a.validate().ok
+    assert structure._basis_candidate(a, radical(a)) is None  # 1 + 1 != dim A/J = 5
+    assert _m2_plus_f_summary() == (False, 2, 3, [1, 2], [[1, 0], [0, 1]])
+    # a guess that passes the filter but fails its certificate is dropped too
+    text = write_algebra_text(lower_triangular(F5, 3))
+    want = _idempotent_summary(parse_algebra_text(text))
+
+    def failing(alg, cand, rad):
+        raise InternalInconsistency("refused")
+
+    monkeypatch.setattr(structure, "_certify_candidate", failing)
+    b = parse_algebra_text(text)
+    assert _idempotent_summary(b) == want
+    assert "idempotent_candidate" not in b._cache
+
+
+def test_rejected_basis_guess_falls_back_under_python_O():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import fdalg
+
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from test_structure import _m2_plus_f_summary; "
+            "print(_m2_plus_f_summary())\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fdalg.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-O", "-c", code, str(pathlib.Path(__file__).parent)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == str(_m2_plus_f_summary())
