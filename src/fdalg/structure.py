@@ -807,8 +807,9 @@ def _lifted_idempotents(a: Algebra, seed: int) -> IdempotentSet:
                          [c[0] for c in dec.components], seed)
 
 
-def _certify_candidate(a: Algebra, cand: IdempotentCandidate,
-                       rad: Subspace) -> Tuple[Tuple[Subspace, ...], ...]:
+def _certify_candidate(a: Algebra, cand: IdempotentCandidate, rad: Subspace,
+                       blocks: Optional[Dict[Tuple[int, int], List[int]]] = None
+                       ) -> Tuple[Tuple[Subspace, ...], ...]:
     """Certify a handed-over set against a nilpotent ideal J inside Rad(A),
     or raise InternalInconsistency; returns the representatives' Peirce table.
 
@@ -828,8 +829,9 @@ def _certify_candidate(a: Algebra, cand: IdempotentCandidate,
     primitive and representatives of different classes are not isomorphic.
 
     When the idempotents are basis vectors and every basis vector lies in one
-    block e_r·A·e_s, the table is read off the basis (``_coordinate_blocks``)
-    instead of spanned.
+    block e_r·A·e_s, the table is read off the basis (``_coordinate_blocks``,
+    or ``blocks`` when the caller has already computed them) instead of
+    spanned.
     """
     F = a.field
     es = cand.idempotents
@@ -849,7 +851,8 @@ def _certify_candidate(a: Algebra, cand: IdempotentCandidate,
     if tuple(total) != a.unit:
         raise InternalInconsistency("handed-over idempotents do not sum to the unit")
     reps = [c[0] for c in classes]
-    blocks = _coordinate_blocks(a, es)
+    if blocks is None:
+        blocks = _coordinate_blocks(a, es)
     if blocks is None:
         grid = _peirce_table(a, [es[r] for r in reps])
     else:
@@ -907,8 +910,10 @@ def _coordinate_blocks(a: Algebra,
     return blocks
 
 
-def _basis_candidate(a: Algebra, rad: Subspace) -> Optional[IdempotentCandidate]:
-    """Primitive idempotents guessed from the basis, or None.
+def _basis_candidate(a: Algebra, rad: Subspace
+                     ) -> Optional[Tuple[IdempotentCandidate, Dict[Tuple[int, int], List[int]]]]:
+    """Primitive idempotents guessed from the basis with their Peirce blocks,
+    or None.
 
     The guess: the basis vectors b_i on the support S of the unit, each with
     coefficient 1, pairwise orthogonal idempotents, and every basis vector in
@@ -946,7 +951,7 @@ def _basis_candidate(a: Algebra, rad: Subspace) -> Optional[IdempotentCandidate]
                                            blocks.get((k, c[0]), ()))
             if units[k] is None:
                 return None
-    return IdempotentCandidate(tuple(es), tuple(map(tuple, classes)), units)
+    return IdempotentCandidate(tuple(es), tuple(map(tuple, classes)), units), blocks
 
 
 def _basis_matrix_units(a: Algebra, r: int, left: Sequence[int],
@@ -966,11 +971,12 @@ def _basis_matrix_units(a: Algebra, r: int, left: Sequence[int],
 def _adopt_basis_candidate(a: Algebra, rad: Subspace):
     """Cache the basis guess and its Peirce table when ``_certify_candidate``
     accepts it; a guess that is dropped or fails leaves A to the search."""
-    cand = _basis_candidate(a, rad)
-    if cand is None:
+    guess = _basis_candidate(a, rad)
+    if guess is None:
         return
+    cand, blocks = guess
     try:
-        grid = _certify_candidate(a, cand, rad)
+        grid = _certify_candidate(a, cand, rad, blocks)
     except InternalInconsistency:
         return
     a._cache["idempotent_candidate"] = cand

@@ -236,13 +236,20 @@ def _small_inflations(corpus, cap=16):
                 yield f"{entry.name} x{list(mult)}", inflate(b, list(mult)), list(mult)
 
 
-def test_handed_over_inflations_match_generic_copies(corpus):
-    # the generic copy carries no hand-over: its radical comes from the trace
-    # routes and its idempotents from the basis guess or the search
+def test_handed_over_inflations_match_generic_copies(corpus, monkeypatch):
+    # the generic copy carries no candidates, so every search route runs on it;
+    # its radical is computed with the basis guess switched off, and the guess
+    # is made nowhere else
+    import fdalg.structure
+
     fields = set()
     checked = 0
     for name, big, mult in _small_inflations(corpus):
         generic = Algebra(big.field, big.mul, big.unit)
+        with monkeypatch.context() as m:
+            m.setattr(fdalg.structure, "_adopt_basis_candidate", lambda alg, rad: None)
+            radical(generic)
+        assert "idempotent_candidate" not in generic._cache, name
         assert verify_morita_invariance(big) == verify_morita_invariance(generic), name
         idems = primitive_idempotents(big)
         assert [e.coords for e in idems.idempotents] == list(
@@ -255,8 +262,9 @@ def test_handed_over_inflations_match_generic_copies(corpus):
             assert k_n_space(big, n).dim == k_n_space(generic, n).dim, (name, n)
         assert _cartan_canonical(cartan_matrix(big), ext1_diagonal(big)) == _cartan_canonical(
             cartan_matrix(generic), ext1_diagonal(generic)), name
-        # nothing above searched the inflation's semisimple quotient
+        # nothing above searched the inflation's semisimple quotient; the copy's was
         assert ("ss_decomp", 0) not in big._cache, name
+        assert ("ss_decomp", 0) in generic._cache, name
         assert ell(big) == ell(generic) == len(mult), name
         dec, gdec = semisimple_decomposition(big), semisimple_decomposition(generic)
         assert (dec.components, dec.component_dims) == _wedderburn_reference(big, dec), name

@@ -749,7 +749,7 @@ def test_rejected_basis_guess_falls_back_to_the_search(monkeypatch):
     text = write_algebra_text(lower_triangular(F5, 3))
     want = _idempotent_summary(parse_algebra_text(text))
 
-    def failing(alg, cand, rad):
+    def failing(alg, cand, rad, blocks=None):
         raise InternalInconsistency("refused")
 
     monkeypatch.setattr(structure, "_certify_candidate", failing)
