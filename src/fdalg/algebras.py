@@ -8,7 +8,7 @@ fails loudly rather than silently mixing tensors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _numutil
 from .errors import (
@@ -27,17 +27,41 @@ VALIDATE_FULL_CAP = 64
 
 
 @dataclass(frozen=True)
+class IdempotentCandidate:
+    """Primitive idempotents in coordinates, certified before use
+    (``structure._certify_candidate``).  ``iso_classes`` partitions the
+    indices of ``idempotents``, each class listing its representative first.
+    ``matrix_units[k] = (u, v)`` for every other index k, with r its class
+    representative: u in e_r·A·e_k and v in e_k·A·e_r with u·v = e_r and
+    v·u = e_k.
+    """
+
+    idempotents: Tuple[Tuple, ...]
+    iso_classes: Tuple[Tuple[int, ...], ...]
+    matrix_units: Dict[int, Tuple[Tuple, Tuple]]
+
+
+@dataclass(frozen=True)
 class Provenance:
-    kind: str  # "generic" | "quiver" | "group"
-    # quiver: the path length of each basis element (``structure.radical``
-    # certifies the grading and reads Rad A = A_{>=1}, J^n = A_{>=n} off it)
+    """What a construction hands to ``Algebra(...)`` about the algebra it
+    builds; each fact is certified where it is read, and a false one raises
+    InternalInconsistency.  ``kind`` ("generic" | "quiver" | "group") is what
+    ``report`` prints.  ``degrees`` grades the basis (a quiver build's path
+    lengths) and ``radical_rows`` span Rad A: ``structure.radical`` reads
+    ``degrees`` first, and a constructor hands over at most one of the two.
+    ``idempotents`` are primitive idempotents (``structure.radical``), and
+    ``fullness`` is e with pairs (u_k, v_k), sum u_k·e·v_k = 1
+    (``morita.fullness_witness``).
+    """
+
+    kind: str = "generic"
     degrees: Optional[Tuple[int, ...]] = None
-    # group: order and conjugacy-class partition of basis indices
-    group_order: Optional[int] = None
-    conjugacy_classes: Optional[Tuple[Tuple[int, ...], ...]] = None
+    radical_rows: Optional[Tuple[Tuple, ...]] = None
+    idempotents: Optional[IdempotentCandidate] = None
+    fullness: Optional[Tuple[Tuple, Tuple[Tuple[Tuple, Tuple], ...]]] = None
 
 
-GENERIC = Provenance("generic")
+GENERIC = Provenance()
 
 
 @dataclass
@@ -392,10 +416,10 @@ def peirce_rows(a: Algebra, e: Sequence, f: Sequence) -> Subspace:
 def corner_data(a: Algebra, e: Element) -> Tuple[Algebra, List[Tuple]]:
     """The corner algebra eAe plus its basis rows in A-coordinates.
 
-    When A's radical is already cached, the corner receives the rows
-    e·r·e (r in Rad(A)) as its radical candidate, since Rad(eAe) =
+    When A's radical is already cached, the corner is handed the rows
+    e·r·e (r in Rad(A)) as ``Provenance.radical_rows``, since Rad(eAe) =
     e·Rad(A)·e (Lam, *A First Course in Noncommutative Rings*, Thm 21.10);
-    ``structure.radical`` still certifies it before use.
+    ``structure.radical`` still certifies them before use.
     """
     if e.algebra is not a:
         raise ParentMismatch("idempotent from another algebra")
@@ -420,7 +444,7 @@ def corner_data(a: Algebra, e: Element) -> Tuple[Algebra, List[Tuple]]:
     unit = sub.coords_of(e.coords)
     if unit is None:
         raise InternalInconsistency("idempotent lies outside its own corner")
-    b = Algebra(F, mul, unit, _canonical=True)
+    prov = GENERIC
     rad = a._cache.get("radical")
     if rad is not None:
         inherited = []
@@ -428,9 +452,9 @@ def corner_data(a: Algebra, e: Element) -> Tuple[Algebra, List[Tuple]]:
             coords = sub.coords_of(a.sandwich_coords(e.coords, r, e.coords))
             if coords is None:
                 raise InternalInconsistency("e·Rad(A)·e left the corner")
-            inherited.append(coords)
-        b._cache["radical_candidate"] = inherited
-    return b, rows
+            inherited.append(tuple(coords))
+        prov = Provenance(radical_rows=tuple(inherited))
+    return Algebra(F, mul, unit, prov, _canonical=True), rows
 
 
 def corner(a: Algebra, e: Element) -> Algebra:
@@ -457,28 +481,13 @@ def group_algebra_from_cayley(field: Field, table: Sequence[Sequence[int]]) -> A
             for k in range(n):
                 if tab[tab[i][j]][k] != tab[i][tab[j][k]]:
                     raise NotAGroup("associativity", f"({i}·{j})·{k} != {i}·({j}·{k})")
-    inv = [None] * n
     for i in range(n):
-        for j in range(n):
-            if tab[i][j] == 0:
-                inv[i] = j
-                break
-        if inv[i] is None or tab[inv[i]][i] != 0:
+        if 0 not in tab[i] or tab[tab[i].index(0)][i] != 0:
             raise NotAGroup("inverses", f"element {i} has no two-sided inverse")
-    seen = [False] * n
-    classes = []
-    for g in range(n):
-        if seen[g]:
-            continue
-        orbit = sorted({tab[tab[h][g]][inv[h]] for h in range(n)})
-        for x in orbit:
-            seen[x] = True
-        classes.append(tuple(orbit))
     z, o = field.zero(), field.one()
     mul = [[[z] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
             mul[i][j][tab[i][j]] = o
     unit = [o] + [z] * (n - 1)
-    prov = Provenance("group", group_order=n, conjugacy_classes=tuple(classes))
-    return Algebra(field, mul, unit, prov, _canonical=True)
+    return Algebra(field, mul, unit, Provenance("group"), _canonical=True)

@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .algebras import Algebra, Provenance, group_algebra_from_cayley, matrix_algebra
+from .algebras import Algebra, group_algebra_from_cayley, matrix_algebra
 from .errors import BadParameter, GeneratorFailed
 from .fields import Field
 from .quiver import build_path_algebra, parse_quiver
@@ -149,11 +149,11 @@ def _random_quiver_text(rng: random.Random, trunc: Optional[int]) -> Tuple[str, 
 
 def random_quiver_algebra(field: Field, seed: int, trunc: Optional[int] = None,
                           max_dim: int = 40) -> Algebra:
-    """Seeded admissible quiver algebra.  It keeps what ``build_path_algebra``
-    hands over, its path-length grading and vertex idempotents, so its
-    radical, radical powers, primitive idempotents and semisimple
-    decomposition are certified rather than searched for, and it is its own
-    basic corner."""
+    """Seeded admissible quiver algebra.  It keeps the path-length grading
+    ``build_path_algebra`` hands over, so its radical and radical powers are
+    certified rather than computed, and its vertex idempotents are the basis
+    guess, so its primitive idempotents and semisimple decomposition are
+    certified rather than searched for; it is its own basic corner."""
     rng = random.Random(seed)
     for _ in range(100):
         try:
@@ -198,9 +198,8 @@ def random_local_algebra(field: Field, seed: int, generators: Optional[int] = No
             continue
         alg = built.algebra
         if alg.dim <= max_dim:
-            # a fresh algebra without the grading or the vertex idempotents:
-            # the radical and idempotents must be recomputed honestly
-            return Algebra(field, alg.mul, alg.unit, Provenance("generic"), _canonical=True)
+            # a fresh algebra without the grading: the radical is recomputed honestly
+            return Algebra(field, alg.mul, alg.unit, _canonical=True)
     raise GeneratorFailed(f"no local algebra of dim <= {max_dim} after 100 draws")
 
 

@@ -144,17 +144,21 @@ class Field:
         return self.mul(a, self.inv(b))
 
     def parse_scalar(self, text: str):
-        """Parse ``n`` or ``a/b`` into a canonical scalar."""
+        """Parse ``n`` or ``a/b`` into a canonical scalar; BadParameter names a
+        token that is neither, or whose denominator is 0 in this field."""
         text = text.strip()
-        if "/" in text:
-            num, den = text.split("/", 1)
-            a, b = int(num), int(den)
-            if b == 0:
-                raise BadParameter(f"zero denominator in scalar {text!r}")
-            if self.kind == "prime":
-                return a % self.p * self.inv(b % self.p) % self.p
-            return rational(Fraction(a, b))
-        return self.coerce(int(text))
+        num, slash, den = text.partition("/")
+        try:
+            a, b = int(num), int(den) if slash else 1
+        except ValueError:
+            raise BadParameter(f"bad scalar: {text!r}") from None
+        if not slash:
+            return self.coerce(a)
+        if b == 0 or self.kind == "prime" and b % self.p == 0:
+            raise BadParameter(f"zero denominator in scalar {text!r}")
+        if self.kind == "prime":
+            return a % self.p * self.inv(b % self.p) % self.p
+        return rational(Fraction(a, b))
 
     def format_scalar(self, x) -> str:
         return str(x)

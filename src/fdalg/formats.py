@@ -24,6 +24,13 @@ class FormatError(BadParameter):
     pass
 
 
+def _parse_int(token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise FormatError(f"bad {what}: {token!r}") from None
+
+
 def write_algebra_text(a: Algebra) -> str:
     F = a.field
     lines = [f"algebra dim={a.dim} field={F}"]
@@ -47,7 +54,7 @@ def parse_algebra_text(text: str) -> Algebra:
     field: Optional[Field] = None
     for tok in header[1:]:
         if tok.startswith("dim="):
-            dim = int(tok[4:])
+            dim = _parse_int(tok[4:], "dim")
         elif tok.startswith("field="):
             field = Field.parse(tok[6:])
     if dim is None or field is None or dim < 1:
@@ -55,6 +62,7 @@ def parse_algebra_text(text: str) -> Algebra:
     unit = None
     z = field.zero()
     mul = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
+    seen = set()
     for ln in lines[1:]:
         if ln.startswith("unit:"):
             parts = ln[5:].split()
@@ -65,9 +73,12 @@ def parse_algebra_text(text: str) -> Algebra:
             parts = ln.split()
             if len(parts) != 5:
                 raise FormatError(f"bad mul line: {ln!r}")
-            i, j, k = (int(parts[1]), int(parts[2]), int(parts[3]))
+            i, j, k = (_parse_int(x, "mul index") for x in parts[1:4])
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise FormatError(f"mul indices out of range: {ln!r}")
+            if (i, j, k) in seen:
+                raise FormatError(f"repeated mul line for ({i}, {j}, {k}): {ln!r}")
+            seen.add((i, j, k))
             mul[i][j][k] = field.parse_scalar(parts[4])
         else:
             raise FormatError(f"unrecognized line: {ln!r}")
@@ -90,7 +101,7 @@ def parse_cayley_text(text: str, field: Field) -> Algebra:
     except ValueError:
         raise FormatError("Cayley file must start with the group order") from None
     table = []
-    flat = [int(x) for row in rows[1:] for x in row]
+    flat = [_parse_int(x, "Cayley entry") for row in rows[1:] for x in row]
     if len(flat) != n * n:
         raise FormatError(f"expected {n}x{n} table entries, found {len(flat)}")
     for i in range(n):

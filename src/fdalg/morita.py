@@ -13,12 +13,11 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .algebras import Algebra, Element, corner_data
+from .algebras import Algebra, Element, IdempotentCandidate, Provenance, corner_data
 from .errors import BadParameter, InternalInconsistency, NotBasic, NotFull, ParentMismatch
 from .invariants import commutator_subspace, k_n_space, k_of
 from .linalg import Matrix, echelon_for, kernel, solve_in_span, span
 from .structure import (
-    IdempotentCandidate,
     loewy_length,
     peirce_grid,
     peirce_radical_diagonal,
@@ -41,9 +40,8 @@ def basic_algebra_data(a: Algebra, seed: int = 0) -> Tuple[Algebra, Element, Lis
     shares one B and everything cached on it.
 
     When A is already basic, e = 1 and the corner would be a copy of A's
-    tensor on the same basis, so B is A itself, with the standard basis rows;
-    A is then handed the fullness pair (1, 1), which ``fullness_witness``
-    still verifies, unless it already carries a candidate.
+    tensor on the same basis, so B is A itself, with the standard basis rows
+    (and ``fullness_witness`` takes the pair (1, 1) for e = 1).
     """
     key = ("basic", seed)
     cached = a._cache.get(key)
@@ -51,7 +49,6 @@ def basic_algebra_data(a: Algebra, seed: int = 0) -> Tuple[Algebra, Element, Lis
         e = basic_idempotent(a, seed)
         if e.coords == a.unit:
             cached = (a, e, [a._unit_vec(i) for i in range(a.dim)])
-            a._cache.setdefault("fullness_candidate", (a.unit, ((a.unit, a.unit),)))
         else:
             alg, rows = corner_data(a, e)
             cached = (alg, e, rows)
@@ -81,18 +78,22 @@ class FullnessWitness:
 def fullness_witness(a: Algebra, e: Element) -> FullnessWitness:
     """Pairs (u_k, v_k) with 1 = sum u_k e v_k; NotFull when there are none.
 
-    When A carries a ``"fullness_candidate"`` for this e (``inflate`` hands
-    over the matrix units for e = sum of one diagonal unit per class), those
-    pairs are used; otherwise 1 = sum c_(i,j) b_i e b_j is solved over the
-    products that raise the rank.  Either way the witness is verified, and
-    one that does not sum to 1 raises InternalInconsistency.
+    For e = 1 the pair is (1, 1).  When ``Provenance.fullness`` hands over
+    pairs for this e (``inflate`` hands over the matrix units for e = sum of
+    one diagonal unit per class), those are used; otherwise
+    1 = sum c_(i,j) b_i e b_j is solved over the products that raise the
+    rank.  Either way the witness is verified, and one that does not sum to
+    1 raises InternalInconsistency.  The coset map ``tau_map`` does not
+    depend on which witness is taken.
     """
     if e.algebra is not a:
         raise ParentMismatch("idempotent from another algebra")
-    candidate = a._cache.get("fullness_candidate")
-    if candidate is not None and candidate[0] == e.coords:
+    handed = a.provenance.fullness
+    if e.coords == a.unit:
+        pairs = [(e, e)]
+    elif handed is not None and handed[0] == e.coords:
         pairs = [(Element(a, u, _canonical=True), Element(a, v, _canonical=True))
-                 for u, v in candidate[1]]
+                 for u, v in handed[1]]
     else:
         pairs = _solved_pairs(a, e)
     witness = FullnessWitness(e, pairs)
@@ -274,19 +275,19 @@ def inflate(a: Algebra, multiplicities: Sequence[int], seed: int = 0) -> Algebra
     multiplied like matrix units with entry composition in A.  Each product
     of Peirce basis vectors is taken once and copied into every block.
 
-    B is handed three things the construction knows, each certified where
-    it is read:
+    B's ``Provenance`` hands over three things the construction knows, each
+    certified where it is read:
 
-    - ``"radical_candidate"``: Rad B = Hom(P, P·Rad A) (Anderson and Fuller,
+    - ``radical_rows``: Rad B = Hom(P, P·Rad A) (Anderson and Fuller,
       *Rings and Categories of Modules*; Lam, *A First Course in
       Noncommutative Rings*, §21), the blocks (i, r, j, s) with i != j whole
       (A is basic, so e_i A e_j lies in Rad A) and e_i·Rad(A)·e_i in the
       blocks (i, r, i, s); ``structure.radical`` certifies it;
-    - ``"idempotent_candidate"``: the diagonal units ε_(i,r), the unit of A's
+    - ``idempotents``: the diagonal units ε_(i,r), the unit of A's
       e_i in block (i, r, i, r), grouped by i with representative ε_(i,0),
       and the matrix units between ε_(i,0) and ε_(i,r);
       ``structure.primitive_idempotents`` certifies them;
-    - ``"fullness_candidate"``: for e = sum_i ε_(i,0), the pairs
+    - ``fullness``: for e = sum_i ε_(i,0), the pairs
       (M_(i,r),(i,0), M_(i,0),(i,r)) of matrix units, whose products
       M·e·M' are the ε_(i,r) and sum to 1; ``fullness_witness`` verifies them.
     """
@@ -341,26 +342,22 @@ def inflate(a: Algebra, multiplicities: Sequence[int], seed: int = 0) -> Algebra
     def add(x, y) -> Tuple:
         return tuple(F.add(p, q) for p, q in zip(x, y))
 
-    units = [matrix_unit(i, r, r) for i, r in copies]
-    b = Algebra(F, mul, functools.reduce(add, units), _canonical=True)
-
     rad_rows = []
     for i, r in copies:
         for j, s in copies:
-            if i != j:
-                base = offset[(i, r, j, s)]
-                rad_rows += [b._unit_vec(base + w) for w in range(peirce[i][j].dim)]
-            else:
-                rad_rows += [block_vector((i, r, i, s), c) for c in jcoords[i]]
-    b._cache["radical_candidate"] = rad_rows
-    b._cache["idempotent_candidate"] = IdempotentCandidate(
+            n = peirce[i][j].dim  # A is basic: e_i A e_j lies in Rad A for i != j
+            coords = jcoords[i] if i == j else [
+                [F.one() if x == w else z for x in range(n)] for w in range(n)]
+            rad_rows += [block_vector((i, r, j, s), c) for c in coords]
+    units = [matrix_unit(i, r, r) for i, r in copies]
+    idempotents = IdempotentCandidate(
         tuple(units),
         tuple(tuple(k for k, (i, _) in enumerate(copies) if i == c) for c in range(l)),
         {k: (matrix_unit(i, 0, r), matrix_unit(i, r, 0)) for k, (i, r) in enumerate(copies) if r})
     e = functools.reduce(add, [matrix_unit(i, 0, 0) for i in range(l)])
-    b._cache["fullness_candidate"] = (
-        e, tuple((matrix_unit(i, r, 0), matrix_unit(i, 0, r)) for i, r in copies))
-    return b
+    fullness = (e, tuple((matrix_unit(i, r, 0), matrix_unit(i, 0, r)) for i, r in copies))
+    prov = Provenance(radical_rows=tuple(rad_rows), idempotents=idempotents, fullness=fullness)
+    return Algebra(F, mul, functools.reduce(add, units), prov, _canonical=True)
 
 
 def inflation_dim(a: Algebra, multiplicities: Sequence[int], seed: int = 0) -> int:

@@ -24,7 +24,6 @@ from .algebras import Algebra, Element, Provenance
 from .errors import NotAdmissible, QuiverSyntaxError, UnsupportedRelations
 from .fields import Field
 from .linalg import Subspace, coordinate_subspace, echelon_for
-from .structure import IdempotentCandidate
 
 DEFAULT_CAP = 32
 PATH_CAP = 20000
@@ -441,16 +440,14 @@ def build_path_algebra(q: QuiverPresentation, cap: int = DEFAULT_CAP) -> PathAlg
     the same echelon data.  Since the bound N certifies that length-N paths
     die in the ideal, any product of total length >= N is zero.
 
-    The algebra is handed what the construction fixes, each certified where
-    it is read:
-
-    - its grading, the path length of each basis element, as
-      ``Provenance.degrees``: ``structure.radical`` certifies it and reads
-      Rad A = A_{>=1} and J^n = A_{>=n} off it;
-    - the vertex idempotents, each its own iso class, as an
-      ``"idempotent_candidate"``: ``structure.radical`` certifies them, and
-      the primitive idempotents, the semisimple decomposition, the Cartan
-      matrix and the Ext^1 diagonal follow vertex order.
+    The algebra is handed its grading, the path length of each basis
+    element, as ``Provenance.degrees``: ``structure.radical`` certifies it
+    and reads Rad A = A_{>=1} and J^n = A_{>=n} off it.  The vertex
+    idempotents are the basis vectors on the support of the unit, so
+    ``structure.radical`` takes them as its basis guess, each its own iso
+    class, under the same certificate as a handed-over set; the primitive
+    idempotents, the semisimple decomposition, the Cartan matrix and the
+    Ext^1 diagonal follow vertex order.
 
     FQ/I is basic, so its basic corner is the algebra itself.
     """
@@ -518,9 +515,6 @@ def build_path_algebra(q: QuiverPresentation, cap: int = DEFAULT_CAP) -> PathAlg
 
     lengths = [len(p) for (_, p) in basis_paths]
     alg = Algebra(field, mul, unit, Provenance("quiver", degrees=tuple(lengths)), _canonical=True)
-    vertices = [alg._unit_vec(v) for v in range(nv)]
-    alg._cache["idempotent_candidate"] = IdempotentCandidate(
-        tuple(vertices), tuple((v,) for v in range(nv)), {})
     pb = PathBasis(
         labels=[_path_label(q, p, s) for (s, p) in basis_paths],
         lengths=lengths,
@@ -528,5 +522,5 @@ def build_path_algebra(q: QuiverPresentation, cap: int = DEFAULT_CAP) -> PathAlg
         targets=[q.arrows[p[-1]].target if p else s for (s, p) in basis_paths],
         paths=[p for (_, p) in basis_paths],
     )
-    return PathAlgebraResult(alg, [Element(alg, v, _canonical=True) for v in vertices],
+    return PathAlgebraResult(alg, [alg.basis_element(v) for v in range(nv)],
                              coordinate_subspace(field, dim, range(nv, dim)), pb, n_bound)

@@ -7,8 +7,8 @@ The Jacobson radical comes from one of four routes:
   by degree 1 are certified, Rad A = A_{>=1} and J^n = A_{>=n} (Assem,
   Simson and Skowroński, *Elements of the Representation Theory of
   Associative Algebras* I, §II.1-2), with no product of subspaces;
-- rows a construction hands over as ``"radical_candidate"``: a corner eAe
-  inherits e·Rad(A)·e from a parent whose radical is known
+- rows a construction hands over as ``Provenance.radical_rows``: a corner
+  eAe inherits e·Rad(A)·e from a parent whose radical is known
   (Rad(eAe) = e·Rad(A)·e), and a progenerator inflation End_B(P) gets
   Hom(P, P·Rad B) (``morita.inflate``);
 - the kernel of the regular trace form, in characteristic zero;
@@ -20,21 +20,22 @@ The Jacobson radical comes from one of four routes:
 
 Every route's output is checked before it is returned: the graded route by
 its own certificate, the others as a nilpotent two-sided ideal, a check that
-caches the chain of its powers.  When A also carries an idempotent
-candidate, ``radical`` certifies the candidate against it, which proves the
-radical complete (dim A - dim J = sum n_i^2 over the classes).
+caches the chain of its powers.  Primitive idempotents handed over or
+guessed are certified against it, which proves the radical complete
+(dim A - dim J = sum n_i^2 over the classes); the set and its Peirce table
+are memoized together as ``"certified_candidate"``.
 
 Primitive idempotents come from one of three routes:
 
-- handed over: an algebra that carries an ``"idempotent_candidate"`` (an
-  ``IdempotentCandidate``: inflations hand over their diagonal matrix units,
-  quiver builds their vertex idempotents) gets that set, certified, and a
-  set that fails raises InternalInconsistency;
-- guessed from the basis: for any other algebra (parsed text, group
-  algebras, ``lower_triangular``, ``truncated_polynomial``) ``radical``
-  tries the basis vectors on the support of the unit, grouped by the Peirce
-  blocks of the basis (``_basis_candidate``); a guess that passes the same
-  certificate is cached as the candidate, and one that fails is dropped;
+- handed over: an algebra whose ``Provenance.idempotents`` holds an
+  ``IdempotentCandidate`` (inflations hand over their diagonal matrix
+  units) gets that set, certified, and a set that fails raises
+  InternalInconsistency;
+- guessed from the basis: for any other algebra (quiver builds, parsed
+  text, group algebras, ``lower_triangular``, ``truncated_polynomial``)
+  ``radical`` tries the basis vectors on the support of the unit, grouped by
+  the Peirce blocks of the basis (``_basis_candidate``); a guess that passes
+  the same certificate is taken, and one that fails is dropped;
 - searched: otherwise the semisimple quotient is split by minimal
   polynomials and the pieces lifted.  Over F_p a commutative piece is first
   tested by Frobenius (``_is_field_fp``): a field F_{p^f} is one primitive of
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _numutil
-from .algebras import Algebra, Element, corner_data, peirce_rows
+from .algebras import Algebra, Element, IdempotentCandidate, corner_data, peirce_rows
 from .errors import BadParameter, InternalInconsistency, NotSplit, SplitUndecided, TooLarge
 from .fields import Field
 from .linalg import (
@@ -396,29 +397,29 @@ def _graded_radical(a: Algebra, degrees: Sequence[int]) -> Subspace:
 def radical(a: Algebra) -> Subspace:
     """Jacobson radical as a canonical subspace of the coordinate space.
 
-    When A carries an ``"idempotent_candidate"``, that candidate is certified
-    against the radical before either is cached (``_certify_candidate``);
-    the certificate also proves the radical complete.  When it carries none,
-    the basis may supply one (``_adopt_basis_candidate``).
+    It reads ``Provenance.degrees``, else ``radical_rows``, else computes.
+    Handed-over ``idempotents`` are certified against the radical before
+    either is cached (``_certify_candidate``), which also proves the radical
+    complete; without them the basis may supply some (``_adopt_basis_candidate``).
     """
     cached = a._cache.get("radical")
     if cached is not None:
         return cached
+    prov = a.provenance
     verified = False
-    inherited = a._cache.get("radical_candidate")
-    if a.provenance.degrees is not None:
-        rad, verified = _graded_radical(a, a.provenance.degrees), True
-    elif inherited is not None:
-        rad = span(a.field, a.dim, inherited)
+    if prov.degrees is not None:
+        rad, verified = _graded_radical(a, prov.degrees), True
+    elif prov.radical_rows is not None:
+        rad = span(a.field, a.dim, prov.radical_rows)
     elif a.field.characteristic == 0:
         rad = span(a.field, a.dim, _radical_char0(a))
     else:
         rad, verified = _radical_charp(a)
     if not verified:
         _check_radical(a, rad)
-    candidate = a._cache.get("idempotent_candidate")
-    if candidate is not None:
-        a._cache["candidate_peirce_grid"] = _certify_candidate(a, candidate, rad)
+    if prov.idempotents is not None:
+        a._cache["certified_candidate"] = (
+            prov.idempotents, _certify_candidate(a, prov.idempotents, rad))
     else:
         _adopt_basis_candidate(a, rad)
     a._cache["radical"] = rad
@@ -631,7 +632,7 @@ def semisimple_decomposition(a: Algebra, seed: int = 0) -> SemisimpleDecompositi
     if cached is not None:
         return cached
     qd = semisimple_quotient(a)
-    if "idempotent_candidate" in a._cache:
+    if "certified_candidate" in a._cache:
         result = _candidate_decomposition(a, qd, seed)
         a._cache[key] = result
         return result
@@ -728,34 +729,19 @@ class IdempotentSet:
         return len(self.idempotents)
 
 
-@dataclass(frozen=True)
-class IdempotentCandidate:
-    """Primitive idempotents a construction hands over, in coordinates.
-
-    ``iso_classes`` partitions the indices of ``idempotents``, each class
-    listing its representative first.  ``matrix_units[k] = (u, v)`` for every
-    other index k, with r its class representative: u in e_r·A·e_k and v in
-    e_k·A·e_r with u·v = e_r and v·u = e_k.
-    """
-
-    idempotents: Tuple[Tuple, ...]
-    iso_classes: Tuple[Tuple[int, ...], ...]
-    matrix_units: Dict[int, Tuple[Tuple, Tuple]]
-
-
 def primitive_idempotents(a: Algebra, seed: int = 0) -> IdempotentSet:
     """A complete set of primitive orthogonal idempotents, grouped by iso class.
 
     Three routes, tried in this order once ``radical`` has run:
 
-    - handed over: an ``"idempotent_candidate"`` that ``radical`` certifies
+    - handed over: ``Provenance.idempotents``, which ``radical`` certifies
       (``_certify_candidate``): ``morita.inflate`` hands over the diagonal
       matrix units of End_B(P), with their iso classes and the matrix units
-      between copies, and ``quiver.build_path_algebra`` the vertex
-      idempotents, each its own class;
-    - guessed from the basis: with nothing handed over, ``radical`` caches
-      the basis vectors on the support of the unit as the candidate when
-      they pass the same certificate (``_basis_candidate``);
+      between copies;
+    - guessed from the basis: with nothing handed over, ``radical`` takes
+      the basis vectors on the support of the unit when they pass the same
+      certificate (``_basis_candidate``); on a quiver build these are the
+      vertex idempotents, each its own class, in vertex order;
     - searched: a split semisimple decomposition of A/Rad(A) is lifted:
       x -> 3x^2 - 2x^3 (the defect squares each pass, so nilpotency of the
       radical forces convergence), pushed through shrinking corners so the
@@ -766,9 +752,10 @@ def primitive_idempotents(a: Algebra, seed: int = 0) -> IdempotentSet:
     if cached is not None:
         return cached
     radical(a)  # certifies a handed-over candidate, or adopts one from the basis
-    candidate = a._cache.get("idempotent_candidate")
-    if candidate is not None:
-        a._cache.setdefault(("peirce_grid", seed), a._cache["candidate_peirce_grid"])
+    certified = a._cache.get("certified_candidate")
+    if certified is not None:
+        candidate, grid = certified
+        a._cache.setdefault(("peirce_grid", seed), grid)
         result = IdempotentSet([Element(a, e, _canonical=True) for e in candidate.idempotents],
                                [list(c) for c in candidate.iso_classes],
                                [c[0] for c in candidate.iso_classes], seed)
@@ -979,8 +966,7 @@ def _adopt_basis_candidate(a: Algebra, rad: Subspace):
         grid = _certify_candidate(a, cand, rad, blocks)
     except InternalInconsistency:
         return
-    a._cache["idempotent_candidate"] = cand
-    a._cache["candidate_peirce_grid"] = grid
+    a._cache["certified_candidate"] = (cand, grid)
 
 
 # -- the Peirce table and Cartan data -------------------------------------------

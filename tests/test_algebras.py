@@ -41,8 +41,17 @@ def test_perturbed_tensor_reports_failures():
 def test_group_algebra_from_cayley_valid():
     g = group_algebra_from_cayley(F3, S3_TABLE)
     assert g.validate().ok
-    assert g.provenance.group_order == 6
-    assert len(g.provenance.conjugacy_classes) == 3
+    assert g.provenance.kind == "group"
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=["Fp:2", "Fp:3", "Q"])
+def test_group_algebra_k_is_the_class_number(field):
+    # K(FG) is spanned by the g - hgh^-1, so k(FG) = codim K(FG) is the number
+    # of conjugacy classes in every characteristic
+    assert k_of(group_algebra_from_cayley(field, S3_TABLE)) == 3
+    for n in range(1, 6):
+        cyclic = [[(i + j) % n for j in range(n)] for i in range(n)]
+        assert k_of(group_algebra_from_cayley(field, cyclic)) == n
 
 
 def test_cayley_rejects_broken_tables():

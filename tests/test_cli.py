@@ -283,13 +283,38 @@ def test_package_reads_every_private_name_and_constant():
     assert found == []
 
 
-@pytest.mark.parametrize("mult,message", [
-    ("2,2", "error: need 1 multiplicities, got 2"),
-    ("0", "error: multiplicities must be positive"),
-    ("two", "error: --mult needs comma-separated integers, got 'two'"),
-])
-def test_inflate_rejects_bad_multiplicities(tmp_path, mult, message):
-    # run as a process, so an uncaught exception would show as a traceback
+def test_package_memoizes_only_on_the_first_parameter():
+    # a function writes X._cache[...] or calls X._cache.setdefault only for X
+    # its first parameter: what a construction knows about the algebra it
+    # builds goes into that algebra's Provenance record, not its memo dict
+    import ast
+
+    found = []
+    for path, tree in _package_modules():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            first = fn.args.args[0].arg if fn.args.args else None
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Assign, ast.AugAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    owners = [t.value for t in targets if isinstance(t, ast.Subscript)]
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "setdefault"):
+                    owners = [node.func.value]
+                else:
+                    continue
+                for owner in owners:
+                    if (isinstance(owner, ast.Attribute) and owner.attr == "_cache"
+                            and not (isinstance(owner.value, ast.Name)
+                                     and owner.value.id == first)):
+                        found.append(f"{path}:{node.lineno}: {fn.name}")
+    assert found == []
+
+
+def _cli_process(args, tmp_path, text):
+    """Run the CLI as a process on a file holding ``text``, so an uncaught
+    exception would show as a traceback."""
     import os
     import pathlib
     import subprocess
@@ -297,12 +322,40 @@ def test_inflate_rejects_bad_multiplicities(tmp_path, mult, message):
 
     import fdalg
 
-    src = tmp_path / "t3.txt"
-    src.write_text(write_algebra_text(truncated_polynomial(GF(5), 3)))
+    src = tmp_path / "input.txt"
+    src.write_text(text)
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fdalg.__file__).parent.parent))
-    out = subprocess.run([sys.executable, "-m", "fdalg.cli", "inflate", str(src),
-                          "--mult", mult], capture_output=True, text=True, env=env,
-                         timeout=120)
+    return subprocess.run([sys.executable, "-m", "fdalg.cli", args[0], str(src)] + args[1:],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("algebra dim=x field=Fp:5\nunit: 1\n", "error: bad dim: 'x'"),
+    ("algebra dim=1 field=Fp:5\nunit: 1\nmul a 0 0 1\n", "error: bad mul index: 'a'"),
+    ("algebra dim=1 field=Fp:5\nunit: x\nmul 0 0 0 1\n", "error: bad scalar: 'x'"),
+    ("2\n0 1\n1 x\n", "error: bad Cayley entry: 'x'"),
+    ("algebra dim=1 field=Fp:5\nunit: 1/5\nmul 0 0 0 1\n",
+     "error: zero denominator in scalar '1/5'"),
+    ("algebra dim=1 field=Fp:5\nunit: 1\nmul 0 0 0 1\nmul 0 0 0 1\n",
+     "error: repeated mul line for (0, 0, 0): 'mul 0 0 0 1'"),
+], ids=["header dim", "mul index", "unit scalar", "Cayley entry", "denominator 0 mod p",
+        "repeated mul"])
+def test_malformed_text_is_a_typed_error(tmp_path, text, message):
+    out = _cli_process(["check", "--field", "Fp:5"], tmp_path, text)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error:")
+    assert message in out.stderr.splitlines()
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("mult,message", [
+    ("2,2", "error: need 1 multiplicities, got 2"),
+    ("0", "error: multiplicities must be positive"),
+    ("two", "error: --mult needs comma-separated integers, got 'two'"),
+])
+def test_inflate_rejects_bad_multiplicities(tmp_path, mult, message):
+    out = _cli_process(["inflate", "--mult", mult], tmp_path,
+                       write_algebra_text(truncated_polynomial(GF(5), 3)))
     assert out.returncode == 1
     assert message in out.stderr.splitlines()
     assert "Traceback" not in out.stderr

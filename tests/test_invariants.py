@@ -340,7 +340,7 @@ def test_report_and_suite_share_memoized_analyses(monkeypatch):
     report = build_report(a, 0)  # runs the theorem suite too; k = l, so it searches
     l = len(report["cartan"])
     assert report["k"] == report["ell"] and report["theorems_ok"]
-    assert "idempotent_candidate" not in a._cache
+    assert "certified_candidate" not in a._cache
     # each e_i·A·e_j over the basic representatives is spanned once per seed
     assert calls == {"search": 1, "peirce": l * l}
     verify_theorem_suite(a, 0)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 
@@ -249,11 +250,11 @@ def test_handed_over_inflations_match_generic_copies(corpus, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(fdalg.structure, "_adopt_basis_candidate", lambda alg, rad: None)
             radical(generic)
-        assert "idempotent_candidate" not in generic._cache, name
+        assert "certified_candidate" not in generic._cache, name
         assert verify_morita_invariance(big) == verify_morita_invariance(generic), name
         idems = primitive_idempotents(big)
         assert [e.coords for e in idems.idempotents] == list(
-            big._cache["idempotent_candidate"].idempotents), name
+            big.provenance.idempotents.idempotents), name
         assert [len(c) for c in idems.iso_classes] == mult, name
         ll = loewy_length(big)
         assert ll == loewy_length(generic), name
@@ -281,35 +282,45 @@ def test_handed_over_inflations_match_generic_copies(corpus, monkeypatch):
 
 
 def _corrupt(kind):
-    """A Kronecker inflation over F_3 with one handed-over object corrupted."""
+    """A Kronecker inflation over F_3 with one handed-over object corrupted,
+    as a fresh algebra on the same tensor with the altered record."""
     big = inflate(kronecker(F3, 2), [2, 1])
-    cand = big._cache["idempotent_candidate"]
+    prov = big.provenance
+    cand = prov.idempotents
     if kind == "radical row":
-        rows = big._cache["radical_candidate"]
-        rows[0] = cand.idempotents[0]
+        prov = dataclasses.replace(prov, radical_rows=(cand.idempotents[0],)
+                                   + prov.radical_rows[1:])
     elif kind == "idempotent":
         units = list(cand.idempotents)
         units[1] = tuple(2 * x % 3 for x in units[1])
-        big._cache["idempotent_candidate"] = IdempotentCandidate(
-            tuple(units), cand.iso_classes, cand.matrix_units)
+        prov = dataclasses.replace(prov, idempotents=IdempotentCandidate(
+            tuple(units), cand.iso_classes, cand.matrix_units))
+    elif kind == "zero idempotent":
+        # the first copy's idempotent moved onto the second; the nonzero
+        # check comes first, so it names the zero
+        units = list(cand.idempotents)
+        units[0], units[1] = tuple(0 for _ in units[0]), tuple(map(sum, zip(*units[:2])))
+        prov = dataclasses.replace(prov, idempotents=IdempotentCandidate(
+            tuple(units), cand.iso_classes, cand.matrix_units))
     elif kind == "class grouping":
         # copies 0 and 1 of the first class, claimed to be two classes
         classes = ((0,), (1,)) + cand.iso_classes[1:]
-        big._cache["idempotent_candidate"] = IdempotentCandidate(
-            cand.idempotents, classes, {})
+        prov = dataclasses.replace(prov, idempotents=IdempotentCandidate(
+            cand.idempotents, classes, {}))
     elif kind == "matrix unit":
         u, v = cand.matrix_units[1]
-        big._cache["idempotent_candidate"] = IdempotentCandidate(
-            cand.idempotents, cand.iso_classes, {1: (v, u)})
+        prov = dataclasses.replace(prov, idempotents=IdempotentCandidate(
+            cand.idempotents, cand.iso_classes, {1: (v, u)}))
     elif kind == "fullness pair":
-        e, pairs = big._cache["fullness_candidate"]
-        big._cache["fullness_candidate"] = (e, (pairs[1], pairs[1]) + pairs[2:])
-    return big
+        e, pairs = prov.fullness
+        prov = dataclasses.replace(prov, fullness=(e, (pairs[1], pairs[1]) + pairs[2:]))
+    return Algebra(big.field, big.mul, big.unit, prov)
 
 
 @pytest.mark.parametrize("kind,message", [
     ("radical row", "radical candidate is not a two-sided ideal"),
     ("idempotent", "idempotent 1 is not idempotent"),
+    ("zero idempotent", "handed-over idempotent 0 is zero"),
     ("class grouping", "representatives 0 and 1 are isomorphic"),
     ("matrix unit", "idempotent 1 is not isomorphic to its representative 0"),
     ("fullness pair", "fullness witness does not sum to the unit"),
@@ -343,9 +354,10 @@ def test_corrupted_hand_over_is_caught_under_python_O():
 def test_dropped_radical_row_is_caught():
     # a nilpotent ideal smaller than the radical passes the ideal and nilpotency
     # checks; dim A - dim J = sum n_i^2 over the certified classes does not
-    big = inflate(truncated_polynomial(F5, 3), [2])
-    rows = big._cache["radical_candidate"]  # M_2(J) for J = (x, x^2): x, x^2 per block
-    big._cache["radical_candidate"] = rows[1::2]  # M_2(J^2)
+    handed = inflate(truncated_polynomial(F5, 3), [2])
+    rows = handed.provenance.radical_rows  # M_2(J) for J = (x, x^2): x, x^2 per block
+    big = Algebra(handed.field, handed.mul, handed.unit,
+                  dataclasses.replace(handed.provenance, radical_rows=rows[1::2]))  # M_2(J^2)
     with pytest.raises(InternalInconsistency, match="misses part of Rad"):
         radical(big)
     assert "radical" not in big._cache

@@ -1,7 +1,9 @@
+import dataclasses
+
 import pytest
 
 from fdalg import structure
-from fdalg.algebras import Algebra, Provenance
+from fdalg.algebras import Algebra
 from fdalg.corpus import kronecker, random_quiver_algebra, two_loop_q_algebra
 from fdalg.errors import InternalInconsistency, NotAdmissible, QuiverSyntaxError, UnsupportedRelations
 from fdalg.fields import GF, QQ
@@ -9,7 +11,6 @@ from fdalg.invariants import k_n_space
 from fdalg.morita import basic_algebra_data, verify_morita_invariance
 from fdalg.quiver import admissibility_bound, build_path_algebra, parse_quiver
 from fdalg.structure import (
-    IdempotentCandidate,
     cartan_matrix,
     ell,
     ext1_diagonal,
@@ -216,12 +217,11 @@ def test_quiver_hand_over_matches_generic_copies(monkeypatch):
 
 
 def _corrupt_quiver(kind):
-    """A quiver build with one handed-over object corrupted, as a fresh
-    algebra with the (possibly altered) tensor, grading and candidate."""
+    """A quiver build with its tensor or handed-over grading corrupted, as a
+    fresh algebra with the altered tensor and record."""
     a = two_loop_q_algebra(F5, 2) if kind == "non-homogeneous" else kronecker(F3, 2)
     mul = [[list(row) for row in plane] for plane in a.mul]
     degrees = list(a.provenance.degrees)
-    cand = a._cache["idempotent_candidate"]
     if kind == "non-homogeneous":
         mul[1][2][0] = 1  # x·y gains a vertex term
     elif kind == "not idempotent":
@@ -230,18 +230,7 @@ def _corrupt_quiver(kind):
         mul[0][1][0] = 1  # e_u·e_v = e_u
     elif kind == "not generated":
         degrees[3] = 2  # the second arrow claimed as a path of length 2
-    elif kind == "vertex idempotent":
-        units = list(cand.idempotents)
-        units[0] = tuple(2 * x % 3 for x in units[0])
-        cand = IdempotentCandidate(tuple(units), cand.iso_classes, {})
-    elif kind == "zero vertex idempotent":
-        # 0 and 1 pass every other check: idempotent, orthogonal, summing
-        # to 1, 0·A·1 = 0, and dim A - dim J = 2 = 1^2 + 1^2
-        units = (tuple(0 for _ in a.unit), a.unit)
-        cand = IdempotentCandidate(units, cand.iso_classes, {})
-    b = Algebra(a.field, mul, a.unit, Provenance("quiver", degrees=tuple(degrees)))
-    b._cache["idempotent_candidate"] = cand
-    return b
+    return Algebra(a.field, mul, a.unit, dataclasses.replace(a.provenance, degrees=tuple(degrees)))
 
 
 @pytest.mark.parametrize("kind,message", [
@@ -249,8 +238,6 @@ def _corrupt_quiver(kind):
     ("not idempotent", "degree-0 basis element 2 is not idempotent"),
     ("not orthogonal", "degree-0 basis elements 0 and 1 are not orthogonal"),
     ("not generated", "degree 2 is not generated by the arrows"),
-    ("vertex idempotent", "handed-over idempotent 0 is not idempotent"),
-    ("zero vertex idempotent", "handed-over idempotent 0 is zero"),
 ])
 def test_corrupted_quiver_hand_over_is_caught(kind, message):
     with pytest.raises(InternalInconsistency, match=message):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -315,7 +316,7 @@ def _check_inherited_radical(a, e):
     route finds on a fresh copy of the corner's tensor."""
     radical(a)
     b, _ = corner_data(a, e)
-    assert "radical_candidate" in b._cache
+    assert b.provenance.radical_rows is not None
     fresh = Algebra(b.field, b.mul, b.unit)
     assert radical(b) == radical(fresh)
     if b.field.is_prime_field and b.field.p ** b.dim <= RADICAL_ORACLE_CAP:
@@ -358,12 +359,13 @@ def test_corner_skips_radical_not_yet_known():
     a = lower_triangular(F5, 3)
     b, _ = corner_data(a, a.basis_element(0))
     assert "radical" not in a._cache
-    assert "radical_candidate" not in b._cache
+    assert b.provenance.radical_rows is None
 
 
 def test_wrong_radical_candidate_is_rejected():
-    a = truncated_polynomial(F3, 3)
-    a._cache["radical_candidate"] = [b.coords for b in a.basis()]  # A itself
+    t3 = truncated_polynomial(F3, 3)
+    a = Algebra(t3.field, t3.mul, t3.unit, dataclasses.replace(
+        t3.provenance, radical_rows=tuple(b.coords for b in t3.basis())))  # A itself
     with pytest.raises(RuntimeError, match="not nilpotent"):
         radical(a)
 
@@ -697,13 +699,13 @@ def test_basis_guess_matches_search_on_permuted_corpus(corpus, monkeypatch):
         text = _permuted_text(entry.algebra, rng)
         a = parse_algebra_text(text)
         got = _idempotent_summary(a)
-        guessed += "idempotent_candidate" in a._cache
+        guessed += "certified_candidate" in a._cache
         with monkeypatch.context() as m:
             m.setattr(structure, "_adopt_basis_candidate", lambda alg, rad: None)
             b = parse_algebra_text(text)
             want = _idempotent_summary(b)
             searched = structure._lifted_idempotents(b, 0)
-        assert "idempotent_candidate" not in b._cache, entry.name
+        assert "certified_candidate" not in b._cache, entry.name
         assert got == want, entry.name
         idems = primitive_idempotents(a)
         assert sorted(map(len, idems.iso_classes)) == sorted(map(len, searched.iso_classes))
@@ -736,7 +738,7 @@ mul 4 4 4 1
 def _m2_plus_f_summary():
     a = parse_algebra_text(M2_PLUS_F_TEXT)
     idems = primitive_idempotents(a)
-    return ("idempotent_candidate" in a._cache, ell(a), len(idems),
+    return ("certified_candidate" in a._cache, ell(a), len(idems),
             sorted(map(len, idems.iso_classes)), cartan_matrix(a))
 
 
@@ -755,7 +757,7 @@ def test_rejected_basis_guess_falls_back_to_the_search(monkeypatch):
     monkeypatch.setattr(structure, "_certify_candidate", failing)
     b = parse_algebra_text(text)
     assert _idempotent_summary(b) == want
-    assert "idempotent_candidate" not in b._cache
+    assert "certified_candidate" not in b._cache
 
 
 def test_rejected_basis_guess_falls_back_under_python_O():
