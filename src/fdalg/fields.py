@@ -147,13 +147,13 @@ class Field:
         """Parse ``n`` or ``a/b`` into a canonical scalar; BadParameter names a
         token that is neither, or whose denominator is 0 in this field."""
         text = text.strip()
-        num, slash, den = text.partition("/")
         try:
-            a, b = int(num), int(den) if slash else 1
+            if "/" not in text:
+                return self.coerce(int(text))
+            num, den = text.split("/", 1)
+            a, b = int(num), int(den)
         except ValueError:
             raise BadParameter(f"bad scalar: {text!r}") from None
-        if not slash:
-            return self.coerce(a)
         if b == 0 or self.kind == "prime" and b % self.p == 0:
             raise BadParameter(f"zero denominator in scalar {text!r}")
         if self.kind == "prime":

@@ -77,7 +77,7 @@ def parse_algebra_text(text: str) -> Algebra:
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise FormatError(f"mul indices out of range: {ln!r}")
             if (i, j, k) in seen:
-                raise FormatError(f"repeated mul line for ({i}, {j}, {k}): {ln!r}")
+                raise FormatError(f"repeated mul line: {ln!r}")
             seen.add((i, j, k))
             mul[i][j][k] = field.parse_scalar(parts[4])
         else:

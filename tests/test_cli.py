@@ -337,7 +337,7 @@ def _cli_process(args, tmp_path, text):
     ("algebra dim=1 field=Fp:5\nunit: 1/5\nmul 0 0 0 1\n",
      "error: zero denominator in scalar '1/5'"),
     ("algebra dim=1 field=Fp:5\nunit: 1\nmul 0 0 0 1\nmul 0 0 0 1\n",
-     "error: repeated mul line for (0, 0, 0): 'mul 0 0 0 1'"),
+     "error: repeated mul line: 'mul 0 0 0 1'"),
 ], ids=["header dim", "mul index", "unit scalar", "Cayley entry", "denominator 0 mod p",
         "repeated mul"])
 def test_malformed_text_is_a_typed_error(tmp_path, text, message):
