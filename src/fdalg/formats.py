@@ -6,9 +6,11 @@ The structure-constant format is line oriented:
     unit: <d scalars>
     mul i j k <scalar>        # one line per nonzero c[i][j][k]
 
-Scalars are integers or a/b fractions.  Cayley files start with the group
-order; quiver files start with a ``vertices:`` section.  ``load_text``
-auto-detects the three by their first meaningful line.
+Scalars are integers or a/b fractions.  The header holds each of its two
+keys once and no other token, and there is one unit line.  Cayley files
+start with a line holding only the group order; quiver files start with a
+``vertices:`` section.  ``load_text`` auto-detects the three by their first
+meaningful line.
 """
 from __future__ import annotations
 
@@ -52,11 +54,18 @@ def parse_algebra_text(text: str) -> Algebra:
     header = lines[0].split()
     dim = None
     field: Optional[Field] = None
+    keys = set()
     for tok in header[1:]:
-        if tok.startswith("dim="):
-            dim = _parse_int(tok[4:], "dim")
-        elif tok.startswith("field="):
-            field = Field.parse(tok[6:])
+        key, eq, value = tok.partition("=")
+        if not eq or key not in ("dim", "field"):
+            raise FormatError(f"unknown header token: {tok!r}")
+        if key in keys:
+            raise FormatError(f"repeated header key: {tok!r}")
+        keys.add(key)
+        if key == "dim":
+            dim = _parse_int(value, "dim")
+        else:
+            field = Field.parse(value)
     if dim is None or field is None or dim < 1:
         raise FormatError(f"bad header: {lines[0]!r}")
     unit = None
@@ -65,6 +74,8 @@ def parse_algebra_text(text: str) -> Algebra:
     seen = set()
     for ln in lines[1:]:
         if ln.startswith("unit:"):
+            if unit is not None:
+                raise FormatError(f"repeated unit line: {ln!r}")
             parts = ln[5:].split()
             if len(parts) != dim:
                 raise FormatError(f"unit line needs {dim} scalars")
@@ -100,6 +111,8 @@ def parse_cayley_text(text: str, field: Field) -> Algebra:
         n = int(rows[0][0])
     except ValueError:
         raise FormatError("Cayley file must start with the group order") from None
+    if len(rows[0]) > 1:
+        raise FormatError(f"unexpected token after the group order: {rows[0][1]!r}")
     table = []
     flat = [_parse_int(x, "Cayley entry") for row in rows[1:] for x in row]
     if len(flat) != n * n:

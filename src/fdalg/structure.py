@@ -33,8 +33,9 @@ Primitive idempotents come from one of three routes:
   InternalInconsistency;
 - guessed from the basis: for any other algebra (quiver builds, parsed
   text, group algebras, ``lower_triangular``, ``truncated_polynomial``)
-  ``radical`` tries the basis vectors on the support of the unit, grouped by
-  the Peirce blocks of the basis (``_basis_candidate``); a guess that passes
+  ``radical`` tries, for each basis vector on the support of the unit, the
+  unit's term there, a nonzero multiple of a basis vector, grouped by the
+  Peirce blocks of the basis (``_basis_candidate``); a guess that passes
   the same certificate is taken, and one that fails is dropped;
 - searched: otherwise the semisimple quotient is split by minimal
   polynomials and the pieces lifted.  Over F_p a commutative piece is first
@@ -44,9 +45,9 @@ Primitive idempotents come from one of three routes:
 The semisimple decomposition follows the same split: from a certified
 candidate, handed over or guessed, it is read off (images in A/J, corner
 dims 1, components the iso classes, of dims n_i^2, split), and only
-otherwise searched.  When the idempotents are basis vectors and the basis
-lies in their Peirce blocks, the certificate reads the Peirce table off the
-basis (``_coordinate_blocks``) instead of spanning it.
+otherwise searched.  When each idempotent is a nonzero multiple of a basis
+vector and the basis lies in their Peirce blocks, the certificate reads the
+Peirce table off the basis (``_coordinate_blocks``) instead of spanning it.
 
 The Peirce table lives here too: ``peirce_grid`` spans each e_i·A·e_j and
 ``peirce_radical_diagonal`` each e_i·J^n·e_i over the basic representatives
@@ -739,9 +740,11 @@ def primitive_idempotents(a: Algebra, seed: int = 0) -> IdempotentSet:
       matrix units of End_B(P), with their iso classes and the matrix units
       between copies;
     - guessed from the basis: with nothing handed over, ``radical`` takes
-      the basis vectors on the support of the unit when they pass the same
-      certificate (``_basis_candidate``); on a quiver build these are the
-      vertex idempotents, each its own class, in vertex order;
+      the unit's terms u_i·b_i, each a nonzero multiple of a basis vector,
+      when they pass the same certificate (``_basis_candidate``); on a
+      quiver build these are the vertex idempotents, each its own class, in
+      vertex order, and on a text copy of an inflation whose diagonal
+      matrix units are multiples of basis vectors, those units;
     - searched: a split semisimple decomposition of A/Rad(A) is lifted:
       x -> 3x^2 - 2x^3 (the defect squares each pass, so nilpotency of the
       radical forces convergence), pushed through shrinking corners so the
@@ -815,10 +818,10 @@ def _certify_candidate(a: Algebra, cand: IdempotentCandidate, rad: Subspace,
     the M_{n_i}(F), semisimple, so J is all of Rad(A), each e_r is a split
     primitive and representatives of different classes are not isomorphic.
 
-    When the idempotents are basis vectors and every basis vector lies in one
-    block e_r·A·e_s, the table is read off the basis (``_coordinate_blocks``,
-    or ``blocks`` when the caller has already computed them) instead of
-    spanned.
+    When each idempotent is a nonzero multiple of a basis vector and every
+    basis vector lies in one block e_r·A·e_s, the table is read off the basis
+    (``_coordinate_blocks``, or ``blocks`` when the caller has already
+    computed them) instead of spanned.
     """
     F = a.field
     es = cand.idempotents
@@ -872,29 +875,45 @@ def _coordinate_blocks(a: Algebra,
     """The basis vectors of each Peirce block e_r·A·e_s, when the basis is
     adapted to the e's; otherwise None.
 
-    Adapted means: every e is a basis vector, and each b_m has
-    e_r·b_m = b_m = b_m·e_s for some (r, s), read off the structure
-    constants with no product.  For pairwise orthogonal idempotents summing
-    to 1, A is the direct sum of the e_r·A·e_s, so that (r, s) is unique, and
-    the d basis vectors, each inside its block, span every block: e_r·A·e_s
-    is the coordinate subspace on its basis vectors.  The caller checks
+    Adapted means: every e_r is a nonzero multiple s_r·b_{i_r} of a basis
+    vector, and each b_m has e_r·b_m = b_m = b_m·e_s for some (r, s), read off
+    the structure constants with no product: e_r·b_m = s_r·c_{i_r,m,·}, so
+    the test is c_{i_r,m,·} = s_r⁻¹·b_m (one tuple compare against b_m when
+    s_r = 1).  For pairwise orthogonal idempotents summing to 1, A is the
+    direct sum of the e_r·A·e_s, so that (r, s) is unique, and the d basis
+    vectors, each inside its block, span every block: e_r·A·e_s is the
+    coordinate subspace on its basis vectors.  The caller checks
     orthogonality and the sum.
     """
-    positions = []
+    F = a.field
+    one = F.one()
+    positions, scales = [], []
     for e in es:
         support = [i for i, c in enumerate(e) if c]
-        if len(support) != 1 or e[support[0]] != a.field.one():
+        if len(support) != 1:
             return None
         positions.append(support[0])
+        scales.append(e[support[0]])
+    rescaled = [(r, F.inv(s)) for r, s in enumerate(scales) if s != one]
     blocks: Dict[Tuple[int, int], List[int]] = {}
     for m in range(a.dim):
         b = a._unit_vec(m)
-        left = next((r for r, i in enumerate(positions) if a.mul[i][m] == b), None)
-        right = next((s for s, i in enumerate(positions) if a.mul[m][i] == b), None)
+        want = [b] * len(positions)  # want[r] = s_r⁻¹·b_m
+        for r, t in rescaled:
+            want[r] = _point(a, m, t)
+        left = next((r for r, i in enumerate(positions) if a.mul[i][m] == want[r]), None)
+        right = next((s for s, i in enumerate(positions) if a.mul[m][i] == want[s]), None)
         if left is None or right is None:
             return None
         blocks.setdefault((left, right), []).append(m)
     return blocks
+
+
+def _point(a: Algebra, i: int, c) -> Tuple:
+    """c·b_i in coordinates."""
+    v = [a.field.zero()] * a.dim
+    v[i] = c
+    return tuple(v)
 
 
 def _basis_candidate(a: Algebra, rad: Subspace
@@ -902,25 +921,36 @@ def _basis_candidate(a: Algebra, rad: Subspace
     """Primitive idempotents guessed from the basis with their Peirce blocks,
     or None.
 
-    The guess: the basis vectors b_i on the support S of the unit, each with
-    coefficient 1, pairwise orthogonal idempotents, and every basis vector in
-    one of their Peirce blocks (``_coordinate_blocks``).  i ~ j when the
-    block (i, j) holds a basis vector outside J; a class's representative is
-    its first member.  The guess is dropped unless dim A - dim J = sum n_i^2
-    over the classes, a test that needs no product.  For each other member k
-    of a class with representative r, the matrix units are basis vectors u in
-    block (r, k) and v in block (k, r) with u·v = c·e_r, c != 0, and v scaled
-    by 1/c.  ``_certify_candidate`` then decides whether the guess holds.
+    The guess: over the support S of the unit 1 = sum_i u_i·b_i, the
+    elements e_i = u_i·b_i, each a nonzero multiple of a basis vector.  They
+    are pairwise orthogonal idempotents when b_i·b_i = u_i⁻¹·b_i and
+    b_i·b_j = 0 for i != j in S, both read off the structure constants; and
+    every basis vector must lie in one of their Peirce blocks
+    (``_coordinate_blocks``).  i ~ j when the block (i, j) holds a basis
+    vector outside J; a class's representative is its first member.  The
+    guess is dropped unless dim A - dim J = sum n_i^2 over the classes, a
+    test that needs no product.  For each other member k of a class with
+    representative r, the matrix units are a basis vector u in block (r, k)
+    and a multiple of a basis vector v in block (k, r) with u·v = e_r
+    (``_basis_matrix_units``).  ``_certify_candidate`` then decides whether
+    the guess holds.
     """
     F, d = a.field, a.dim
+    one = F.one()
     support = [i for i, c in enumerate(a.unit) if c]
-    es = [a._unit_vec(i) for i in support]
+    es = []
     zero = (F.zero(),) * d
-    for i, e in zip(support, es):
-        if a.unit[i] != F.one() or a.mul[i][i] != e:
+    for i in support:
+        u = a.unit[i]
+        if u == one:  # e_i = b_i: b_i·b_i = b_i
+            e = square = a._unit_vec(i)
+        else:
+            e, square = _point(a, i, u), _point(a, i, F.inv(u))
+        if a.mul[i][i] != square:
             return None
         if any(a.mul[i][j] != zero for j in support if j != i):
             return None
+        es.append(e)
     blocks = _coordinate_blocks(a, es)
     if blocks is None:
         return None
@@ -943,15 +973,14 @@ def _basis_candidate(a: Algebra, rad: Subspace
 
 def _basis_matrix_units(a: Algebra, r: int, left: Sequence[int],
                         right: Sequence[int]) -> Optional[Tuple[Tuple, Tuple]]:
-    """(b_u, b_v / c) for the first basis vectors u in ``left`` and v in
-    ``right`` with b_u·b_v = c·b_r, c != 0; or None."""
+    """(b_u, (u_r / c)·b_v) for the first basis vectors u in ``left`` and v in
+    ``right`` with b_u·b_v = c·b_r, c != 0, where u_r is the unit's
+    coefficient on b_r, so that their product is e_r = u_r·b_r; or None."""
     for u in left:
         for v in right:
             row = a.mul[u][v]
             if row[r] and sum(map(bool, row)) == 1:
-                w = [a.field.zero()] * a.dim
-                w[v] = a.field.inv(row[r])
-                return a._unit_vec(u), tuple(w)
+                return a._unit_vec(u), _point(a, v, a.field.div(a.unit[r], row[r]))
     return None
 
 
@@ -998,8 +1027,11 @@ def peirce_grid(a: Algebra, seed: int = 0) -> Tuple[Tuple[Subspace, ...], ...]:
     key = ("peirce_grid", seed)
     grid = a._cache.get(key)
     if grid is None:
-        grid = _peirce_table(a, _basic_representatives(a, seed))
-        a._cache[key] = grid
+        es = _basic_representatives(a, seed)  # caches a certified candidate's table
+        grid = a._cache.get(key)
+        if grid is None:
+            grid = _peirce_table(a, es)
+            a._cache[key] = grid
     return grid
 
 

@@ -338,8 +338,16 @@ def _cli_process(args, tmp_path, text):
      "error: zero denominator in scalar '1/5'"),
     ("algebra dim=1 field=Fp:5\nunit: 1\nmul 0 0 0 1\nmul 0 0 0 1\n",
      "error: repeated mul line: 'mul 0 0 0 1'"),
+    ("algebra dim=1 field=Fp:5\nunit: 1\nunit: 2\nmul 0 0 0 1\n",
+     "error: repeated unit line: 'unit: 2'"),
+    ("algebra dim=2 dim=1 field=Fp:5\nunit: 1\nmul 0 0 0 1\n",
+     "error: repeated header key: 'dim=1'"),
+    ("algebra dim=1 field=Fp:5 foo=bar\nunit: 1\nmul 0 0 0 1\n",
+     "error: unknown header token: 'foo=bar'"),
+    ("2 7\n0 1\n1 0\n", "error: unexpected token after the group order: '7'"),
 ], ids=["header dim", "mul index", "unit scalar", "Cayley entry", "denominator 0 mod p",
-        "repeated mul"])
+        "repeated mul", "repeated unit", "repeated header key", "unknown header token",
+        "Cayley order line"])
 def test_malformed_text_is_a_typed_error(tmp_path, text, message):
     out = _cli_process(["check", "--field", "Fp:5"], tmp_path, text)
     assert out.returncode == 1

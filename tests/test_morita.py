@@ -6,6 +6,7 @@ import pytest
 
 from fdalg.algebras import Algebra, direct_sum, matrix_algebra
 from fdalg.corpus import (
+    cyclic_group_algebra,
     kronecker,
     lower_triangular,
     s3_group_algebra,
@@ -281,10 +282,13 @@ def test_handed_over_inflations_match_generic_copies(corpus, monkeypatch):
     assert checked >= 100, checked
 
 
-def _corrupt(kind):
-    """A Kronecker inflation over F_3 with one handed-over object corrupted,
-    as a fresh algebra on the same tensor with the altered record."""
-    big = inflate(kronecker(F3, 2), [2, 1])
+def _corrupt(kind, big=None):
+    """An inflation (by default a Kronecker one over F_3) with one
+    handed-over object corrupted, as a fresh algebra on the same tensor with
+    the altered record.  The first class must hold two copies."""
+    if big is None:
+        big = inflate(kronecker(F3, 2), [2, 1])
+    F = big.field
     prov = big.provenance
     cand = prov.idempotents
     if kind == "radical row":
@@ -292,14 +296,14 @@ def _corrupt(kind):
                                    + prov.radical_rows[1:])
     elif kind == "idempotent":
         units = list(cand.idempotents)
-        units[1] = tuple(2 * x % 3 for x in units[1])
+        units[1] = tuple(F.mul(2, x) for x in units[1])
         prov = dataclasses.replace(prov, idempotents=IdempotentCandidate(
             tuple(units), cand.iso_classes, cand.matrix_units))
     elif kind == "zero idempotent":
         # the first copy's idempotent moved onto the second; the nonzero
         # check comes first, so it names the zero
         units = list(cand.idempotents)
-        units[0], units[1] = tuple(0 for _ in units[0]), tuple(map(sum, zip(*units[:2])))
+        units[0], units[1] = tuple(0 for _ in units[0]), tuple(map(F.add, *units[:2]))
         prov = dataclasses.replace(prov, idempotents=IdempotentCandidate(
             tuple(units), cand.iso_classes, cand.matrix_units))
     elif kind == "class grouping":
@@ -317,17 +321,30 @@ def _corrupt(kind):
     return Algebra(big.field, big.mul, big.unit, prov)
 
 
-@pytest.mark.parametrize("kind,message", [
+CORRUPTIONS = [
     ("radical row", "radical candidate is not a two-sided ideal"),
     ("idempotent", "idempotent 1 is not idempotent"),
     ("zero idempotent", "handed-over idempotent 0 is zero"),
     ("class grouping", "representatives 0 and 1 are isomorphic"),
     ("matrix unit", "idempotent 1 is not isomorphic to its representative 0"),
     ("fullness pair", "fullness witness does not sum to the unit"),
-])
+]
+
+
+@pytest.mark.parametrize("kind,message", CORRUPTIONS)
 def test_corrupted_hand_over_is_caught(kind, message):
     with pytest.raises(InternalInconsistency, match=message):
         verify_morita_invariance(_corrupt(kind))
+
+
+@pytest.mark.parametrize("kind,message", CORRUPTIONS)
+def test_corrupted_rescaled_hand_over_is_caught(kind, message):
+    # the diagonal matrix units of this inflation of F_7[C_3] are 5·b_m, so
+    # its certificate reads the Peirce table off the basis
+    big = inflate(cyclic_group_algebra(GF(7), 3), [2, 1, 1])
+    assert all(sorted(set(e)) == [0, 5] for e in big.provenance.idempotents.idempotents)
+    with pytest.raises(InternalInconsistency, match=message):
+        verify_morita_invariance(_corrupt(kind, big))
 
 
 def test_corrupted_hand_over_is_caught_under_python_O():
@@ -340,15 +357,18 @@ def test_corrupted_hand_over_is_caught_under_python_O():
 
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "from test_morita import _corrupt; "
+            "from fdalg.corpus import cyclic_group_algebra; "
             "from fdalg.errors import InternalInconsistency; "
-            "from fdalg.morita import verify_morita_invariance\n"
-            "try:\n    verify_morita_invariance(_corrupt('class grouping'))\n"
-            "except InternalInconsistency:\n    print('caught')\n")
+            "from fdalg.fields import GF; "
+            "from fdalg.morita import inflate, verify_morita_invariance\n"
+            "for big in (None, inflate(cyclic_group_algebra(GF(7), 3), [2, 1, 1])):\n"
+            "    try:\n        verify_morita_invariance(_corrupt('class grouping', big))\n"
+            "    except InternalInconsistency:\n        print('caught')\n")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fdalg.__file__).parent.parent))
     out = subprocess.run([sys.executable, "-O", "-c", code, str(pathlib.Path(__file__).parent)],
                          capture_output=True, text=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["caught"]
+    assert out.stdout.split() == ["caught", "caught"]
 
 
 def test_dropped_radical_row_is_caught():

@@ -714,6 +714,52 @@ def test_basis_guess_matches_search_on_permuted_corpus(corpus, monkeypatch):
     assert compared >= 90 and guessed >= 80 and reordered >= 20, (compared, guessed, reordered)
 
 
+def _rescaled_text(a, rng):
+    """A's text on a shuffled basis with each b_i replaced by s_i·b_i for a
+    seeded random nonzero s_i: c'_ijk = c_ijk·s_i·s_j/s_k, u'_k = u_k/s_k."""
+    return _permuted_text(_rescaled(a.field, a.mul, a.unit, rng), rng)
+
+
+def test_basis_guess_matches_search_on_rescaled_corpus(corpus, monkeypatch):
+    rng = random.Random(18)
+    compared = guessed = rescaled = 0
+    for entry in corpus:
+        try:
+            if not semisimple_decomposition(entry.algebra).split:
+                continue
+        except SplitUndecided:
+            continue
+        text = _rescaled_text(entry.algebra, rng)
+        a = parse_algebra_text(text)
+        got = _idempotent_summary(a)
+        with monkeypatch.context() as m:
+            m.setattr(structure, "_adopt_basis_candidate", lambda alg, rad: None)
+            b = parse_algebra_text(text)
+            want = _idempotent_summary(b)
+        assert "certified_candidate" not in b._cache, entry.name
+        assert got == want, entry.name
+        certified = a._cache.get("certified_candidate")
+        if certified is not None:
+            guessed += 1
+            rescaled += any(c not in (0, 1) for e in certified[0].idempotents for c in e)
+        compared += 1
+    assert compared >= 90 and guessed >= 84 and rescaled >= 50, (compared, guessed, rescaled)
+
+
+def test_rescaled_inflation_reads_its_peirce_table_off_the_basis(monkeypatch):
+    # the diagonal matrix units of an inflation of F_7[C_3] are multiples
+    # 5·b_m of basis vectors: the certificate spans no Peirce block
+    big = inflate(cyclic_group_algebra(GF(7), 3), [1, 2, 1])
+    units = big.provenance.idempotents.idempotents
+    assert all(sum(map(bool, e)) == 1 for e in units) and any(max(e) != 1 for e in units)
+    calls = []
+    monkeypatch.setattr(structure, "peirce_rows",
+                        lambda *args: calls.append(args) or algebras.peirce_rows(*args))
+    radical(big)
+    assert "certified_candidate" in big._cache and not calls
+    assert cartan_matrix(big) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]] and not calls
+
+
 # M_2(F_5) x F_5 on the basis 1_M, 1_F, E_12, E_21, E_11: the unit's support
 # {1_M, 1_F} is a pair of orthogonal idempotents, but 1_M is not primitive
 M2_PLUS_F_TEXT = """algebra dim=5 field=Fp:5
@@ -735,29 +781,47 @@ mul 4 4 4 1
 """
 
 
-def _m2_plus_f_summary():
+def _rescaled_m2_plus_f_text():
+    """M2_PLUS_F_TEXT rescaled: the unit's coefficients are 1/s_0 and 1/s_1."""
     a = parse_algebra_text(M2_PLUS_F_TEXT)
+    return _rescaled_text(a, random.Random(5))
+
+
+def _m2_plus_f_summary(text=M2_PLUS_F_TEXT):
+    a = parse_algebra_text(text)
     idems = primitive_idempotents(a)
     return ("certified_candidate" in a._cache, ell(a), len(idems),
             sorted(map(len, idems.iso_classes)), cartan_matrix(a))
 
 
 def test_rejected_basis_guess_falls_back_to_the_search(monkeypatch):
-    a = parse_algebra_text(M2_PLUS_F_TEXT)
-    assert a.validate().ok
-    assert structure._basis_candidate(a, radical(a)) is None  # 1 + 1 != dim A/J = 5
-    assert _m2_plus_f_summary() == (False, 2, 3, [1, 2], [[1, 0], [0, 1]])
-    # a guess that passes the filter but fails its certificate is dropped too
-    text = write_algebra_text(lower_triangular(F5, 3))
-    want = _idempotent_summary(parse_algebra_text(text))
+    for text in (M2_PLUS_F_TEXT, _rescaled_m2_plus_f_text()):
+        a = parse_algebra_text(text)
+        assert a.validate().ok
+        assert structure._basis_candidate(a, radical(a)) is None  # 1 + 1 != dim A/J = 5
+        assert _m2_plus_f_summary(text) == (False, 2, 3, [1, 2], [[1, 0], [0, 1]])
+    assert sorted(c for c in a.unit if c) != [1, 1]
+    # a guess that passes the filter but fails its certificate is dropped too,
+    # whether its idempotents are basis vectors or multiples of them
+    plain = write_algebra_text(lower_triangular(F5, 3))
+    rescaled = _rescaled_text(lower_triangular(F5, 3), random.Random(3))
+    assert sorted(c for c in parse_algebra_text(rescaled).unit if c) != [1, 1, 1]
+    texts = (plain, rescaled)
+    want = []
+    for text in texts:
+        a = parse_algebra_text(text)
+        want.append(_idempotent_summary(a))
+        assert "certified_candidate" in a._cache
 
     def failing(alg, cand, rad, blocks=None):
         raise InternalInconsistency("refused")
 
     monkeypatch.setattr(structure, "_certify_candidate", failing)
-    b = parse_algebra_text(text)
-    assert _idempotent_summary(b) == want
-    assert "certified_candidate" not in b._cache
+    for text, summary in zip(texts, want):
+        b = parse_algebra_text(text)
+        assert structure._basis_candidate(b, radical(b)) is not None
+        assert _idempotent_summary(b) == summary
+        assert "certified_candidate" not in b._cache
 
 
 def test_rejected_basis_guess_falls_back_under_python_O():
@@ -770,9 +834,11 @@ def test_rejected_basis_guess_falls_back_under_python_O():
 
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "from test_structure import _m2_plus_f_summary; "
-            "print(_m2_plus_f_summary())\n")
+            "from test_structure import _rescaled_m2_plus_f_text; "
+            "print(_m2_plus_f_summary()); print(_m2_plus_f_summary(_rescaled_m2_plus_f_text()))\n")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fdalg.__file__).parent.parent))
     out = subprocess.run([sys.executable, "-O", "-c", code, str(pathlib.Path(__file__).parent)],
                          capture_output=True, text=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == str(_m2_plus_f_summary())
+    assert out.stdout.split("\n")[:2] == [str(_m2_plus_f_summary()),
+                                         str(_m2_plus_f_summary(_rescaled_m2_plus_f_text()))]
