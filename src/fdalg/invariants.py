@@ -180,8 +180,6 @@ def rad_in_commutators(a: Algebra) -> bool:
 
 def is_local(a: Algebra, seed: int = 0) -> Optional[bool]:
     """One primitive idempotent in A/J; None when splitting is undecided over Q."""
-    from .errors import SplitUndecided
-
     try:
         dec = semisimple_decomposition(a, seed)
     except SplitUndecided:

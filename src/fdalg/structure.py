@@ -20,41 +20,41 @@ The Jacobson radical comes from one of four routes:
 
 Every route's output is checked before it is returned: the graded route by
 its own certificate, the others as a nilpotent two-sided ideal, a check that
-caches the chain of its powers.  Primitive idempotents handed over or
-guessed are certified against it, which proves the radical complete
-(dim A - dim J = sum n_i^2 over the classes); the set and its Peirce table
-are memoized together as ``"certified_candidate"``.
+caches the chain of its powers.
 
-Primitive idempotents come from one of three routes:
+Primitive idempotents have three sources, one certificate and one reader.
+A complete set comes from
 
-- handed over: an algebra whose ``Provenance.idempotents`` holds an
-  ``IdempotentCandidate`` (inflations hand over their diagonal matrix
-  units) gets that set, certified, and a set that fails raises
-  InternalInconsistency;
-- guessed from the basis: for any other algebra (quiver builds, parsed
-  text, group algebras, ``lower_triangular``, ``truncated_polynomial``)
-  ``radical`` tries, for each basis vector on the support of the unit, the
-  unit's term there, a nonzero multiple of a basis vector, grouped by the
-  Peirce blocks of the basis (``_basis_candidate``); a guess that passes
-  the same certificate is taken, and one that fails is dropped;
-- searched: otherwise the semisimple quotient is split by minimal
-  polynomials and the pieces lifted.  Over F_p a commutative piece is first
-  tested by Frobenius (``_is_field_fp``): a field F_{p^f} is one primitive of
-  corner dim f, and only a piece that is not a field is searched.
+- a hand-over: ``Provenance.idempotents`` holds an ``IdempotentCandidate``
+  (inflations hand over their diagonal matrix units), and a set that fails
+  its certificate raises InternalInconsistency;
+- a guess from the basis, for any other algebra (quiver builds, parsed
+  text, group algebras, ``lower_triangular``, ``truncated_polynomial``):
+  ``radical`` tries the unit's terms u_i·b_i, each a nonzero multiple of a
+  basis vector, grouped by the Peirce blocks of the basis
+  (``_basis_candidate``), and a guess that fails its certificate is dropped;
+- the search, otherwise: A/J is split by minimal polynomials and the pieces
+  are lifted to A, grouped and given matrix units
+  (``_searched_idempotents``); over F_p a commutative piece is first tested
+  by Frobenius (``_is_field_fp``), and a field F_{p^f} is one primitive of
+  corner dim f.  A searched set that fails its certificate raises.
 
-The semisimple decomposition follows the same split: from a certified
-candidate, handed over or guessed, it is read off (images in A/J, corner
-dims 1, components the iso classes, of dims n_i^2, split), and only
-otherwise searched.  When each idempotent is a nonzero multiple of a basis
-vector and the basis lies in their Peirce blocks, the certificate reads the
-Peirce table off the basis (``_coordinate_blocks``) instead of spanning it.
+``_certify_candidate`` checks every split set against the radical, which
+also proves the radical complete (dim A - dim J = sum n_i^2 over the
+classes), and returns the representatives' Peirce table, read off the
+basis (``_coordinate_blocks``) when each idempotent is a nonzero multiple
+of a basis vector and the basis lies in their Peirce blocks.  A handed-over
+or guessed set is memoized with its table as ``"certified_candidate"``, a
+searched one per seed; ``semisimple_decomposition``, ``primitive_idempotents``
+and ``peirce_grid`` read only that record (``_idempotent_record``).  A set
+with a corner dim above 1, over a field where A is not split, is grouped
+the same way and not certified.
 
-The Peirce table lives here too: ``peirce_grid`` spans each e_i·A·e_j and
-``peirce_radical_diagonal`` each e_i·J^n·e_i over the basic representatives
-of ``primitive_idempotents``, once per (algebra, seed) and (algebra, n,
-seed).  The Cartan matrix, the Ext^1 diagonal, the diagonal codimension
-bound, the basic-algebra span ``acyc_cyc_space`` and progenerator inflation
-all read those two memos.
+``peirce_grid`` is that table over the basic representatives of
+``primitive_idempotents``, and ``peirce_radical_diagonal`` spans each
+e_i·J^n·e_i over them, once per (algebra, n, seed).  The Cartan matrix, the
+Ext^1 diagonal, the diagonal codimension bound, the basic-algebra span
+``acyc_cyc_space`` and progenerator inflation all read those two.
 """
 from __future__ import annotations
 
@@ -62,7 +62,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _numutil
 from .algebras import Algebra, Element, IdempotentCandidate, corner_data, peirce_rows
@@ -76,6 +76,7 @@ from .linalg import (
     coordinate_subspace,
     echelon_for,
     kernel,
+    solve_in_span,
     span,
 )
 from .polyfactor import (
@@ -136,6 +137,11 @@ class QuotientData:
         for pos, c in zip(self.positions, vec):
             out[pos] = F.coerce(c)
         return tuple(out)
+
+    def image(self, vec: Sequence) -> Tuple:
+        """The coordinates in A/I of a vector of the parent."""
+        red = self.ideal.reduce(vec)
+        return tuple(red[i] for i in self.positions)
 
 
 def quotient_algebra(a: Algebra, ideal: Subspace) -> QuotientData:
@@ -627,79 +633,31 @@ def _recurse_split(b: Algebra, z, minpoly, pieces, rng) -> List[Tuple[Tuple, int
 
 
 def semisimple_decomposition(a: Algebra, seed: int = 0) -> SemisimpleDecomposition:
-    """Decomposition data of A/Rad(A): primitives, components, split flag."""
+    """Decomposition data of A/Rad(A), read off the idempotent record.
+
+    The primitives are the images in A/J of the record's idempotents and
+    the components its classes.  A class of n_i idempotents of corner dim
+    f_i is a component M_{n_i}(D_i) with dim D_i = f_i, of dim n_i^2·f_i.  A
+    is split when every corner dim is 1, and then the record has passed
+    ``_certify_candidate``, which makes A/J the product of the M_{n_i}(F).
+    """
     key = ("ss_decomp", seed)
     cached = a._cache.get(key)
     if cached is not None:
         return cached
+    record = _idempotent_record(a, seed)
     qd = semisimple_quotient(a)
-    if "certified_candidate" in a._cache:
-        result = _candidate_decomposition(a, qd, seed)
-        a._cache[key] = result
-        return result
-    s = qd.algebra
-    rng = random.Random(seed)
-    prim = _primitive_decomposition(s, rng)
-    primitives = [coords for coords, _ in prim]
-    corner_dims = [cd for _, cd in prim]
-    m = len(primitives)
-    # group into components: in a semisimple algebra e_i S e_j != 0 iff e_i
-    # and e_j lie in the same Wedderburn component, a symmetric relation
-    parent = list(range(m))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    basis = [s._unit_vec(k) for k in range(s.dim)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if find(i) != find(j) and any(
-                    any(s.sandwich_coords(primitives[i], b, primitives[j])) for b in basis):
-                parent[find(i)] = find(j)
-    groups: Dict[int, List[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    components = [sorted(g) for g in sorted(groups.values(), key=lambda g: min(g))]
-    F = s.field
-    central = []
-    for comp in components:
-        acc = [F.zero()] * s.dim
-        for i in comp:
-            for k, x in enumerate(primitives[i]):
-                acc[k] = F.add(acc[k], x)
-        central.append(tuple(acc))
-    # c·S·c is the direct sum of the e_i·S·e_j over i, j in the component
-    component_dims = [peirce_rows(s, c, c).dim for c in central]
-    split = all(cd == 1 for cd in corner_dims) and all(
-        component_dims[c] == len(comp) ** 2 for c, comp in enumerate(components)
-    )
-    result = SemisimpleDecomposition(primitives, corner_dims, components,
-                                     component_dims, central, split)
+    F = a.field
+    primitives = [qd.image(e) for e in record.idempotents]
+    classes = record.classes
+    central = [tuple(functools.reduce(F.add, col) for col in zip(*(primitives[k] for k in c)))
+               for c in classes]
+    result = SemisimpleDecomposition(
+        primitives, list(record.corner_dims), [list(c) for c in classes],
+        [len(c) ** 2 * record.corner_dims[c[0]] for c in classes], central,
+        record.grid is not None)
     a._cache[key] = result
     return result
-
-
-def _candidate_decomposition(a: Algebra, qd: QuotientData, seed: int) -> SemisimpleDecomposition:
-    """The decomposition read off a certified idempotent candidate: its
-    certificate makes A/J the product of the M_{n_i}(F) over its classes, so
-    the primitives are the images of its idempotents, each with corner dim 1,
-    the components are its classes, of dims n_i^2, and A is split."""
-    idems = primitive_idempotents(a, seed)
-    F = a.field
-
-    def image(x: Sequence) -> Tuple:
-        red = qd.ideal.reduce(x)
-        return tuple(red[i] for i in qd.positions)
-
-    primitives = [image(e.coords) for e in idems.idempotents]
-    central = [tuple(functools.reduce(F.add, col) for col in zip(*(primitives[k] for k in c)))
-               for c in idems.iso_classes]
-    return SemisimpleDecomposition(primitives, [1] * len(primitives),
-                                   [list(c) for c in idems.iso_classes],
-                                   [len(c) ** 2 for c in idems.iso_classes], central, True)
 
 
 def wedderburn_split(a: Algebra, seed: int = 0) -> Tuple[List[Element], bool]:
@@ -714,7 +672,110 @@ def ell(a: Algebra, seed: int = 0) -> int:
     return len(semisimple_decomposition(a, seed).components)
 
 
-# -- idempotent lifting -------------------------------------------------------
+# -- the idempotent record ------------------------------------------------------
+
+
+class _Record(NamedTuple):
+    """A complete set of primitive orthogonal idempotents of A, in
+    coordinates, grouped into classes (representative first, classes ordered
+    by first member), with each one's corner dim dim ē·(A/J)·ē and the
+    representatives' Peirce table; the table is None when A is not split."""
+
+    idempotents: Tuple[Tuple, ...]
+    classes: Tuple[Tuple[int, ...], ...]
+    corner_dims: Tuple[int, ...]
+    grid: Optional[Tuple[Tuple[Subspace, ...], ...]]
+
+
+def _idempotent_record(a: Algebra, seed: int) -> _Record:
+    """The record per (algebra, seed): the certified candidate when one was
+    handed over or guessed, else the search's, memoized per seed."""
+    radical(a)  # certifies a handed-over candidate, or adopts one from the basis
+    certified = a._cache.get("certified_candidate")
+    if certified is not None:
+        cand, grid = certified
+        return _Record(cand.idempotents, cand.iso_classes, (1,) * len(cand.idempotents), grid)
+    key = ("idempotent_search", seed)
+    record = a._cache.get(key)
+    if record is None:
+        record = a._cache[key] = _searched_idempotents(a, seed)
+    return record
+
+
+def _searched_idempotents(a: Algebra, seed: int) -> _Record:
+    """The record from a seeded split of A/J (``_primitive_decomposition``).
+
+    Each primitive ē of A/J is lifted to an idempotent e of A over it:
+    x -> 3x^2 - 2x^3 (the defect squares each pass, so nilpotency of J
+    forces convergence), pushed through shrinking corners so that the lifts
+    stay pairwise orthogonal.  The lifts are grouped by e_r·A·e_s ⊄ J
+    (``_classes``).  When every corner dim is 1, each other member k of a
+    class with representative r gets matrix units: u is the first e_r·b·e_k
+    outside J over the basis, and v = e_k·w·e_r for a w with u·w·e_r = e_r,
+    solved over the rows u·b·e_r.  Such a w exists: ū != 0 maps the simple
+    ē_k·(A/J) onto ē_r·(A/J), so u·e_k·A + e_r·A·J = e_r·A, and left
+    multiplication by u maps e_k·A onto e_r·A by Nakayama; so e_r = u·y with
+    y in e_k·A, and w = y.  Then u·v = e_r, and v·u is a nonzero idempotent
+    of the local ring e_k·A·e_k, so v·u = e_k.  The set then passes
+    ``_certify_candidate``, and a failure raises InternalInconsistency.
+    """
+    qd = semisimple_quotient(a)
+    prims = _primitive_decomposition(qd.algebra, random.Random(seed))
+    max_iter = max(loewy_length(a), 1).bit_length() + 2
+    lifted: List[Tuple] = []
+    total = a.zero_element()
+    unit = a.unit_element()
+    for scoords, _ in prims:
+        x = a.element(qd.lift(scoords))
+        shrink = unit - total
+        x = shrink * x * shrink
+        for _ in range(max_iter):
+            if x * x == x:
+                break
+            sq = x * x
+            x = sq.scale(3) - (sq * x).scale(2)
+        else:
+            raise InternalInconsistency("idempotent lifting did not converge")
+        lifted.append(x.coords)
+        total = total + x
+    if total != unit:
+        raise InternalInconsistency("lifted idempotents do not sum to the unit")
+    es = tuple(lifted)
+    rad = qd.ideal
+    basis = [a._unit_vec(m) for m in range(a.dim)]
+
+    @functools.lru_cache(maxsize=None)
+    def outside(r: int, s: int) -> Optional[Tuple]:
+        """The first e_r·b·e_s outside J over the basis, or None."""
+        products = (a.sandwich_coords(es[r], b, es[s]) for b in basis)
+        return next((x for x in products if any(x) and not rad.contains(x)), None)
+
+    classes = _classes(len(es), lambda r, s: outside(r, s) is not None)
+    corner_dims = tuple(cdim for _, cdim in prims)
+    if any(cdim != 1 for cdim in corner_dims):
+        return _Record(es, classes, corner_dims, None)
+    units = {}
+    for c in classes:
+        r = es[c[0]]
+        for k in c[1:]:
+            u = outside(c[0], k)
+            w = None if u is None else solve_in_span(
+                a.field, [a.sandwich_coords(u, b, r) for b in basis], r)
+            if w is not None:
+                units[k] = (u, a.sandwich_coords(es[k], w, r))
+    cand = IdempotentCandidate(es, classes, units)
+    return _Record(es, classes, corner_dims, _certify_candidate(a, cand, rad, source="searched"))
+
+
+def _classes(m: int, linked) -> Tuple[Tuple[int, ...], ...]:
+    """The classes of 0..m-1 under the equivalence generated by the pairs
+    r < s with ``linked(r, s)``, each in order, ordered by first member."""
+    label = list(range(m))
+    for r, s in itertools.combinations(range(m), 2):
+        if label[r] != label[s] and linked(r, s):
+            old = label[s]
+            label = [label[r] if x == old else x for x in label]
+    return tuple(sorted(tuple(x for x in range(m) if label[x] == c) for c in set(label)))
 
 
 @dataclass
@@ -731,77 +792,45 @@ class IdempotentSet:
 
 
 def primitive_idempotents(a: Algebra, seed: int = 0) -> IdempotentSet:
-    """A complete set of primitive orthogonal idempotents, grouped by iso class.
+    """A complete set of primitive orthogonal idempotents, grouped by iso
+    class, read off the idempotent record; NotSplit unless A is split.
 
-    Three routes, tried in this order once ``radical`` has run:
+    The record's three sources, each certified by ``_certify_candidate``:
 
-    - handed over: ``Provenance.idempotents``, which ``radical`` certifies
-      (``_certify_candidate``): ``morita.inflate`` hands over the diagonal
-      matrix units of End_B(P), with their iso classes and the matrix units
-      between copies;
+    - handed over: ``Provenance.idempotents``, which ``radical`` certifies:
+      ``morita.inflate`` hands over the diagonal matrix units of End_B(P),
+      with their iso classes and the matrix units between copies;
     - guessed from the basis: with nothing handed over, ``radical`` takes
       the unit's terms u_i·b_i, each a nonzero multiple of a basis vector,
-      when they pass the same certificate (``_basis_candidate``); on a
-      quiver build these are the vertex idempotents, each its own class, in
-      vertex order, and on a text copy of an inflation whose diagonal
-      matrix units are multiples of basis vectors, those units;
-    - searched: a split semisimple decomposition of A/Rad(A) is lifted:
-      x -> 3x^2 - 2x^3 (the defect squares each pass, so nilpotency of the
-      radical forces convergence), pushed through shrinking corners so the
-      lifts stay pairwise orthogonal.
+      when they pass the certificate (``_basis_candidate``); on a quiver
+      build these are the vertex idempotents, each its own class, in vertex
+      order, and on a text copy of an inflation whose diagonal matrix units
+      are multiples of basis vectors, those units;
+    - searched: the primitives of a seeded split of A/Rad(A), lifted to A,
+      grouped by e_r·A·e_s ⊄ J and given matrix units
+      (``_searched_idempotents``, which proves the matrix units exist).
     """
     key = ("idempotents", seed)
     cached = a._cache.get(key)
     if cached is not None:
         return cached
-    radical(a)  # certifies a handed-over candidate, or adopts one from the basis
-    certified = a._cache.get("certified_candidate")
-    if certified is not None:
-        candidate, grid = certified
-        a._cache.setdefault(("peirce_grid", seed), grid)
-        result = IdempotentSet([Element(a, e, _canonical=True) for e in candidate.idempotents],
-                               [list(c) for c in candidate.iso_classes],
-                               [c[0] for c in candidate.iso_classes], seed)
-    else:
-        result = _lifted_idempotents(a, seed)
+    record = _idempotent_record(a, seed)
+    if record.grid is None:
+        raise NotSplit("primitive idempotents require a split algebra")
+    result = IdempotentSet([Element(a, e, _canonical=True) for e in record.idempotents],
+                           [list(c) for c in record.classes],
+                           [c[0] for c in record.classes], seed)
     a._cache[key] = result
     return result
 
 
-def _lifted_idempotents(a: Algebra, seed: int) -> IdempotentSet:
-    dec = semisimple_decomposition(a, seed)
-    if not dec.split:
-        raise NotSplit("primitive idempotents require a split algebra")
-    qd = semisimple_quotient(a)
-    ll = loewy_length(a)
-    max_iter = max(ll, 1).bit_length() + 2
-    lifted: List[Element] = []
-    total = a.zero_element()
-    unit = a.unit_element()
-    for scoords in dec.primitives:
-        x = a.element(qd.lift(scoords))
-        shrink = unit - total
-        x = shrink * x * shrink
-        for _ in range(max_iter):
-            if x * x == x:
-                break
-            sq = x * x
-            x = sq.scale(3) - (sq * x).scale(2)
-        else:
-            raise InternalInconsistency("idempotent lifting did not converge")
-        lifted.append(x)
-        total = total + x
-    if total != unit:
-        raise InternalInconsistency("lifted idempotents do not sum to the unit")
-    return IdempotentSet(lifted, [list(c) for c in dec.components],
-                         [c[0] for c in dec.components], seed)
-
-
 def _certify_candidate(a: Algebra, cand: IdempotentCandidate, rad: Subspace,
-                       blocks: Optional[Dict[Tuple[int, int], List[int]]] = None
-                       ) -> Tuple[Tuple[Subspace, ...], ...]:
-    """Certify a handed-over set against a nilpotent ideal J inside Rad(A),
-    or raise InternalInconsistency; returns the representatives' Peirce table.
+                       blocks: Optional[Dict[Tuple[int, int], List[int]]] = None,
+                       source: str = "handed-over") -> Tuple[Tuple[Subspace, ...], ...]:
+    """Certify a set of idempotents against a nilpotent ideal J inside
+    Rad(A), or raise InternalInconsistency; returns the representatives'
+    Peirce table.  ``source`` ("handed-over", "guessed" or "searched") opens
+    each message.
 
     The checks: each e is a nonzero idempotent, the set is pairwise
     orthogonal and sums to 1; e_r·A·e_s ⊆ J for representatives r != s; each other member k of a
@@ -828,18 +857,18 @@ def _certify_candidate(a: Algebra, cand: IdempotentCandidate, rad: Subspace,
     mul = a.multiply_coords
     classes = cand.iso_classes
     if sorted(k for c in classes for k in c) != list(range(len(es))) or not all(classes):
-        raise InternalInconsistency("handed-over iso classes do not partition the idempotents")
+        raise InternalInconsistency(f"{source} iso classes do not partition the idempotents")
     total = [F.zero()] * a.dim
     for x, e in enumerate(es):
         if not any(e):
-            raise InternalInconsistency(f"handed-over idempotent {x} is zero")
+            raise InternalInconsistency(f"{source} idempotent {x} is zero")
         if mul(e, e) != e:
-            raise InternalInconsistency(f"handed-over idempotent {x} is not idempotent")
+            raise InternalInconsistency(f"{source} idempotent {x} is not idempotent")
         if any(any(mul(e, f)) for y, f in enumerate(es) if y != x):
-            raise InternalInconsistency(f"handed-over idempotent {x} is not orthogonal to the rest")
+            raise InternalInconsistency(f"{source} idempotent {x} is not orthogonal to the rest")
         total = [F.add(t, c) for t, c in zip(total, e)]
     if tuple(total) != a.unit:
-        raise InternalInconsistency("handed-over idempotents do not sum to the unit")
+        raise InternalInconsistency(f"{source} idempotents do not sum to the unit")
     reps = [c[0] for c in classes]
     if blocks is None:
         blocks = _coordinate_blocks(a, es)
@@ -852,7 +881,7 @@ def _certify_candidate(a: Algebra, cand: IdempotentCandidate, rad: Subspace,
         for j, sub in enumerate(row):
             if j != i and not all(rad.contains(w) for w in sub.basis_vectors()):
                 raise InternalInconsistency(
-                    f"handed-over representatives {reps[i]} and {reps[j]} are isomorphic")
+                    f"{source} representatives {reps[i]} and {reps[j]} are isomorphic")
     for c in classes:
         r = es[c[0]]
         for k in c[1:]:
@@ -861,12 +890,13 @@ def _certify_candidate(a: Algebra, cand: IdempotentCandidate, rad: Subspace,
             if (u is None or a.sandwich_coords(r, u, e) != u or a.sandwich_coords(e, v, r) != v
                     or mul(u, v) != r or mul(v, u) != e):
                 raise InternalInconsistency(
-                    f"handed-over idempotent {k} is not isomorphic to its representative {c[0]}")
+                    f"{source} idempotent {k} is not isomorphic to its representative {c[0]}")
     squares = sum(len(c) ** 2 for c in classes)
     if a.dim - rad.dim != squares:
         raise InternalInconsistency(
-            f"the radical misses part of Rad(A): dim A - dim J = {a.dim - rad.dim}, "
-            f"but the handed-over classes give sum n_i^2 = {squares}")
+            f"dim A - dim J = {a.dim - rad.dim}, but the {source} classes give sum n_i^2 = "
+            f"{squares}: the radical misses part of Rad(A), or an idempotent is not a split "
+            "primitive")
     return grid
 
 
@@ -954,11 +984,9 @@ def _basis_candidate(a: Algebra, rad: Subspace
     blocks = _coordinate_blocks(a, es)
     if blocks is None:
         return None
-    label = list(range(len(es)))
-    for (r, s), ms in blocks.items():
-        if label[r] != label[s] and any(not rad.contains(a._unit_vec(m)) for m in ms):
-            label = [label[r] if x == label[s] else x for x in label]
-    classes = sorted([x for x in range(len(es)) if label[x] == c] for c in set(label))
+    classes = _classes(len(es), lambda r, s: any(
+        not rad.contains(a._unit_vec(m))
+        for m in itertools.chain(blocks.get((r, s), ()), blocks.get((s, r), ()))))
     if d - rad.dim != sum(len(c) ** 2 for c in classes):
         return None
     units = {}
@@ -968,7 +996,7 @@ def _basis_candidate(a: Algebra, rad: Subspace
                                            blocks.get((k, c[0]), ()))
             if units[k] is None:
                 return None
-    return IdempotentCandidate(tuple(es), tuple(map(tuple, classes)), units), blocks
+    return IdempotentCandidate(tuple(es), classes, units), blocks
 
 
 def _basis_matrix_units(a: Algebra, r: int, left: Sequence[int],
@@ -992,7 +1020,7 @@ def _adopt_basis_candidate(a: Algebra, rad: Subspace):
         return
     cand, blocks = guess
     try:
-        grid = _certify_candidate(a, cand, rad, blocks)
+        grid = _certify_candidate(a, cand, rad, blocks, source="guessed")
     except InternalInconsistency:
         return
     a._cache["certified_candidate"] = (cand, grid)
@@ -1023,16 +1051,9 @@ def _sandwich_diagonal(a: Algebra, sub: Subspace, es: List[Tuple]) -> Tuple[Subs
 
 def peirce_grid(a: Algebra, seed: int = 0) -> Tuple[Tuple[Subspace, ...], ...]:
     """grid[i][j] = e_i·A·e_j over the basic representatives e_1..e_l of
-    ``primitive_idempotents(a, seed)``; memoized per seed."""
-    key = ("peirce_grid", seed)
-    grid = a._cache.get(key)
-    if grid is None:
-        es = _basic_representatives(a, seed)  # caches a certified candidate's table
-        grid = a._cache.get(key)
-        if grid is None:
-            grid = _peirce_table(a, es)
-            a._cache[key] = grid
-    return grid
+    ``primitive_idempotents(a, seed)``: the table their certificate returned."""
+    primitive_idempotents(a, seed)  # NotSplit unless A is split
+    return _idempotent_record(a, seed).grid
 
 
 def peirce_radical_diagonal(a: Algebra, n: int, seed: int = 0) -> Tuple[Subspace, ...]:
@@ -1047,17 +1068,6 @@ def peirce_radical_diagonal(a: Algebra, n: int, seed: int = 0) -> Tuple[Subspace
     return diag
 
 
-@dataclass
-class StructureReport:
-    radical_dim: int
-    loewy_length: int
-    ell: Optional[int]
-    cartan: Optional[List[List[int]]]
-    ext1_diag: Optional[List[int]]
-    split: Optional[bool]
-    split_reason: str = ""
-
-
 def cartan_matrix(a: Algebra, seed: int = 0) -> List[List[int]]:
     """C[i][j] = dim e_i A e_j over basic representatives, read from the
     memoized ``peirce_grid``."""
@@ -1070,17 +1080,3 @@ def ext1_diagonal(a: Algebra, seed: int = 0) -> List[int]:
     j1, j2 = peirce_radical_diagonal(a, 1, seed), peirce_radical_diagonal(a, 2, seed)
     return [x.dim - y.dim for x, y in zip(j1, j2)]
 
-
-def structure_report(a: Algebra, seed: int = 0) -> StructureReport:
-    rad = radical(a)
-    ll = loewy_length(a)
-    try:
-        dec = semisimple_decomposition(a, seed)
-    except SplitUndecided as exc:
-        return StructureReport(rad.dim, ll, None, None, None, None, str(exc))
-    n_ell = len(dec.components)
-    if not dec.split:
-        return StructureReport(rad.dim, ll, n_ell, None, None, False,
-                               "not split over the ground field")
-    return StructureReport(rad.dim, ll, n_ell, cartan_matrix(a, seed),
-                           ext1_diagonal(a, seed), True)

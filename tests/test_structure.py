@@ -38,7 +38,6 @@ from fdalg.structure import (
     radical_power,
     semisimple_decomposition,
     semisimple_quotient,
-    structure_report,
     wedderburn_split,
 )
 from regular_matrices import left_regular_coords
@@ -269,13 +268,15 @@ def test_idempotent_lifting_nontrivial_radical():
 
 
 def test_structure_report_fields():
-    rep = structure_report(two_loop_q_algebra(F5, 3))
-    assert rep.split is True
-    assert rep.ell == 1 and rep.loewy_length == 3 and rep.radical_dim == 3
-    rep2 = structure_report(cyclic_group_algebra(F2, 5))
-    assert rep2.split is False and rep2.cartan is None
-    rep3 = structure_report(cyclic_group_algebra(QQ, 3))
-    assert rep3.split is None and rep3.ell is None
+    from fdalg.cli import build_report
+
+    rep = build_report(two_loop_q_algebra(F5, 3))
+    assert rep["split"] is True
+    assert rep["ell"] == 1 and rep["loewy_length"] == 3 and rep["radical_dim"] == 3
+    rep2 = build_report(cyclic_group_algebra(F2, 5))
+    assert rep2["split"] is False and rep2["cartan"] is None
+    rep3 = build_report(cyclic_group_algebra(QQ, 3))
+    assert rep3["split"] is None and rep3["ell"] == "unavailable"
 
 
 def test_trace_of_cartan_is_peirce_diagonal_sum():
@@ -704,11 +705,12 @@ def test_basis_guess_matches_search_on_permuted_corpus(corpus, monkeypatch):
             m.setattr(structure, "_adopt_basis_candidate", lambda alg, rad: None)
             b = parse_algebra_text(text)
             want = _idempotent_summary(b)
-            searched = structure._lifted_idempotents(b, 0)
+            searched = structure._searched_idempotents(b, 0)
         assert "certified_candidate" not in b._cache, entry.name
+        assert searched.grid is not None, entry.name  # the search's set passed the certificate
         assert got == want, entry.name
         idems = primitive_idempotents(a)
-        assert sorted(map(len, idems.iso_classes)) == sorted(map(len, searched.iso_classes))
+        assert sorted(map(len, idems.iso_classes)) == sorted(map(len, searched.classes))
         reordered += cartan_matrix(a) != cartan_matrix(b)
         compared += 1
     assert compared >= 90 and guessed >= 80 and reordered >= 20, (compared, guessed, reordered)
@@ -813,8 +815,12 @@ def test_rejected_basis_guess_falls_back_to_the_search(monkeypatch):
         want.append(_idempotent_summary(a))
         assert "certified_candidate" in a._cache
 
-    def failing(alg, cand, rad, blocks=None):
-        raise InternalInconsistency("refused")
+    certify = structure._certify_candidate
+
+    def failing(alg, cand, rad, blocks=None, source="handed-over"):
+        if source == "guessed":
+            raise InternalInconsistency("refused")
+        return certify(alg, cand, rad, blocks, source)
 
     monkeypatch.setattr(structure, "_certify_candidate", failing)
     for text, summary in zip(texts, want):
@@ -842,3 +848,55 @@ def test_rejected_basis_guess_falls_back_under_python_O():
     assert out.returncode == 0, out.stderr
     assert out.stdout.split("\n")[:2] == [str(_m2_plus_f_summary()),
                                          str(_m2_plus_f_summary(_rescaled_m2_plus_f_text()))]
+
+
+def _corrupted_search_exit(path):
+    """The exit code of `fdalg report` on the file with the split search
+    corrupted to return the unit alone, as one primitive of corner dim 1."""
+    from fdalg import cli
+
+    search = structure._primitive_decomposition
+    structure._primitive_decomposition = lambda b, rng: [(tuple(b.unit), 1)]
+    try:
+        return cli.main(["report", str(path)])
+    finally:
+        structure._primitive_decomposition = search
+
+
+def test_corrupted_search_is_caught(tmp_path, monkeypatch, capsys):
+    # a text copy of F_5[S_3] gets no guess (its unit is one basis vector,
+    # and 1 != dim A/J = 6), so it is searched; a search claiming A/J = F
+    # fails the certificate instead of reporting ell 1, split false
+    text = write_algebra_text(s3_group_algebra(F5))
+    with monkeypatch.context() as m:
+        m.setattr(structure, "_primitive_decomposition", lambda b, rng: [(tuple(b.unit), 1)])
+        a = parse_algebra_text(text)
+        with pytest.raises(InternalInconsistency,
+                           match=r"^dim A - dim J = 6, but the searched classes give sum n_i\^2 = 1: "):
+            semisimple_decomposition(a)
+        assert "certified_candidate" not in a._cache
+    path = tmp_path / "s3.alg"
+    path.write_text(text)
+    assert _corrupted_search_exit(path) == 5
+    assert capsys.readouterr().err.startswith("internal error: dim A - dim J = 6, but the searched")
+    assert semisimple_decomposition(parse_algebra_text(text)).split
+
+
+def test_corrupted_search_is_caught_under_python_O(tmp_path):
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import fdalg
+
+    path = tmp_path / "s3.alg"
+    path.write_text(write_algebra_text(s3_group_algebra(F5)))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from test_structure import _corrupted_search_exit; "
+            "print(_corrupted_search_exit(sys.argv[2]))\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fdalg.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-O", "-c", code, str(pathlib.Path(__file__).parent),
+                          str(path)], capture_output=True, text=True, env=env, timeout=120)
+    assert out.stdout.split("\n")[-2:] == ["5", ""], out.stderr
+    assert "internal error: dim A - dim J = 6, but the searched" in out.stderr
