@@ -3,6 +3,10 @@ quiver and local algebras for property testing.
 
 Every generator is a pure function of its spec (including the seed), so any
 corpus member can be reproduced from the report alone.
+
+The random generators hand their presentations to the stratum pass
+directly, with no DSL text in between, and compare ``max_dim`` with the
+pass's basis, so a draw that is too large stops before its products.
 """
 from __future__ import annotations
 
@@ -13,7 +17,8 @@ from typing import Dict, List, Optional, Tuple
 from .algebras import Algebra, group_algebra_from_cayley, matrix_algebra
 from .errors import BadParameter, GeneratorFailed
 from .fields import Field
-from .quiver import build_path_algebra, parse_quiver
+from .quiver import (DEFAULT_CAP, Arrow, QuiverPresentation, Relation, _path_products,
+                     _stratum_pass, build_path_algebra, parse_quiver)
 
 MAX_FAMILY_N = 16
 MAX_RANDOM_DIM = 24
@@ -104,47 +109,38 @@ def s3_group_algebra(field: Field) -> Algebra:
     return group_algebra_from_cayley(field, S3_TABLE)
 
 
-def _random_quiver_text(rng: random.Random, trunc: Optional[int]) -> Tuple[str, int]:
+def _relation(field: Field, arrows, p1, p2=None, c=0) -> Relation:
+    """The monomial p1, or the binomial p1 - c·p2, with the terms the parser
+    gives for that text."""
+    terms = ((field.one(), p1),)
+    if p2 is not None:
+        terms += ((field.neg(field.coerce(c)), p2),)
+    return Relation(terms, arrows[p1[0]].source, arrows[p1[-1]].target, len(p1))
+
+
+def _random_quiver(rng: random.Random, field: Field, trunc: Optional[int]) -> QuiverPresentation:
     nv = rng.randint(1, 3)
-    vertices = [f"v{i}" for i in range(nv)]
-    na = rng.randint(1, 4)
-    arrows = []
-    for i in range(na):
-        s = rng.randrange(nv)
-        t = rng.randrange(nv)
-        arrows.append((f"a{i}", s, t))
+    arrows = tuple(Arrow(f"a{i}", rng.randrange(nv), rng.randrange(nv))
+                   for i in range(rng.randint(1, 4)))
     n = trunc if trunc is not None else rng.randint(2, 4)
-    lines = ["vertices: " + " ".join(vertices),
-             "arrows: " + ", ".join(f"{a}: v{s} -> v{t}" for a, s, t in arrows)]
     # relations: all paths of the cutoff length (forces admissibility), plus a
     # few random parallel binomials of smaller homogeneous degree
-    by_source: Dict[int, List[int]] = {}
-    for i, (_, s, _) in enumerate(arrows):
-        by_source.setdefault(s, []).append(i)
-    paths = {1: [((i,), arrows[i][1], arrows[i][2]) for i in range(na)]}
+    paths = {1: [(i,) for i in range(len(arrows))]}
     for ln in range(2, n + 1):
-        nxt = []
-        for path, s, t in paths[ln - 1]:
-            for i in by_source.get(t, []):
-                nxt.append((path + (i,), s, arrows[i][2]))
-            if len(nxt) > 4000:
-                raise GeneratorFailed("path blow-up")
-        paths[ln] = nxt
-    rels = []
-    for path, _, _ in paths[n]:
-        rels.append("*".join(f"a{i}" for i in path))
+        paths[ln] = [p + (i,) for p in paths[ln - 1]
+                     for i, a in enumerate(arrows) if a.source == arrows[p[-1]].target]
+        if len(paths[ln]) > 4000:
+            raise GeneratorFailed("path blow-up")
+    rels = [_relation(field, arrows, p) for p in paths[n]]
     for ln in range(2, n):
         group: Dict[Tuple[int, int], List[Tuple[int, ...]]] = {}
-        for path, s, t in paths[ln]:
-            group.setdefault((s, t), []).append(path)
+        for p in paths[ln]:
+            group.setdefault((arrows[p[0]].source, arrows[p[-1]].target), []).append(p)
         for pair_list in group.values():
             if len(pair_list) >= 2 and rng.random() < 0.3:
                 p1, p2 = rng.sample(pair_list, 2)
-                c = rng.randint(1, 4)
-                rels.append("*".join(f"a{i}" for i in p1) + " - " + str(c) + " "
-                            + "*".join(f"a{i}" for i in p2))
-    lines.append("relations: " + ", ".join(rels))
-    return "\n".join(lines), n
+                rels.append(_relation(field, arrows, p1, p2, rng.randint(1, 4)))
+    return QuiverPresentation(tuple(f"v{i}" for i in range(nv)), arrows, tuple(rels), field)
 
 
 def random_quiver_algebra(field: Field, seed: int, trunc: Optional[int] = None,
@@ -154,16 +150,37 @@ def random_quiver_algebra(field: Field, seed: int, trunc: Optional[int] = None,
     certified rather than computed, and its vertex idempotents are the basis
     guess, so its primitive idempotents and semisimple decomposition are
     certified rather than searched for; it is its own basic corner."""
+    if trunc is not None and trunc < 2:
+        raise BadParameter(f"truncation length must be at least 2: {trunc}")
     rng = random.Random(seed)
     for _ in range(100):
         try:
-            text, _ = _random_quiver_text(rng, trunc)
-            alg = build_path_algebra(parse_quiver(text, field)).algebra
+            q = _random_quiver(rng, field, trunc)
         except GeneratorFailed:
             continue
-        if alg.dim <= max_dim:
-            return alg
+        strata = _stratum_pass(q, DEFAULT_CAP)
+        if len(strata.basis) <= max_dim:
+            return _path_products(q, strata).algebra
     raise GeneratorFailed(f"no admissible quiver of dim <= {max_dim} after 100 draws")
+
+
+def _random_local(rng: random.Random, field: Field, generators: Optional[int],
+                  trunc: Optional[int]) -> QuiverPresentation:
+    g = generators if generators is not None else rng.randint(1, 3)
+    n = trunc if trunc is not None else rng.randint(2, 4)
+    arrows = tuple(Arrow(f"x{i}", 0, 0) for i in range(g))
+    words = {1: [(i,) for i in range(g)]}
+    for ln in range(2, n + 1):
+        words[ln] = [w + (i,) for w in words[ln - 1] for i in range(g)]
+    rels = [_relation(field, arrows, w) for w in words[n]]
+    for ln in range(2, n):
+        rels += [_relation(field, arrows, w) for w in words[ln] if rng.random() < 0.35]
+    for ln in range(2, n):
+        pool = words[ln]
+        if len(pool) >= 2 and rng.random() < 0.5:
+            w1, w2 = rng.sample(pool, 2)
+            rels.append(_relation(field, arrows, w1, w2, rng.randint(1, 4)))
+    return QuiverPresentation(("v",), arrows, tuple(rels), field)
 
 
 def random_local_algebra(field: Field, seed: int, generators: Optional[int] = None,
@@ -171,33 +188,14 @@ def random_local_algebra(field: Field, seed: int, generators: Optional[int] = No
                          max_dim: int = MAX_RANDOM_DIM) -> Algebra:
     """Seeded local algebra: truncated free algebra on loops, extra monomial and
     binomial relations, provenance stripped so the radical is recomputed."""
+    if trunc is not None and trunc < 2:
+        raise BadParameter(f"truncation length must be at least 2: {trunc}")
     rng = random.Random(seed)
     for _ in range(100):
-        g = generators if generators is not None else rng.randint(1, 3)
-        n = trunc if trunc is not None else rng.randint(2, 4)
-        arrows = ", ".join(f"x{i}: v -> v" for i in range(g))
-        words = {1: [(i,) for i in range(g)]}
-        for ln in range(2, n + 1):
-            words[ln] = [w + (i,) for w in words[ln - 1] for i in range(g)]
-        rels = ["*".join(f"x{i}" for i in w) for w in words[n]]
-        for ln in range(2, n):
-            for w in words[ln]:
-                if rng.random() < 0.35:
-                    rels.append("*".join(f"x{i}" for i in w))
-        for ln in range(2, n):
-            pool = words[ln]
-            if len(pool) >= 2 and rng.random() < 0.5:
-                w1, w2 = rng.sample(pool, 2)
-                c = rng.randint(1, 4)
-                rels.append("*".join(f"x{i}" for i in w1) + " - " + str(c) + " "
-                            + "*".join(f"x{i}" for i in w2))
-        text = f"vertices: v; arrows: {arrows}; relations: " + ", ".join(rels)
-        try:
-            built = build_path_algebra(parse_quiver(text, field))
-        except GeneratorFailed:
-            continue
-        alg = built.algebra
-        if alg.dim <= max_dim:
+        q = _random_local(rng, field, generators, trunc)
+        strata = _stratum_pass(q, DEFAULT_CAP)
+        if len(strata.basis) <= max_dim:
+            alg = _path_products(q, strata).algebra
             # a fresh algebra without the grading: the radical is recomputed honestly
             return Algebra(field, alg.mul, alg.unit, _canonical=True)
     raise GeneratorFailed(f"no local algebra of dim <= {max_dim} after 100 draws")

@@ -16,9 +16,10 @@ homogeneous ideals, and anything else is rejected up front.
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .algebras import Algebra, Element, Provenance
 from .errors import NotAdmissible, QuiverSyntaxError, UnsupportedRelations
@@ -320,45 +321,14 @@ def parse_quiver(text: str, field: Field, params: Optional[Dict[str, object]] = 
     return _Parser(_tokenize(text), field, params or {}).parse()
 
 
-# -- path enumeration and the graded normal form ------------------------------
+# -- the stratum pass and the graded normal form ------------------------------
 
 
-def _extend_strata(q: QuiverPresentation, strata: List[List[Tuple[int, ...]]], upto: int):
-    """Grow strata[n] (all arrow-index tuples of length n) out to length ``upto``."""
-    by_source: Dict[int, List[int]] = {}
-    for idx, a in enumerate(q.arrows):
-        by_source.setdefault(a.source, []).append(idx)
-    total = sum(len(level) for level in strata)
-    while len(strata) <= upto:
-        n = len(strata)
-        if n == 1:
-            nxt = [(i,) for i in range(len(q.arrows))]
-        else:
-            nxt = []
-            for path in strata[n - 1]:
-                tgt = q.arrows[path[-1]].target
-                for a in by_source.get(tgt, []):
-                    nxt.append(path + (a,))
-        total += len(nxt)
-        if total > PATH_CAP:
-            raise NotAdmissible(f"path count exceeds {PATH_CAP}; presentation not admissible "
-                                "within the cap")
-        strata.append(nxt)
-
-
-def _paths_by_length(q: QuiverPresentation, max_len: int) -> List[List[Tuple[int, ...]]]:
-    strata: List[List[Tuple[int, ...]]] = [[()]]
-    _extend_strata(q, strata, max_len)
-    return strata
-
-
-def _ideal_echelon(q: QuiverPresentation, strata, n: int, index_of: Dict):
+def _ideal_echelon(q: QuiverPresentation, strata, n: int, index_n: Dict):
     """RREF accumulator for the degree-n component of the relation ideal."""
     field = q.field
-    paths_n = strata[n]
-    acc = echelon_for(field, len(paths_n))
-    if not paths_n:
-        return acc
+    width = len(strata[n])
+    acc = echelon_for(field, width)
     zero = field.zero()
     for rel in q.relations:
         g = rel.degree
@@ -372,38 +342,73 @@ def _ideal_echelon(q: QuiverPresentation, strata, n: int, index_of: Dict):
                 for v in strata[blen]:
                     if v and q.arrows[v[0]].source != rel.target:
                         continue
-                    vec = [zero] * len(paths_n)
+                    vec = [zero] * width
                     for coeff, body in rel.terms:
-                        idx = index_of[n][u + body + v]
+                        idx = index_n[u + body + v]
                         vec[idx] = field.add(vec[idx], coeff)
                     acc.insert(vec)
     return acc
 
 
-def _strata_index(strata) -> List[Dict[Tuple[int, ...], int]]:
-    return [{path: i for i, path in enumerate(level)} for level in strata]
+class _Strata(NamedTuple):
+    """What ``_stratum_pass`` found: ``paths[n]`` holds the length-n paths
+    and ``index[n]`` their places, for n <= bound; ``echelons[n]`` is the
+    RREF of the ideal's degree-n component, or None when no relation has
+    degree <= n; ``basis`` holds the surviving (source, path) pairs, the
+    vertices first, then the non-pivot paths by length."""
+
+    paths: List[List[Tuple[int, ...]]]
+    index: List[Dict[Tuple[int, ...], int]]
+    echelons: List[Optional[object]]
+    bound: int
+    basis: List[Tuple[int, Tuple[int, ...]]]
+
+
+def _stratum_pass(q: QuiverPresentation, cap: int) -> _Strata:
+    """One pass over the path strata, out to the admissibility bound N.
+
+    Paths are extended one length at a time and each new stratum is
+    indexed once.  Its ideal component is row-reduced only where some
+    relation has degree <= n; for homogeneous relations membership is
+    graded, so it is decided by rank in each stratum, and once a stratum is
+    covered (or empty) so is every longer one: that length is N.  The
+    non-pivot paths of each shorter stratum join the basis.  Raises
+    NotAdmissible past ``cap`` or past PATH_CAP paths in all.
+    """
+    by_source: Dict[int, List[int]] = {}
+    for idx, a in enumerate(q.arrows):
+        by_source.setdefault(a.source, []).append(idx)
+    paths: List[List[Tuple[int, ...]]] = [[()]]
+    index: List[Dict[Tuple[int, ...], int]] = [{(): 0}]
+    echelons: List[Optional[object]] = [None]
+    basis = [(v, ()) for v in range(len(q.vertices))]
+    for n in range(1, cap + 1):
+        if n == 1:
+            level = [(i,) for i in range(len(q.arrows))]
+        else:
+            level = [p + (a,) for p in paths[-1]
+                     for a in by_source.get(q.arrows[p[-1]].target, ())]
+        if sum(map(len, paths)) + len(level) > PATH_CAP:
+            raise NotAdmissible(f"path count exceeds {PATH_CAP}; presentation not admissible "
+                                "within the cap")
+        paths.append(level)
+        index.append({p: i for i, p in enumerate(level)})
+        acc = None
+        if level and any(rel.degree <= n for rel in q.relations):
+            acc = _ideal_echelon(q, paths, n, index[n])
+        echelons.append(acc)
+        if not level or (acc is not None and acc.rank == len(level)):
+            return _Strata(paths, index, echelons, n, basis)
+        pivots = set(acc.pivots()) if acc is not None else ()
+        basis.extend((q.arrows[p[0]].source, p) for i, p in enumerate(level) if i not in pivots)
+    raise NotAdmissible(f"no admissibility bound below cap {cap}")
 
 
 def admissibility_bound(q: QuiverPresentation, cap: int = DEFAULT_CAP) -> int:
-    """Least N with every length-N path inside the relation ideal.
-
-    For homogeneous relations membership is graded, so it is decided by rank
-    in each length stratum; once a stratum is fully covered, so is every
-    longer one.  Raises NotAdmissible if no N <= cap works.
-    """
-    strata: List[List[Tuple[int, ...]]] = [[()]]
-    for n in range(1, cap + 1):
-        _extend_strata(q, strata, n)
-        paths_n = strata[n]
-        if not paths_n:
-            return n
-        if all(rel.degree > n for rel in q.relations):
-            continue
-        index_of = _strata_index(strata)
-        acc = _ideal_echelon(q, strata, n, index_of)
-        if acc.rank == len(paths_n):
-            return n
-    raise NotAdmissible(f"no admissibility bound below cap {cap}")
+    """Least N with every length-N path inside the relation ideal, found by
+    the stratum pass (``_stratum_pass``); raises NotAdmissible if no
+    N <= cap works."""
+    return _stratum_pass(q, cap).bound
 
 
 @dataclass
@@ -435,10 +440,12 @@ def _path_label(q: QuiverPresentation, path: Tuple[int, ...], src: int) -> str:
 def build_path_algebra(q: QuiverPresentation, cap: int = DEFAULT_CAP) -> PathAlgebraResult:
     """Compile FQ/I into structure constants on the surviving-path basis.
 
-    Works stratum by stratum: in each length the quotient basis is the set of
-    non-pivot paths of the graded ideal component, and products reduce through
-    the same echelon data.  Since the bound N certifies that length-N paths
-    die in the ideal, any product of total length >= N is zero.
+    One stratum pass (``_stratum_pass``) enumerates the paths out to the
+    admissibility bound N, row-reduces each graded ideal component once and
+    keeps the non-pivot paths of each length as the quotient basis; the
+    products (``_path_products``) then reduce through the same echelons.
+    Since the bound N certifies that length-N paths die in the ideal, any
+    product of total length >= N is zero.
 
     The algebra is handed its grading, the path length of each basis
     element, as ``Provenance.degrees``: ``structure.radical`` certifies it
@@ -451,68 +458,47 @@ def build_path_algebra(q: QuiverPresentation, cap: int = DEFAULT_CAP) -> PathAlg
 
     FQ/I is basic, so its basic corner is the algebra itself.
     """
-    field = q.field
-    n_bound = admissibility_bound(q, cap)
-    strata = _paths_by_length(q, max(n_bound - 1, 0))
-    index_of = _strata_index(strata)
-    reducers = {}
-    surviving: List[List[int]] = []
-    for n in range(n_bound):
-        if n < 2 or not q.relations:
-            reducers[n] = None
-            surviving.append(list(range(len(strata[n]))))
-            continue
-        acc = _ideal_echelon(q, strata, n, index_of)
-        reducers[n] = acc
-        pivs = set(acc.pivots())
-        surviving.append([i for i in range(len(strata[n])) if i not in pivs])
+    return _path_products(q, _stratum_pass(q, cap))
 
-    # global basis: trivial paths are vertices 0..nv-1, then by length
-    basis_paths: List[Tuple[int, Tuple[int, ...]]] = []
-    nv = len(q.vertices)
-    for v in range(nv):
-        basis_paths.append((v, ()))
-    for n in range(1, n_bound):
-        for local in surviving[n]:
-            path = strata[n][local]
-            basis_paths.append((q.arrows[path[0]].source, path))
+
+def _path_products(q: QuiverPresentation, st: _Strata) -> PathAlgebraResult:
+    """The structure constants on the basis of a finished stratum pass."""
+    field = q.field
+    basis_paths = st.basis
     dim = len(basis_paths)
     global_index = {bp: i for i, bp in enumerate(basis_paths)}
+    z, one = field.zero(), field.one()
+    zero_row = (z,) * dim
 
+    @functools.lru_cache(maxsize=None)
     def class_vector(src: int, path: Tuple[int, ...]):
         """Coordinates of a path's residue class in the global basis."""
         n = len(path)
-        out = [field.zero()] * dim
-        if n >= n_bound:
-            return out
-        acc = reducers.get(n)
+        if n >= st.bound:
+            return zero_row
+        out = [z] * dim
+        acc = st.echelons[n]
         if acc is None:
-            out[global_index[(src, path)]] = field.one()
+            out[global_index[(src, path)]] = one
             return out
-        paths_n = strata[n]
-        vec = [field.zero()] * len(paths_n)
-        vec[index_of[n][path]] = field.one()
-        red = acc.reduce(vec)
-        for local, c in enumerate(red):
+        paths_n = st.paths[n]
+        vec = [z] * len(paths_n)
+        vec[st.index[n][path]] = one
+        for local, c in enumerate(acc.reduce(vec)):
             if c:
                 p2 = paths_n[local]
                 out[global_index[(q.arrows[p2[0]].source, p2)]] = c
         return out
 
-    z = field.zero()
-    mul = [[None] * dim for _ in range(dim)]
+    mul = [[zero_row] * dim for _ in range(dim)]
     for a, (asrc, apath) in enumerate(basis_paths):
         a_tgt = q.arrows[apath[-1]].target if apath else asrc
         for b, (bsrc, bpath) in enumerate(basis_paths):
-            if a_tgt != bsrc:
-                mul[a][b] = [z] * dim
-            else:
+            if a_tgt == bsrc:
                 mul[a][b] = class_vector(asrc, apath + bpath)
 
-    unit = [z] * dim
-    for v in range(nv):
-        unit[v] = field.one()
-
+    nv = len(q.vertices)
+    unit = [one] * nv + [z] * (dim - nv)
     lengths = [len(p) for (_, p) in basis_paths]
     alg = Algebra(field, mul, unit, Provenance("quiver", degrees=tuple(lengths)), _canonical=True)
     pb = PathBasis(
@@ -523,4 +509,4 @@ def build_path_algebra(q: QuiverPresentation, cap: int = DEFAULT_CAP) -> PathAlg
         paths=[p for (_, p) in basis_paths],
     )
     return PathAlgebraResult(alg, [alg.basis_element(v) for v in range(nv)],
-                             coordinate_subspace(field, dim, range(nv, dim)), pb, n_bound)
+                             coordinate_subspace(field, dim, range(nv, dim)), pb, st.bound)

@@ -718,6 +718,9 @@ def _searched_idempotents(a: Algebra, seed: int) -> _Record:
     y in e_k·A, and w = y.  Then u·v = e_r, and v·u is a nonzero idempotent
     of the local ring e_k·A·e_k, so v·u = e_k.  The set then passes
     ``_certify_candidate``, and a failure raises InternalInconsistency.
+    Otherwise A is not split, and the classes must still fill A/J: a class
+    of n_i lifts with corner dim f_i is a component M_{n_i}(D_i) of dim
+    n_i^2·f_i, so sum n_i^2·f_i = dim A - dim J, or InternalInconsistency.
     """
     qd = semisimple_quotient(a)
     prims = _primitive_decomposition(qd.algebra, random.Random(seed))
@@ -753,6 +756,10 @@ def _searched_idempotents(a: Algebra, seed: int) -> _Record:
     classes = _classes(len(es), lambda r, s: outside(r, s) is not None)
     corner_dims = tuple(cdim for _, cdim in prims)
     if any(cdim != 1 for cdim in corner_dims):
+        found = sum(len(c) ** 2 * corner_dims[c[0]] for c in classes)
+        if found != a.dim - rad.dim:
+            raise InternalInconsistency(f"dim A - dim J = {a.dim - rad.dim}, but the searched "
+                                        f"classes give sum n_i^2 f_i = {found}")
         return _Record(es, classes, corner_dims, None)
     units = {}
     for c in classes:

@@ -1,5 +1,9 @@
+import hashlib
+import random
+
 import pytest
 
+from fdalg import corpus
 from fdalg.corpus import (
     GeneratorSpec,
     generate,
@@ -10,9 +14,10 @@ from fdalg.corpus import (
     truncated_polynomial,
     two_loop_q_algebra,
 )
-from fdalg.errors import BadParameter
+from fdalg.errors import BadParameter, GeneratorFailed
 from fdalg.fields import GF, QQ
 from fdalg.invariants import codim_series, k_of
+from fdalg.quiver import parse_quiver
 from fdalg.structure import ell, loewy_length, radical
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
@@ -108,3 +113,65 @@ def test_generate_family_dispatch():
         generate(GeneratorSpec("nonsense", F2))
     with pytest.raises(BadParameter):
         generate(GeneratorSpec("truncated", F2))  # missing n
+
+
+def _digest(algebras):
+    h = hashlib.sha256()
+    for a in algebras:
+        h.update(repr((a.dim, a.mul, a.unit)).encode())
+    return h.hexdigest()
+
+
+def test_random_generators_are_pinned():
+    # a corpus member is reproduced from its report alone, so a generator's
+    # output is a function of (field, seed) that no refactor may change
+    assert _digest(random_quiver_algebra(F, s) for F in (F2, F3, F5) for s in range(30)) == (
+        "2be02535c74531a4aec721f5a552f7c648e94525daac91f55754296a661c3752")
+    assert _digest(random_local_algebra(F, s) for F in (F2, F3) for s in range(20)) == (
+        "b7cb76856224329ebdedeabf2975602ca68b704c7b935a179ef56aadae6257ec")
+
+
+def _dsl(q):
+    """The presentation as DSL text, every coefficient written out."""
+    arrows = ", ".join(f"{a.name}: {q.vertices[a.source]} -> {q.vertices[a.target]}"
+                       for a in q.arrows)
+    rels = ", ".join(" + ".join(f"{c} " + "*".join(q.arrows[i].name for i in path)
+                                for c, path in rel.terms) for rel in q.relations)
+    return f"vertices: {' '.join(q.vertices)}; arrows: {arrows}; relations: {rels}"
+
+
+def test_generator_presentations_survive_the_parser():
+    draws = []
+    for F in (F2, F3, F5, QQ):
+        for seed in range(30):
+            rng = random.Random(seed)
+            for _ in range(3):
+                try:
+                    draws.append(corpus._random_quiver(rng, F, None))
+                except GeneratorFailed:
+                    pass
+                draws.append(corpus._random_local(rng, F, None, None))
+    for q in draws:
+        assert parse_quiver(_dsl(q), q.field) == q
+    # binomials x - c·y with c = 0 mod p keep their zero term
+    assert any(c == 0 for q in draws for rel in q.relations for c, _ in rel.terms)
+
+
+def test_oversize_draw_builds_no_tensor(monkeypatch):
+    # seed 0 first draws a quiver whose basis has 34 paths, then one of 4
+    passes, products = [], []
+    stratum_pass, path_products = corpus._stratum_pass, corpus._path_products
+    monkeypatch.setattr(corpus, "_stratum_pass",
+                        lambda q, cap: passes.append(q) or stratum_pass(q, cap))
+    monkeypatch.setattr(corpus, "_path_products",
+                        lambda q, st: products.append(len(st.basis)) or path_products(q, st))
+    assert random_quiver_algebra(F5, 0, max_dim=24).dim == 4
+    assert len(passes) == 2 and products == [4]
+
+
+def test_random_generators_reject_short_truncation():
+    for trunc in (-1, 0, 1):
+        with pytest.raises(BadParameter):
+            random_quiver_algebra(F2, 0, trunc=trunc)
+        with pytest.raises(BadParameter):
+            random_local_algebra(F2, 0, trunc=trunc)

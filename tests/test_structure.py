@@ -850,35 +850,46 @@ def test_rejected_basis_guess_falls_back_under_python_O():
                                          str(_m2_plus_f_summary(_rescaled_m2_plus_f_text()))]
 
 
-def _corrupted_search_exit(path):
+def _corrupted_search_exit(path, cdim=1):
     """The exit code of `fdalg report` on the file with the split search
-    corrupted to return the unit alone, as one primitive of corner dim 1."""
+    corrupted to return the unit alone, as one primitive of corner dim
+    ``cdim``."""
     from fdalg import cli
 
     search = structure._primitive_decomposition
-    structure._primitive_decomposition = lambda b, rng: [(tuple(b.unit), 1)]
+    structure._primitive_decomposition = lambda b, rng: [(tuple(b.unit), cdim)]
     try:
         return cli.main(["report", str(path)])
     finally:
         structure._primitive_decomposition = search
 
 
+# a split claim fails the certificate (sum n_i^2 = 1); a non-split one fails
+# the count of A/J (sum n_i^2 f_i = 2) instead of reporting ell 1, split false
+CORRUPTED_SEARCHES = [
+    (1, r"^dim A - dim J = 6, but the searched classes give sum n_i\^2 = 1: "),
+    (2, r"^dim A - dim J = 6, but the searched classes give sum n_i\^2 f_i = 2$"),
+]
+
+
 def test_corrupted_search_is_caught(tmp_path, monkeypatch, capsys):
     # a text copy of F_5[S_3] gets no guess (its unit is one basis vector,
-    # and 1 != dim A/J = 6), so it is searched; a search claiming A/J = F
-    # fails the certificate instead of reporting ell 1, split false
+    # and 1 != dim A/J = 6), so it is searched; a search claiming A/J = F,
+    # or a division algebra of dim 2, is caught
     text = write_algebra_text(s3_group_algebra(F5))
-    with monkeypatch.context() as m:
-        m.setattr(structure, "_primitive_decomposition", lambda b, rng: [(tuple(b.unit), 1)])
-        a = parse_algebra_text(text)
-        with pytest.raises(InternalInconsistency,
-                           match=r"^dim A - dim J = 6, but the searched classes give sum n_i\^2 = 1: "):
-            semisimple_decomposition(a)
-        assert "certified_candidate" not in a._cache
     path = tmp_path / "s3.alg"
     path.write_text(text)
-    assert _corrupted_search_exit(path) == 5
-    assert capsys.readouterr().err.startswith("internal error: dim A - dim J = 6, but the searched")
+    for cdim, message in CORRUPTED_SEARCHES:
+        with monkeypatch.context() as m:
+            m.setattr(structure, "_primitive_decomposition",
+                      lambda b, rng: [(tuple(b.unit), cdim)])
+            a = parse_algebra_text(text)
+            with pytest.raises(InternalInconsistency, match=message):
+                semisimple_decomposition(a)
+            assert "certified_candidate" not in a._cache
+        assert _corrupted_search_exit(path, cdim) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: dim A - dim J = 6, but the searched"), cdim
     assert semisimple_decomposition(parse_algebra_text(text)).split
 
 
@@ -894,9 +905,11 @@ def test_corrupted_search_is_caught_under_python_O(tmp_path):
     path.write_text(write_algebra_text(s3_group_algebra(F5)))
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "from test_structure import _corrupted_search_exit; "
-            "print(_corrupted_search_exit(sys.argv[2]))\n")
+            "print(_corrupted_search_exit(sys.argv[2], int(sys.argv[3])))\n")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fdalg.__file__).parent.parent))
-    out = subprocess.run([sys.executable, "-O", "-c", code, str(pathlib.Path(__file__).parent),
-                          str(path)], capture_output=True, text=True, env=env, timeout=120)
-    assert out.stdout.split("\n")[-2:] == ["5", ""], out.stderr
-    assert "internal error: dim A - dim J = 6, but the searched" in out.stderr
+    for cdim, _ in CORRUPTED_SEARCHES:
+        out = subprocess.run([sys.executable, "-O", "-c", code, str(pathlib.Path(__file__).parent),
+                              str(path), str(cdim)],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert out.stdout.split("\n")[-2:] == ["5", ""], out.stderr
+        assert "internal error: dim A - dim J = 6, but the searched" in out.stderr
