@@ -115,13 +115,8 @@ def p_power_space(a: Algebra) -> Subspace:
     kspace = commutator_subspace(a)
     positions = kspace.complement_positions()
     q = len(positions)
-    cols = []
-    for pos in positions:
-        b = a._unit_vec(pos)
-        bp = a.power_coords(b, p)
-        red = kspace.reduce(bp)
-        cols.append([red[i] for i in positions])
-    phi = Matrix(F, q, q, tuple(tuple(cols[j][i] for j in range(q)) for i in range(q)))
+    cols = tuple(kspace.coset_coords(a.power_coords(a._unit_vec(pos), p)) for pos in positions)
+    phi = Matrix(F, q, q, cols).transpose()
     # stable kernel: ker(phi^m) grows until it stops
     power = phi
     prev_dim = -1
@@ -207,12 +202,7 @@ def _dual_basis(a: Algebra) -> List[Tuple]:
     reductions give every form that vanishes on K(A).
     """
     kspace = commutator_subspace(a)
-    positions = kspace.complement_positions()
-    rows = []
-    for k in range(a.dim):
-        red = kspace.reduce(a._unit_vec(k))
-        rows.append(tuple(red[pos] for pos in positions))
-    return rows
+    return [kspace.coset_coords(a._unit_vec(k)) for k in range(a.dim)]
 
 
 def _nondegenerate(a: Algebra, lam: Sequence) -> bool:

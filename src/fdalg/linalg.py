@@ -121,11 +121,16 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
-    # pivots and the reduction state are pure functions of the basis, so
-    # both are cached on the instance
+    # pivots, their complement and the reduction state are pure functions of
+    # the basis, so all three are cached on the instance
     @cached_property
     def pivots(self) -> Tuple[int, ...]:
         return tuple(next(i for i, x in enumerate(row) if x) for row in self.basis.entries)
+
+    @cached_property
+    def _complement(self) -> Tuple[int, ...]:
+        pivs = set(self.pivots)
+        return tuple(i for i in range(self.ambient_dim) if i not in pivs)
 
     def codim(self) -> int:
         return self.ambient_dim - self.dim
@@ -137,11 +142,14 @@ class Subspace:
             acc.insert(row)
         return acc
 
-    def reduce(self, vec: Sequence) -> Tuple:
-        """Remainder of ``vec`` after reduction by the basis."""
+    def _row(self, vec: Sequence) -> Sequence:
         if len(vec) != self.ambient_dim:
             raise AmbientMismatch(f"vector length {len(vec)} vs ambient {self.ambient_dim}")
-        return tuple(self._acc.reduce(_kernel_row(self.field, vec)))
+        return _kernel_row(self.field, vec)
+
+    def reduce(self, vec: Sequence) -> Tuple:
+        """Remainder of ``vec`` after reduction by the basis."""
+        return tuple(self._acc.reduce(self._row(vec)))
 
     def contains(self, vec: Sequence) -> bool:
         return not any(self.reduce(vec))
@@ -152,8 +160,8 @@ class Subspace:
         With a fully reduced basis the coefficient of row j is just the
         entry of ``vec`` at that row's pivot column.
         """
-        vec = _kernel_row(self.field, vec)
-        if any(self.reduce(vec)):
+        vec = self._row(vec)
+        if any(self._acc.reduce(vec)):
             return None
         p = self.field.p
         if p:
@@ -162,8 +170,13 @@ class Subspace:
 
     def complement_positions(self) -> Tuple[int, ...]:
         """Coordinate positions whose unit vectors complement this subspace."""
-        pivs = set(self.pivots)
-        return tuple(i for i in range(self.ambient_dim) if i not in pivs)
+        return self._complement
+
+    def coset_coords(self, vec: Sequence) -> Tuple:
+        """Coordinates of the coset ``vec`` + U in F^d/U, for U this subspace:
+        the entries of the reduced ``vec`` at ``complement_positions``."""
+        red = self.reduce(vec)
+        return tuple(red[i] for i in self._complement)
 
     def basis_vectors(self) -> List[Tuple]:
         return [tuple(row) for row in self.basis.entries]

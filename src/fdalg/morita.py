@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .algebras import Algebra, Element, IdempotentCandidate, Provenance, corner_data
 from .errors import BadParameter, InternalInconsistency, NotBasic, NotFull, ParentMismatch
@@ -155,11 +155,10 @@ class MoritaReport:
                 and self.sigma_inverse)
 
 
-def tau_map(a: Algebra, e: Element, witness: FullnessWitness,
-            b: Optional[Algebra] = None, rows: Optional[List[Tuple]] = None) -> TauMap:
-    """Matrix of a + K(A) -> sum_k e v_k a u_k e + K(B) on coset bases."""
-    if b is None or rows is None:
-        b, rows = corner_data(a, e)
+def tau_map(a: Algebra, e: Element, witness: FullnessWitness, b: Algebra,
+            rows: List[Tuple]) -> TauMap:
+    """Matrix of a + K(A) -> sum_k e v_k a u_k e + K(B) on coset bases, for
+    the corner B = eAe with basis ``rows`` in A-coordinates."""
     F = a.field
     ka = commutator_subspace(a)
     kb = commutator_subspace(b)
@@ -184,20 +183,15 @@ def tau_map(a: Algebra, e: Element, witness: FullnessWitness,
         coords = sub.coords_of(raw_tau(vec))
         if coords is None:
             raise InternalInconsistency("image left the corner subalgebra")
-        red = kb.reduce(coords)
-        return tuple(red[i] for i in b_pos)
+        return kb.coset_coords(coords)
 
     well_defined = True
     for v in ka.basis_vectors():
         if any(tau_of(v)):
             well_defined = False
             break
-    cols = []
-    for pos in a_pos:
-        cols.append(tau_of(a._unit_vec(pos)))
-    mat = Matrix(F, len(b_pos), len(a_pos),
-                 tuple(tuple(cols[j][i] for j in range(len(a_pos)))
-                       for i in range(len(b_pos))))
+    cols = tuple(tau_of(a._unit_vec(pos)) for pos in a_pos)
+    mat = Matrix(F, len(a_pos), len(b_pos), cols).transpose()
     bijective = (len(a_pos) == len(b_pos)
                  and kernel(mat).dim == 0)
     return TauMap(mat, a_pos, b_pos, well_defined, bijective)
@@ -215,31 +209,20 @@ def verify_morita_invariance(a: Algebra, seed: int = 0) -> MoritaReport:
     dims_a = [a.dim - k_n_space(a, n).dim for n in range(1, top + 1)]
     dims_b = [b.dim - k_n_space(b, n).dim for n in range(1, top + 1)]
     F = a.field
-
-    def a_coset(vec) -> Tuple:
-        red = ka.reduce(vec)
-        return tuple(red[i] for i in tau.a_positions)
-
-    def b_coset(vec) -> Tuple:
-        red = kb.reduce(vec)
-        return tuple(red[i] for i in tau.b_positions)
-
     level_match = []
     for n in range(1, top + 1):
-        img_rows = [tau.matrix.apply(a_coset(v))
+        img_rows = [tau.matrix.apply(ka.coset_coords(v))
                     for v in radical_power(a, n).basis_vectors()]
         img = span(F, len(tau.b_positions), img_rows)
         tgt = span(F, len(tau.b_positions),
-                   [b_coset(v) for v in radical_power(b, n).basis_vectors()])
+                   [kb.coset_coords(v) for v in radical_power(b, n).basis_vectors()])
         level_match.append(img == tgt)
 
     # sigma: b + K(B) -> b + K(A), where B's basis vector pos is rows[pos] in A;
     # check both composites are identities
-    sigma_cols = [a_coset(rows[pos]) for pos in tau.b_positions]
     m = len(tau.b_positions)
-    sigma = Matrix(F, len(tau.a_positions), m,
-                   tuple(tuple(sigma_cols[j][i] for j in range(m))
-                         for i in range(len(tau.a_positions))))
+    sigma = Matrix(F, m, len(tau.a_positions),
+                   tuple(ka.coset_coords(rows[pos]) for pos in tau.b_positions)).transpose()
     ts = tau.matrix.matmul(sigma)
     st = sigma.matmul(tau.matrix)
     ident_b = Matrix.identity(F, m)

@@ -18,9 +18,11 @@ The Jacobson radical comes from one of four routes:
   Wales, J. Pure Appl. Algebra 117/118 (1997)); over a prime field each stage
   is an honest linear system.
 
-Every route's output is checked before it is returned: the graded route by
-its own certificate, the others as a nilpotent two-sided ideal, a check that
-caches the chain of its powers.
+Every route returns the chain J ⊃ J^2 ⊃ ... ⊃ 0 it certified: the graded
+route reads it off the grading, which its own certificate checks; the others
+check a two-sided ideal and multiply its powers down to zero.  ``radical``
+caches J and the chain once every check has passed, and ``radical_power``
+and ``loewy_length`` read the chain.
 
 Primitive idempotents have three sources, one certificate and one reader.
 A complete set comes from
@@ -140,26 +142,16 @@ class QuotientData:
 
     def image(self, vec: Sequence) -> Tuple:
         """The coordinates in A/I of a vector of the parent."""
-        red = self.ideal.reduce(vec)
-        return tuple(red[i] for i in self.positions)
+        return self.ideal.coset_coords(vec)
 
 
 def quotient_algebra(a: Algebra, ideal: Subspace) -> QuotientData:
-    F = a.field
     positions = ideal.complement_positions()
-    q = len(positions)
-    if q == 0:
+    if not positions:
         raise BadParameter("quotient by the whole algebra")
-    mul = []
-    for r in positions:
-        plane = []
-        for s in positions:
-            red = ideal.reduce(a.mul[r][s])
-            plane.append([red[i] for i in positions])
-        mul.append(plane)
-    red_unit = ideal.reduce(a.unit)
-    unit = [red_unit[i] for i in positions]
-    return QuotientData(Algebra(F, mul, unit, _canonical=True), ideal, positions, a)
+    mul = [[ideal.coset_coords(a.mul[r][s]) for s in positions] for r in positions]
+    unit = ideal.coset_coords(a.unit)
+    return QuotientData(Algebra(a.field, mul, unit, _canonical=True), ideal, positions, a)
 
 
 # -- radical -----------------------------------------------------------------
@@ -246,7 +238,7 @@ def _power_trace_gram(a: Algebra, sub: Subspace, power: int) -> List[List]:
     return g.tolist()
 
 
-def _radical_charp(a: Algebra) -> Tuple[Subspace, bool]:
+def _radical_charp(a: Algebra) -> List[Subspace]:
     """Chain of power-trace stages; each stage is linear on the last.
 
     Stage 0 is the kernel of the trace form tr(L_x L_y).  Stage i, for
@@ -264,6 +256,8 @@ def _radical_charp(a: Algebra) -> Tuple[Subspace, bool]:
     divisible by p^i; either failure raises InternalInconsistency.  Since the
     radical lies inside every stage's space, as soon as the current candidate
     is nilpotent it equals the radical and the remaining stages are skipped.
+    Returns the chain of powers of the first nilpotent stage space, or of the
+    last one, which ``_check_radical`` certifies.
     """
     F = a.field
     p, d = F.p, a.dim
@@ -273,11 +267,12 @@ def _radical_charp(a: Algebra) -> Tuple[Subspace, bool]:
         sub = span(F, d, vecs)
         if not _ideal_contains_products(a, sub):
             raise InternalInconsistency("a power-trace stage space is not a two-sided ideal")
-        if _is_nilpotent(a, sub):
-            return sub, True
+        chain = _nilpotency_chain(a, sub)
+        if chain is not None:
+            return chain
         vecs = _kernel_combos(F, _power_trace_gram(a, sub, power), sub.basis_vectors())
         power *= p
-    return span(F, d, vecs), False
+    return _check_radical(a, span(F, d, vecs))
 
 
 def _ideal_contains_products(a: Algebra, sub: Subspace) -> bool:
@@ -319,15 +314,6 @@ def _nilpotency_chain(a: Algebra, sub: Subspace) -> Optional[List[Subspace]]:
     return powers
 
 
-def _is_nilpotent(a: Algebra, sub: Subspace) -> bool:
-    """Whether the powers of the subspace reach zero; caches the chain if so."""
-    chain = _nilpotency_chain(a, sub)
-    if chain is None:
-        return False
-    a._cache["rad_powers"] = chain
-    return True
-
-
 def _subspace_product(a: Algebra, u_rows: List[Tuple], v_rows: List[Tuple]) -> Subspace:
     acc = echelon_for(a.field, a.dim)
     for u in u_rows:
@@ -336,15 +322,20 @@ def _subspace_product(a: Algebra, u_rows: List[Tuple], v_rows: List[Tuple]) -> S
     return _subspace_from_acc(a.field, a.dim, acc)
 
 
-def _check_radical(a: Algebra, rad: Subspace):
+def _check_radical(a: Algebra, rad: Subspace) -> List[Subspace]:
+    """The chain rad, rad^2, ... down to zero of a nilpotent two-sided ideal,
+    or InternalInconsistency."""
     if not _ideal_contains_products(a, rad):
         raise InternalInconsistency("radical candidate is not a two-sided ideal")
-    if not _is_nilpotent(a, rad):
+    chain = _nilpotency_chain(a, rad)
+    if chain is None:
         raise InternalInconsistency("radical candidate is not nilpotent")
+    return chain
 
 
-def _graded_radical(a: Algebra, degrees: Sequence[int]) -> Subspace:
-    """Rad A = A_{>=1} and J^n = A_{>=n} for a grading of the basis, certified.
+def _graded_radical(a: Algebra, degrees: Sequence[int]) -> List[Subspace]:
+    """The chain J^n = A_{>=n}, n = 1 up to the first zero, for a grading of
+    the basis, certified; Rad A = J = A_{>=1}.
 
     The checks, each raising InternalInconsistency:
 
@@ -357,8 +348,6 @@ def _graded_radical(a: Algebra, degrees: Sequence[int]) -> Subspace:
     - for each m >= 2 the products (degree 1)·(degree m-1) of basis elements
       span A_m (by rank), so A_m = A_1^(m-n)·A_n lies in J^n for m >= n, and
       J^n = A_{>=n}.
-
-    The chain of powers down to zero is cached with the radical.
     """
     F, d = a.field, a.dim
     if len(degrees) != d or min(degrees) < 0:
@@ -395,69 +384,60 @@ def _graded_radical(a: Algebra, degrees: Sequence[int]) -> Subspace:
                 break
         else:
             raise InternalInconsistency(f"degree {m} is not generated by the arrows")
-    powers = [coordinate_subspace(F, d, [i for i, g in enumerate(degrees) if g >= n])
-              for n in range(1, top + 2)]
-    a._cache["rad_powers"] = powers
-    return powers[0]
+    return [coordinate_subspace(F, d, [i for i, g in enumerate(degrees) if g >= n])
+            for n in range(1, top + 2)]
 
 
 def radical(a: Algebra) -> Subspace:
     """Jacobson radical as a canonical subspace of the coordinate space.
 
     It reads ``Provenance.degrees``, else ``radical_rows``, else computes.
-    Handed-over ``idempotents`` are certified against the radical before
-    either is cached (``_certify_candidate``), which also proves the radical
-    complete; without them the basis may supply some (``_adopt_basis_candidate``).
+    Every route returns the chain J ⊃ J^2 ⊃ ... ⊃ 0 it certified.
+    Handed-over ``idempotents`` are certified against the radical
+    (``_certify_candidate``), which also proves the radical complete; without
+    them the basis may supply some (``_adopt_basis_candidate``).  Only when
+    every check has passed are the radical, its chain (``"rad_powers"``) and
+    the certified set cached, so a failure caches none of them.
     """
     cached = a._cache.get("radical")
     if cached is not None:
         return cached
     prov = a.provenance
-    verified = False
     if prov.degrees is not None:
-        rad, verified = _graded_radical(a, prov.degrees), True
+        chain = _graded_radical(a, prov.degrees)
     elif prov.radical_rows is not None:
-        rad = span(a.field, a.dim, prov.radical_rows)
+        chain = _check_radical(a, span(a.field, a.dim, prov.radical_rows))
     elif a.field.characteristic == 0:
-        rad = span(a.field, a.dim, _radical_char0(a))
+        chain = _check_radical(a, span(a.field, a.dim, _radical_char0(a)))
     else:
-        rad, verified = _radical_charp(a)
-    if not verified:
-        _check_radical(a, rad)
+        chain = _radical_charp(a)
+    rad = chain[0]
     if prov.idempotents is not None:
-        a._cache["certified_candidate"] = (
-            prov.idempotents, _certify_candidate(a, prov.idempotents, rad))
+        certified = (prov.idempotents, _certify_candidate(a, prov.idempotents, rad))
     else:
-        _adopt_basis_candidate(a, rad)
+        certified = _adopt_basis_candidate(a, rad)
+    if certified is not None:
+        a._cache["certified_candidate"] = certified
+    a._cache["rad_powers"] = chain
     a._cache["radical"] = rad
     return rad
 
 
 def radical_power(a: Algebra, n: int) -> Subspace:
-    """J^n, computed iteratively as J·J^(n-1)."""
+    """J^n, read off the chain ``radical`` certified; J^n = 0 from the Loewy
+    length on."""
     if n < 1:
         raise BadParameter("n must be >= 1")
-    powers = a._cache.setdefault("rad_powers", [radical(a)])
-    while len(powers) < n:
-        prev = powers[-1]
-        if prev.dim == 0:
-            powers.append(prev)
-            continue
-        powers.append(_subspace_product(a, radical(a).basis_vectors(), prev.basis_vectors()))
-    return powers[n - 1]
+    radical(a)
+    chain = a._cache["rad_powers"]
+    return chain[min(n, len(chain)) - 1]
 
 
 def loewy_length(a: Algebra) -> int:
-    cached = a._cache.get("loewy")
-    if cached is not None:
-        return cached
-    n = 1
-    while radical_power(a, n).dim:
-        n += 1
-        if n > a.dim + 1:
-            raise InternalInconsistency("radical powers failed to vanish")
-    a._cache["loewy"] = n
-    return n
+    """The least n with J^n = 0: the length of the chain ``radical`` certified,
+    which ends at its first zero."""
+    radical(a)
+    return len(a._cache["rad_powers"])
 
 
 def semisimple_quotient(a: Algebra) -> QuotientData:
@@ -1019,18 +999,19 @@ def _basis_matrix_units(a: Algebra, r: int, left: Sequence[int],
     return None
 
 
-def _adopt_basis_candidate(a: Algebra, rad: Subspace):
-    """Cache the basis guess and its Peirce table when ``_certify_candidate``
-    accepts it; a guess that is dropped or fails leaves A to the search."""
+def _adopt_basis_candidate(a: Algebra,
+                           rad: Subspace) -> Optional[Tuple[IdempotentCandidate, Tuple]]:
+    """The basis guess and its Peirce table when ``_certify_candidate``
+    accepts it; None, which leaves A to the search, for a guess that is
+    dropped or fails."""
     guess = _basis_candidate(a, rad)
     if guess is None:
-        return
+        return None
     cand, blocks = guess
     try:
-        grid = _certify_candidate(a, cand, rad, blocks, source="guessed")
+        return cand, _certify_candidate(a, cand, rad, blocks, source="guessed")
     except InternalInconsistency:
-        return
-    a._cache["certified_candidate"] = (cand, grid)
+        return None
 
 
 # -- the Peirce table and Cartan data -------------------------------------------

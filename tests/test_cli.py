@@ -312,6 +312,34 @@ def test_package_memoizes_only_on_the_first_parameter():
     assert found == []
 
 
+def test_each_literal_cache_key_has_one_writer():
+    # X._cache["key"] = ... or X._cache.setdefault("key", ...) appears in one
+    # function per key: two writers of one memo can store different values,
+    # or one of them an uncertified one
+    import ast
+
+    writers = {}
+    for path, tree in _package_modules():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Assign, ast.AugAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    slots = [(t.value, t.slice) for t in targets if isinstance(t, ast.Subscript)]
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "setdefault" and node.args):
+                    slots = [(node.func.value, node.args[0])]
+                else:
+                    continue
+                for owner, key in slots:
+                    if (isinstance(owner, ast.Attribute) and owner.attr == "_cache"
+                            and isinstance(key, ast.Constant)):
+                        writers.setdefault(key.value, set()).add(f"{path}: {fn.name}")
+    assert "radical" in writers
+    assert {key: sorted(fns) for key, fns in writers.items() if len(fns) > 1} == {}
+
+
 def _cli_process(args, tmp_path, text):
     """Run the CLI as a process on a file holding ``text``, so an uncaught
     exception would show as a traceback."""

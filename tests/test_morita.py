@@ -347,6 +347,16 @@ def test_corrupted_rescaled_hand_over_is_caught(kind, message):
         verify_morita_invariance(_corrupt(kind, big))
 
 
+@pytest.mark.parametrize("kind,message", [c for c in CORRUPTIONS if c[0] != "fullness pair"])
+def test_failed_radical_caches_no_chain(kind, message):
+    # every corruption but the fullness pair fails inside radical(), after
+    # the hand-over's radical rows have passed or failed their own checks
+    big = _corrupt(kind)
+    with pytest.raises(InternalInconsistency, match=message):
+        radical(big)
+    assert "radical" not in big._cache and "rad_powers" not in big._cache
+
+
 def test_corrupted_hand_over_is_caught_under_python_O():
     import os
     import pathlib

@@ -25,8 +25,8 @@ from fdalg.morita import basic_algebra_data, inflate, inflation_dim
 from fdalg.oracle import RADICAL_ORACLE_CAP, radical_oracle
 from fdalg.structure import (
     _ideal_contains_products,
-    _is_nilpotent,
     _kernel_combos,
+    _nilpotency_chain,
     _trace_gram,
     cartan_matrix,
     ell,
@@ -85,6 +85,48 @@ def test_radical_powers_two_loop():
 
 def test_loewy_length_semisimple():
     assert loewy_length(s3_group_algebra(F5)) == 1
+
+
+def _chain_by_products(a):
+    """J, J^2, ... up to the first zero, each J^n spanned by the products
+    J^(n-1)·J of basis vectors, apart from the chain ``radical`` caches."""
+    rows = radical(a).basis_vectors()
+    chain = [span(a.field, a.dim, rows)]
+    while chain[-1].dim and len(chain) <= a.dim:
+        prev = chain[-1].basis_vectors()
+        chain.append(span(a.field, a.dim, [a.multiply_coords(u, v) for u in prev for v in rows]))
+    return chain
+
+
+def _chain_route_input(route):
+    """An algebra whose radical comes from the named route; the second value
+    checks its provenance."""
+    big = inflate(truncated_polynomial(F5, 3), [2])
+    if route == "quiver":
+        a = random_quiver_algebra(F3, 3, max_dim=12)
+        return a, a.provenance.degrees is not None
+    if route == "inflation":
+        return big, big.provenance.radical_rows is not None and big.provenance.idempotents
+    if route == "corner":
+        a = basic_algebra_data(big)[0]  # big's radical is cached first: eAe inherits e·J·e
+        return a, a.provenance.radical_rows is not None and a.provenance.idempotents is None
+    source = {"Q text": two_loop_q_algebra(QQ, 2), "Fp text": cyclic_group_algebra(F2, 4),
+              "semisimple Fp": s3_group_algebra(F5)}[route]
+    a = parse_algebra_text(write_algebra_text(source))
+    return a, a.provenance.radical_rows is None and a.provenance.degrees is None
+
+
+@pytest.mark.parametrize("route", ["quiver", "inflation", "corner", "Q text", "Fp text",
+                                   "semisimple Fp"])
+def test_radical_power_reads_the_certified_chain(route):
+    a, on_route = _chain_route_input(route)
+    assert on_route
+    chain = _chain_by_products(a)
+    ll = loewy_length(a)
+    assert chain[-1].dim == 0 and all(sub.dim for sub in chain[:-1])
+    assert ll == len(chain) and ll >= (1 if route == "semisimple Fp" else 3)
+    for n in range(1, ll + 3):
+        assert radical_power(a, n) == chain[min(n, ll) - 1], n
 
 
 def test_minimal_polynomial_basics():
@@ -499,7 +541,7 @@ def _radical_charp_reference(a):
     power = p
     while power <= d and vecs:
         sub = span(F, d, vecs)
-        if _ideal_contains_products(a, sub) and _is_nilpotent(a, sub):
+        if _ideal_contains_products(a, sub) and _nilpotency_chain(a, sub) is not None:
             return stages, sub
         stages.append(sub)
         vecs = _kernel_combos(F, _charpoly_stage_reference(a, vecs, power), vecs)
