@@ -49,16 +49,15 @@ class Provenance:
     ``report`` prints.  ``degrees`` grades the basis (a quiver build's path
     lengths) and ``radical_rows`` span Rad A: ``structure.radical`` reads
     ``degrees`` first, and a constructor hands over at most one of the two.
-    ``idempotents`` are primitive idempotents (``structure.radical``), and
-    ``fullness`` is e with pairs (u_k, v_k), sum u_k·e·v_k = 1
-    (``morita.fullness_witness``).
+    ``idempotents`` are primitive idempotents with their matrix units
+    (``structure.radical``); the certified record keeps the units, and
+    ``morita.fullness_witness`` reads its witness off them.
     """
 
     kind: str = "generic"
     degrees: Optional[Tuple[int, ...]] = None
     radical_rows: Optional[Tuple[Tuple, ...]] = None
     idempotents: Optional[IdempotentCandidate] = None
-    fullness: Optional[Tuple[Tuple, Tuple[Tuple[Tuple, Tuple], ...]]] = None
 
 
 GENERIC = Provenance()
@@ -413,8 +412,10 @@ def peirce_rows(a: Algebra, e: Sequence, f: Sequence) -> Subspace:
                 [a.sandwich_coords(e, a._unit_vec(j), f) for j in range(a.dim)])
 
 
-def corner_data(a: Algebra, e: Element) -> Tuple[Algebra, List[Tuple]]:
-    """The corner algebra eAe plus its basis rows in A-coordinates.
+def corner_data(a: Algebra, e: Element, sub: Optional[Subspace] = None
+                ) -> Tuple[Algebra, List[Tuple]]:
+    """The corner algebra eAe plus its basis rows in A-coordinates; ``sub``
+    is eAe when the caller has already spanned it (``peirce_rows`` otherwise).
 
     When A's radical is already cached, the corner is handed the rows
     e·r·e (r in Rad(A)) as ``Provenance.radical_rows``, since Rad(eAe) =
@@ -426,7 +427,8 @@ def corner_data(a: Algebra, e: Element) -> Tuple[Algebra, List[Tuple]]:
     if a.multiply(e, e) != e:
         raise NotIdempotent("e·e != e")
     F = a.field
-    sub = peirce_rows(a, e.coords, e.coords)
+    if sub is None:
+        sub = peirce_rows(a, e.coords, e.coords)
     rows = sub.basis_vectors()
     m = len(rows)
     if m == 0:

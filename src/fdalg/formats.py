@@ -14,7 +14,7 @@ meaningful line.
 """
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from .algebras import Algebra, group_algebra_from_cayley
 from .errors import BadParameter
@@ -69,9 +69,7 @@ def parse_algebra_text(text: str) -> Algebra:
     if dim is None or field is None or dim < 1:
         raise FormatError(f"bad header: {lines[0]!r}")
     unit = None
-    z = field.zero()
-    mul = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
-    seen = set()
+    constants: Dict[Tuple[int, int, int], object] = {}  # the tensor is built after the last line
     for ln in lines[1:]:
         if ln.startswith("unit:"):
             if unit is not None:
@@ -87,14 +85,16 @@ def parse_algebra_text(text: str) -> Algebra:
             i, j, k = (_parse_int(x, "mul index") for x in parts[1:4])
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise FormatError(f"mul indices out of range: {ln!r}")
-            if (i, j, k) in seen:
+            if (i, j, k) in constants:
                 raise FormatError(f"repeated mul line: {ln!r}")
-            seen.add((i, j, k))
-            mul[i][j][k] = field.parse_scalar(parts[4])
+            constants[(i, j, k)] = field.parse_scalar(parts[4])
         else:
             raise FormatError(f"unrecognized line: {ln!r}")
     if unit is None:
         raise FormatError("missing unit line")
+    mul = [[[field.zero()] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j, k), c in constants.items():
+        mul[i][j][k] = c
     return Algebra(field, mul, unit, _canonical=True)
 
 

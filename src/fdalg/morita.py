@@ -4,7 +4,9 @@ progenerator inflation.
 The invariance certificate is computed per instance: for a full idempotent e
 with 1 = sum u_k e v_k, the map a + K(A) -> sum e v_k a u_k e + K(B) on cosets
 is checked to be well defined and bijective, and to carry each K_n(A)/K(A)
-onto K_n(B)/K(B).
+onto K_n(B)/K(B).  The witness is (1, 1) for e = 1, the certified matrix
+units of the idempotent record for the basic idempotent (Lam, *A First
+Course in Noncommutative Rings*, §21), and solved for any other e.
 """
 from __future__ import annotations
 
@@ -41,7 +43,8 @@ def basic_algebra_data(a: Algebra, seed: int = 0) -> Tuple[Algebra, Element, Lis
 
     When A is already basic, e = 1 and the corner would be a copy of A's
     tensor on the same basis, so B is A itself, with the standard basis rows
-    (and ``fullness_witness`` takes the pair (1, 1) for e = 1).
+    (and ``fullness_witness`` takes the pair (1, 1) for e = 1).  Otherwise eAe
+    is spanned by the blocks e_r·A·e_s of the record's Peirce table, with no product.
     """
     key = ("basic", seed)
     cached = a._cache.get(key)
@@ -50,7 +53,8 @@ def basic_algebra_data(a: Algebra, seed: int = 0) -> Tuple[Algebra, Element, Lis
         if e.coords == a.unit:
             cached = (a, e, [a._unit_vec(i) for i in range(a.dim)])
         else:
-            alg, rows = corner_data(a, e)
+            blocks = [w for row in peirce_grid(a, seed) for sub in row for w in sub.basis_vectors()]
+            alg, rows = corner_data(a, e, span(a.field, a.dim, blocks))
             cached = (alg, e, rows)
         a._cache[key] = cached
     return cached
@@ -75,25 +79,28 @@ class FullnessWitness:
         return acc == a.unit_element()
 
 
-def fullness_witness(a: Algebra, e: Element) -> FullnessWitness:
+def fullness_witness(a: Algebra, e: Element, seed: int = 0) -> FullnessWitness:
     """Pairs (u_k, v_k) with 1 = sum u_k e v_k; NotFull when there are none.
 
-    For e = 1 the pair is (1, 1).  When ``Provenance.fullness`` hands over
-    pairs for this e (``inflate`` hands over the matrix units for e = sum of
-    one diagonal unit per class), those are used; otherwise
-    1 = sum c_(i,j) b_i e b_j is solved over the products that raise the
-    rank.  Either way the witness is verified, and one that does not sum to
+    For e = 1 the pair is (1, 1).  For the basic idempotent of this seed
+    (``basic_algebra_data``), e = sum_r e_r over the record's class
+    representatives, the pairs are (e_r, e_r) and, for each other member k,
+    (v_k, u_k) from its matrix units, as v_k·e·u_k = v_k·u_k = e_k.
+    Otherwise 1 = sum c_(i,j) b_i e b_j is solved over the products that
+    raise the rank.  Each witness is verified, and one that does not sum to
     1 raises InternalInconsistency.  The coset map ``tau_map`` does not
     depend on which witness is taken.
     """
     if e.algebra is not a:
         raise ParentMismatch("idempotent from another algebra")
-    handed = a.provenance.fullness
+    basic = a._cache.get(("basic", seed))
     if e.coords == a.unit:
         pairs = [(e, e)]
-    elif handed is not None and handed[0] == e.coords:
-        pairs = [(Element(a, u, _canonical=True), Element(a, v, _canonical=True))
-                 for u, v in handed[1]]
+    elif basic is not None and basic[1] == e:
+        idems = primitive_idempotents(a, seed)
+        pairs = [(idems.idempotents[c[0]],) * 2 for c in idems.iso_classes]
+        pairs += [(Element(a, v, _canonical=True), Element(a, u, _canonical=True))
+                  for c in idems.iso_classes for u, v in (idems.matrix_units[k] for k in c[1:])]
     else:
         pairs = _solved_pairs(a, e)
     witness = FullnessWitness(e, pairs)
@@ -200,7 +207,7 @@ def tau_map(a: Algebra, e: Element, witness: FullnessWitness, b: Algebra,
 def verify_morita_invariance(a: Algebra, seed: int = 0) -> MoritaReport:
     """Run all coset-isomorphism checks between A and its basic algebra."""
     b, e, rows = basic_algebra_data(a, seed)
-    witness = fullness_witness(a, e)
+    witness = fullness_witness(a, e, seed)
     tau = tau_map(a, e, witness, b, rows)
     ka = commutator_subspace(a)
     kb = commutator_subspace(b)
@@ -258,7 +265,7 @@ def inflate(a: Algebra, multiplicities: Sequence[int], seed: int = 0) -> Algebra
     multiplied like matrix units with entry composition in A.  Each product
     of Peirce basis vectors is taken once and copied into every block.
 
-    B's ``Provenance`` hands over three things the construction knows, each
+    B's ``Provenance`` hands over two things the construction knows, each
     certified where it is read:
 
     - ``radical_rows``: Rad B = Hom(P, P·Rad A) (Anderson and Fuller,
@@ -269,10 +276,9 @@ def inflate(a: Algebra, multiplicities: Sequence[int], seed: int = 0) -> Algebra
     - ``idempotents``: the diagonal units ε_(i,r), the unit of A's
       e_i in block (i, r, i, r), grouped by i with representative ε_(i,0),
       and the matrix units between ε_(i,0) and ε_(i,r);
-      ``structure.primitive_idempotents`` certifies them;
-    - ``fullness``: for e = sum_i ε_(i,0), the pairs
-      (M_(i,r),(i,0), M_(i,0),(i,r)) of matrix units, whose products
-      M·e·M' are the ε_(i,r) and sum to 1; ``fullness_witness`` verifies them.
+      ``structure.primitive_idempotents`` certifies them, and
+      ``fullness_witness`` reads its witness for e = sum_i ε_(i,0) off the
+      certified record.
     """
     l = _inflation_classes(a, multiplicities, seed)
     idems = primitive_idempotents(a, seed)
@@ -337,9 +343,7 @@ def inflate(a: Algebra, multiplicities: Sequence[int], seed: int = 0) -> Algebra
         tuple(units),
         tuple(tuple(k for k, (i, _) in enumerate(copies) if i == c) for c in range(l)),
         {k: (matrix_unit(i, 0, r), matrix_unit(i, r, 0)) for k, (i, r) in enumerate(copies) if r})
-    e = functools.reduce(add, [matrix_unit(i, 0, 0) for i in range(l)])
-    fullness = (e, tuple((matrix_unit(i, r, 0), matrix_unit(i, 0, r)) for i, r in copies))
-    prov = Provenance(radical_rows=tuple(rad_rows), idempotents=idempotents, fullness=fullness)
+    prov = Provenance(radical_rows=tuple(rad_rows), idempotents=idempotents)
     return Algebra(F, mul, functools.reduce(add, units), prov, _canonical=True)
 
 

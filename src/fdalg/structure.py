@@ -45,10 +45,12 @@ A complete set comes from
 also proves the radical complete (dim A - dim J = sum n_i^2 over the
 classes), and returns the representatives' Peirce table, read off the
 basis (``_coordinate_blocks``) when each idempotent is a nonzero multiple
-of a basis vector and the basis lies in their Peirce blocks.  A handed-over
-or guessed set is memoized with its table as ``"certified_candidate"``, a
+of a basis vector and the basis lies in their Peirce blocks, else spanned
+once per block from one-sided spans (``_peirce_table``).  A handed-over or
+guessed set is memoized with its table as ``"certified_candidate"``, a
 searched one per seed; ``semisimple_decomposition``, ``primitive_idempotents``
-and ``peirce_grid`` read only that record (``_idempotent_record``).  A set
+and ``peirce_grid`` read only that record (``_idempotent_record``), which
+also keeps the certified matrix units (``morita.fullness_witness``).  A set
 with a corner dim above 1, over a field where A is not split, is grouped
 the same way and not certified.
 
@@ -603,6 +605,8 @@ def _primitive_decomposition(b: Algebra, rng) -> List[Tuple[Tuple, int]]:
 
 def _recurse_split(b: Algebra, z, minpoly, pieces, rng) -> List[Tuple[Tuple, int]]:
     idems = _crt_idempotents(b, z, minpoly, pieces)
+    if len(idems) == b.dim:  # each corner is the field, whose split draws no random number
+        return [(e.coords, 1) for e in idems]
     out = []
     for e in idems:
         sub, rows = corner_data(b, e)
@@ -658,13 +662,14 @@ def ell(a: Algebra, seed: int = 0) -> int:
 class _Record(NamedTuple):
     """A complete set of primitive orthogonal idempotents of A, in
     coordinates, grouped into classes (representative first, classes ordered
-    by first member), with each one's corner dim dim ē·(A/J)·ē and the
-    representatives' Peirce table; the table is None when A is not split."""
+    by first member), with each one's corner dim dim ē·(A/J)·ē, the
+    representatives' Peirce table (None when A is not split) and the matrix units."""
 
     idempotents: Tuple[Tuple, ...]
     classes: Tuple[Tuple[int, ...], ...]
     corner_dims: Tuple[int, ...]
     grid: Optional[Tuple[Tuple[Subspace, ...], ...]]
+    matrix_units: Dict[int, Tuple[Tuple, Tuple]]
 
 
 def _idempotent_record(a: Algebra, seed: int) -> _Record:
@@ -674,7 +679,8 @@ def _idempotent_record(a: Algebra, seed: int) -> _Record:
     certified = a._cache.get("certified_candidate")
     if certified is not None:
         cand, grid = certified
-        return _Record(cand.idempotents, cand.iso_classes, (1,) * len(cand.idempotents), grid)
+        return _Record(cand.idempotents, cand.iso_classes, (1,) * len(cand.idempotents), grid,
+                       cand.matrix_units)
     key = ("idempotent_search", seed)
     record = a._cache.get(key)
     if record is None:
@@ -689,9 +695,10 @@ def _searched_idempotents(a: Algebra, seed: int) -> _Record:
     x -> 3x^2 - 2x^3 (the defect squares each pass, so nilpotency of J
     forces convergence), pushed through shrinking corners so that the lifts
     stay pairwise orthogonal.  The lifts are grouped by e_r·A·e_s ⊄ J
-    (``_classes``).  When every corner dim is 1, each other member k of a
-    class with representative r gets matrix units: u is the first e_r·b·e_k
-    outside J over the basis, and v = e_k·w·e_r for a w with u·w·e_r = e_r,
+    (``_classes``) on the Peirce table the certificate shares.  When every
+    corner dim is 1, each other member k of a class with representative r
+    gets matrix units: u is the first basis vector of e_r·A·e_k outside J,
+    and v = e_k·w·e_r for a w with u·w·e_r = e_r,
     solved over the rows u·b·e_r.  Such a w exists: ū != 0 maps the simple
     ē_k·(A/J) onto ē_r·(A/J), so u·e_k·A + e_r·A·J = e_r·A, and left
     multiplication by u maps e_k·A onto e_r·A by Nakayama; so e_r = u·y with
@@ -725,13 +732,11 @@ def _searched_idempotents(a: Algebra, seed: int) -> _Record:
         raise InternalInconsistency("lifted idempotents do not sum to the unit")
     es = tuple(lifted)
     rad = qd.ideal
-    basis = [a._unit_vec(m) for m in range(a.dim)]
+    table = _peirce_table(a, es)
 
-    @functools.lru_cache(maxsize=None)
     def outside(r: int, s: int) -> Optional[Tuple]:
-        """The first e_r·b·e_s outside J over the basis, or None."""
-        products = (a.sandwich_coords(es[r], b, es[s]) for b in basis)
-        return next((x for x in products if any(x) and not rad.contains(x)), None)
+        """The first basis vector of e_r·A·e_s outside J, or None."""
+        return next((x for x in table[r][s].basis_vectors() if not rad.contains(x)), None)
 
     classes = _classes(len(es), lambda r, s: outside(r, s) is not None)
     corner_dims = tuple(cdim for _, cdim in prims)
@@ -740,18 +745,19 @@ def _searched_idempotents(a: Algebra, seed: int) -> _Record:
         if found != a.dim - rad.dim:
             raise InternalInconsistency(f"dim A - dim J = {a.dim - rad.dim}, but the searched "
                                         f"classes give sum n_i^2 f_i = {found}")
-        return _Record(es, classes, corner_dims, None)
+        return _Record(es, classes, corner_dims, None, {})
     units = {}
     for c in classes:
         r = es[c[0]]
         for k in c[1:]:
             u = outside(c[0], k)
             w = None if u is None else solve_in_span(
-                a.field, [a.sandwich_coords(u, b, r) for b in basis], r)
+                a.field, [a.sandwich_coords(u, a._unit_vec(m), r) for m in range(a.dim)], r)
             if w is not None:
                 units[k] = (u, a.sandwich_coords(es[k], w, r))
     cand = IdempotentCandidate(es, classes, units)
-    return _Record(es, classes, corner_dims, _certify_candidate(a, cand, rad, source="searched"))
+    grid = _certify_candidate(a, cand, rad, source="searched", table=table)
+    return _Record(es, classes, corner_dims, grid, units)
 
 
 def _classes(m: int, linked) -> Tuple[Tuple[int, ...], ...]:
@@ -773,6 +779,7 @@ class IdempotentSet:
     iso_classes: List[List[int]]
     basic_representatives: List[int]
     seed: int
+    matrix_units: Dict[int, Tuple[Tuple, Tuple]]  # as in IdempotentCandidate
 
     def __len__(self):
         return len(self.idempotents)
@@ -806,14 +813,14 @@ def primitive_idempotents(a: Algebra, seed: int = 0) -> IdempotentSet:
         raise NotSplit("primitive idempotents require a split algebra")
     result = IdempotentSet([Element(a, e, _canonical=True) for e in record.idempotents],
                            [list(c) for c in record.classes],
-                           [c[0] for c in record.classes], seed)
+                           [c[0] for c in record.classes], seed, record.matrix_units)
     a._cache[key] = result
     return result
 
 
 def _certify_candidate(a: Algebra, cand: IdempotentCandidate, rad: Subspace,
-                       blocks: Optional[Dict[Tuple[int, int], List[int]]] = None,
-                       source: str = "handed-over") -> Tuple[Tuple[Subspace, ...], ...]:
+                       blocks: Optional[Dict] = None, source: str = "handed-over",
+                       table: Optional[Tuple] = None) -> Tuple[Tuple[Subspace, ...], ...]:
     """Certify a set of idempotents against a nilpotent ideal J inside
     Rad(A), or raise InternalInconsistency; returns the representatives'
     Peirce table.  ``source`` ("handed-over", "guessed" or "searched") opens
@@ -836,8 +843,8 @@ def _certify_candidate(a: Algebra, cand: IdempotentCandidate, rad: Subspace,
 
     When each idempotent is a nonzero multiple of a basis vector and every
     basis vector lies in one block e_r·A·e_s, the table is read off the basis
-    (``_coordinate_blocks``, or ``blocks`` when the caller has already
-    computed them) instead of spanned.
+    (``_coordinate_blocks``, or ``blocks``) instead of spanned; ``table``, the
+    search's table of all the idempotents, is sliced when given.
     """
     F = a.field
     es = cand.idempotents
@@ -857,9 +864,11 @@ def _certify_candidate(a: Algebra, cand: IdempotentCandidate, rad: Subspace,
     if tuple(total) != a.unit:
         raise InternalInconsistency(f"{source} idempotents do not sum to the unit")
     reps = [c[0] for c in classes]
-    if blocks is None:
+    if table is None and blocks is None:
         blocks = _coordinate_blocks(a, es)
-    if blocks is None:
+    if table is not None:
+        grid = tuple(tuple(table[r][s] for s in reps) for r in reps)
+    elif blocks is None:
         grid = _peirce_table(a, [es[r] for r in reps])
     else:
         grid = tuple(tuple(coordinate_subspace(F, a.dim, blocks.get((r, s), ())) for s in reps)
@@ -1027,8 +1036,13 @@ def _basic_representatives(a: Algebra, seed: int) -> List[Tuple]:
     return [idems.idempotents[r].coords for r in idems.basic_representatives]
 
 
-def _peirce_table(a: Algebra, es: List[Tuple]) -> Tuple[Tuple[Subspace, ...], ...]:
-    return tuple(tuple(peirce_rows(a, e, f) for f in es) for e in es)
+def _peirce_table(a: Algebra, es: Sequence[Tuple]) -> Tuple[Tuple[Subspace, ...], ...]:
+    """table[r][s] = e_r·A·e_s as the span of e_r·x over a basis x of A·e_s,
+    spanned once per s: l·d + l·sum_s dim A·e_s products, not 2·l^2·d."""
+    F, d = a.field, a.dim
+    right = [span(F, d, [a.multiply_coords(a._unit_vec(j), f) for j in range(d)]) for f in es]
+    return tuple(tuple(span(F, d, [a.multiply_coords(e, x) for x in r.basis.entries])
+                       for r in right) for e in es)
 
 
 def _sandwich_diagonal(a: Algebra, sub: Subspace, es: List[Tuple]) -> Tuple[Subspace, ...]:

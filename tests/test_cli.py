@@ -6,6 +6,7 @@ from fdalg.cli import main
 from fdalg.corpus import truncated_polynomial, two_loop_q_algebra
 from fdalg.fields import GF
 from fdalg.formats import (
+    FormatError,
     detect_format,
     load_text,
     parse_algebra_text,
@@ -340,6 +341,24 @@ def test_each_literal_cache_key_has_one_writer():
     assert {key: sorted(fns) for key, fns in writers.items() if len(fns) > 1} == {}
 
 
+def test_each_provenance_field_has_a_reader():
+    # a fact a construction hands over is read somewhere in the package, as
+    # an attribute; a field nothing reads is a dead hand-over that costs its
+    # builder for nothing
+    import ast
+    import dataclasses
+
+    from fdalg.algebras import Provenance
+
+    read = {node.attr for _, tree in _package_modules() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = [f.name for f in dataclasses.fields(Provenance)]
+    assert [name for name in fields if name not in read] == []
+    # a field left declared after its reader is gone, such as the fullness
+    # witness inflations once handed over, is caught
+    assert [name for name in fields + ["fullness"] if name not in read] == ["fullness"]
+
+
 def _cli_process(args, tmp_path, text):
     """Run the CLI as a process on a file holding ``text``, so an uncaught
     exception would show as a traceback."""
@@ -382,6 +401,24 @@ def test_malformed_text_is_a_typed_error(tmp_path, text, message):
     assert out.stderr.startswith("error:")
     assert message in out.stderr.splitlines()
     assert "Traceback" not in out.stderr
+
+
+def test_malformed_text_fails_before_the_tensor_is_built():
+    # every line is read before the d^3 tensor exists: under a dim=300 header
+    # (27 million entries, over 200 MB of list slots) a bad mul line fails in
+    # bounded memory, and a well-formed file still gets its constants
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="bad mul line: 'mul 0 0'"):
+            parse_algebra_text("algebra dim=300 field=Fp:5\nmul 0 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, peak
+    a = parse_algebra_text("algebra dim=2 field=Fp:5\nmul 1 1 1 3\nunit: 1 2\nmul 0 1 1 4\n")
+    assert a.mul == (((0, 0), (0, 4)), ((0, 0), (0, 3))) and a.unit == (1, 2)
 
 
 @pytest.mark.parametrize("mult,message", [

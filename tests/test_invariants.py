@@ -319,41 +319,46 @@ def test_report_and_suite_share_memoized_analyses(monkeypatch):
 
     calls = {"search": 0, "peirce": 0}
     search = fdalg.invariants._symmetrizing_form_search
-    peirce_rows = fdalg.structure.peirce_rows
-    spanned = []  # the algebra whose Peirce spans are counted
+    peirce_table = fdalg.structure._peirce_table
+    spanned = []  # the algebra whose Peirce tables are counted
 
     def counting_search(a, seed):
         calls["search"] += 1
         return search(a, seed)
 
-    def counting_peirce_rows(alg, e, f):
-        if alg is spanned[0]:  # the grid's spans; the Wedderburn grouping spans on A/J
+    def counting_peirce_table(alg, es):
+        if alg is spanned[0]:
             calls["peirce"] += 1
-        return peirce_rows(alg, e, f)
+        return peirce_table(alg, es)
 
     monkeypatch.setattr(fdalg.invariants, "_symmetrizing_form_search", counting_search)
-    monkeypatch.setattr(fdalg.structure, "peirce_rows", counting_peirce_rows)
+    monkeypatch.setattr(fdalg.structure, "_peirce_table", counting_peirce_table)
     # the unit of FS_3 is one basis vector, so the basis guess is dropped and the
     # idempotents are searched
     a = s3_group_algebra(F5)
     spanned.append(a)
     report = build_report(a, 0)  # runs the theorem suite too; k = l, so it searches
-    l = len(report["cartan"])
     assert report["k"] == report["ell"] and report["theorems_ok"]
     assert "certified_candidate" not in a._cache
-    # each e_i·A·e_j over the basic representatives is spanned once per seed
-    assert calls == {"search": 1, "peirce": l * l}
+    # the search spans one Peirce table per seed, which its certificate,
+    # the Cartan matrix and the basic corner all read
+    assert calls == {"search": 1, "peirce": 1}
     verify_theorem_suite(a, 0)
-    assert calls == {"search": 1, "peirce": l * l}
+    assert calls == {"search": 1, "peirce": 1}
     verify_theorem_suite(a, 1)
-    assert calls == {"search": 2, "peirce": 2 * l * l}
+    assert calls == {"search": 2, "peirce": 2}
     # the matrix units E_ii of T_3 are the unit's support: the guessed idempotents
     # are certified and their Peirce table is read off the basis, with no span
     spanned[0] = b = lower_triangular(F5, 3)
     for seed in (0, 1):
         assert build_report(b, seed)["theorems_ok"]
         verify_theorem_suite(b, seed)
-    assert calls == {"search": 4, "peirce": 2 * l * l}
+    assert calls == {"search": 4, "peirce": 2}
+    # the spy sees a second span: a record rebuilt without its memo spans again
+    spanned[0] = a
+    del a._cache[("idempotent_search", 0)]
+    fdalg.structure._idempotent_record(a, 0)
+    assert calls == {"search": 4, "peirce": 3}
 
 
 def test_memoized_results_are_fresh_objects():

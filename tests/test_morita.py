@@ -174,10 +174,13 @@ def _witness_over_all_products(a, e):
 @pytest.mark.parametrize("field", [F2, F3, QQ, GF(2147483659)],
                          ids=["Fp:2", "Fp:3", "Q", "Fp:2147483659"])
 def test_pruned_witness_gives_the_same_tau(field, monkeypatch):
-    # the witness solves on rank-raising products only (at most d rows and
-    # d pairs); the coset map does not depend on the witness
+    # the basic idempotent's witness is read off the record's matrix units,
+    # one pair per primitive idempotent, with no solve; the solved witness
+    # (rank-raising products only: at most d rows and d pairs) and the one
+    # over all products give the same coset map
     import fdalg.morita
     from fdalg.linalg import solve_in_span
+    from fdalg.morita import FullnessWitness, _solved_pairs
 
     solved = []
 
@@ -192,21 +195,20 @@ def test_pruned_witness_gives_the_same_tau(field, monkeypatch):
         cases.append((two_loop_q_algebra(field, -1), [2]))
     for src, mult in cases:
         handed = inflate(basic_algebra(src), mult)
-        # a generic copy carries no handed-over pairs, so its witness is solved
-        a = Algebra(handed.field, handed.mul, handed.unit)
-        b, e, rows = basic_algebra_data(a)
-        w = fullness_witness(a, e)
-        assert solved[-1] <= a.dim and len(w.pairs) <= a.dim and w.verify()
-        full = _witness_over_all_products(a, e)
-        assert full.verify()
-        assert tau_map(a, e, w, b, rows).matrix == tau_map(a, e, full, b, rows).matrix
-        # the inflation's own matrix units give the same coset map, unsolved
-        n_solved = len(solved)
-        b, e, rows = basic_algebra_data(handed)
-        w = fullness_witness(handed, e)
-        assert len(solved) == n_solved and len(w.pairs) == sum(mult)
-        full = _witness_over_all_products(handed, e)
-        assert tau_map(handed, e, w, b, rows).matrix == tau_map(handed, e, full, b, rows).matrix
+        # a generic copy hands over nothing: its record is guessed from the basis
+        generic = Algebra(handed.field, handed.mul, handed.unit)
+        for a in (generic, handed):
+            b, e, rows = basic_algebra_data(a)
+            w = fullness_witness(a, e)
+            assert not solved and len(w.pairs) == sum(mult) and w.verify()
+            tau = tau_map(a, e, w, b, rows).matrix
+            pruned = FullnessWitness(e, _solved_pairs(a, e))
+            assert solved.pop() <= a.dim and len(pruned.pairs) <= a.dim and pruned.verify()
+            full = _witness_over_all_products(a, e)
+            assert full.verify()
+            assert tau == tau_map(a, e, pruned, b, rows).matrix
+            assert tau == tau_map(a, e, full, b, rows).matrix
+        assert "certified_candidate" in generic._cache and generic.provenance.idempotents is None
 
 
 @pytest.mark.parametrize("mult,message", [([1, 2, 3], "need 2 multiplicities, got 3"),
@@ -285,7 +287,9 @@ def test_handed_over_inflations_match_generic_copies(corpus, monkeypatch):
 def _corrupt(kind, big=None):
     """An inflation (by default a Kronecker one over F_3) with one
     handed-over object corrupted, as a fresh algebra on the same tensor with
-    the altered record.  The first class must hold two copies."""
+    the altered record; or, for "fullness pair", with the certified
+    idempotent set it memoizes corrupted.  The first class must hold two
+    copies."""
     if big is None:
         big = inflate(kronecker(F3, 2), [2, 1])
     F = big.field
@@ -315,10 +319,14 @@ def _corrupt(kind, big=None):
         u, v = cand.matrix_units[1]
         prov = dataclasses.replace(prov, idempotents=IdempotentCandidate(
             cand.idempotents, cand.iso_classes, {1: (v, u)}))
-    elif kind == "fullness pair":
-        e, pairs = prov.fullness
-        prov = dataclasses.replace(prov, fullness=(e, (pairs[1], pairs[1]) + pairs[2:]))
-    return Algebra(big.field, big.mul, big.unit, prov)
+    out = Algebra(big.field, big.mul, big.unit, prov)
+    if kind == "fullness pair":
+        # the certified set, memoized with the second copy of the first class
+        # dropped, so the witness read off it has one pair too few
+        idems = primitive_idempotents(out)
+        classes = [c[:1] + c[2:] if n == 0 else c for n, c in enumerate(idems.iso_classes)]
+        out._cache[("idempotents", 0)] = dataclasses.replace(idems, iso_classes=classes)
+    return out
 
 
 CORRUPTIONS = [
@@ -371,14 +379,17 @@ def test_corrupted_hand_over_is_caught_under_python_O():
             "from fdalg.errors import InternalInconsistency; "
             "from fdalg.fields import GF; "
             "from fdalg.morita import inflate, verify_morita_invariance\n"
-            "for big in (None, inflate(cyclic_group_algebra(GF(7), 3), [2, 1, 1])):\n"
-            "    try:\n        verify_morita_invariance(_corrupt('class grouping', big))\n"
-            "    except InternalInconsistency:\n        print('caught')\n")
+            "for kind in ('class grouping', 'fullness pair'):\n"
+            "  for big in (None, inflate(cyclic_group_algebra(GF(7), 3), [2, 1, 1])):\n"
+            "    try:\n        verify_morita_invariance(_corrupt(kind, big))\n"
+            "    except InternalInconsistency as exc:\n        print(kind, exc)\n")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fdalg.__file__).parent.parent))
     out = subprocess.run([sys.executable, "-O", "-c", code, str(pathlib.Path(__file__).parent)],
                          capture_output=True, text=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["caught", "caught"]
+    assert out.stdout.splitlines() == [
+        "class grouping handed-over representatives 0 and 1 are isomorphic"] * 2 + [
+        "fullness pair fullness witness does not sum to the unit"] * 2
 
 
 def test_dropped_radical_row_is_caught():

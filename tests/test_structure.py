@@ -797,11 +797,17 @@ def test_rescaled_inflation_reads_its_peirce_table_off_the_basis(monkeypatch):
     units = big.provenance.idempotents.idempotents
     assert all(sum(map(bool, e)) == 1 for e in units) and any(max(e) != 1 for e in units)
     calls = []
-    monkeypatch.setattr(structure, "peirce_rows",
-                        lambda *args: calls.append(args) or algebras.peirce_rows(*args))
+    peirce_table = structure._peirce_table
+    monkeypatch.setattr(structure, "_peirce_table",
+                        lambda *args: calls.append(args) or peirce_table(*args))
     radical(big)
     assert "certified_candidate" in big._cache and not calls
     assert cartan_matrix(big) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]] and not calls
+    # the spy sees a span: with the basis reading refused, the same hand-over
+    # is certified over a spanned table
+    monkeypatch.setattr(structure, "_coordinate_blocks", lambda *args: None)
+    spanned = Algebra(big.field, big.mul, big.unit, big.provenance)
+    assert cartan_matrix(spanned) == cartan_matrix(big) and len(calls) == 1
 
 
 # M_2(F_5) x F_5 on the basis 1_M, 1_F, E_12, E_21, E_11: the unit's support
@@ -859,10 +865,10 @@ def test_rejected_basis_guess_falls_back_to_the_search(monkeypatch):
 
     certify = structure._certify_candidate
 
-    def failing(alg, cand, rad, blocks=None, source="handed-over"):
+    def failing(alg, cand, rad, blocks=None, source="handed-over", table=None):
         if source == "guessed":
             raise InternalInconsistency("refused")
-        return certify(alg, cand, rad, blocks, source)
+        return certify(alg, cand, rad, blocks, source, table)
 
     monkeypatch.setattr(structure, "_certify_candidate", failing)
     for text, summary in zip(texts, want):
@@ -955,3 +961,63 @@ def test_corrupted_search_is_caught_under_python_O(tmp_path):
                              capture_output=True, text=True, env=env, timeout=120)
         assert out.stdout.split("\n")[-2:] == ["5", ""], out.stderr
         assert "internal error: dim A - dim J = 6, but the searched" in out.stderr
+
+
+def _random_basis_copy(a, rng):
+    """A on the basis b'_i = sum_k P_ik·b_k for a seeded random invertible P,
+    so its idempotents are not multiples of basis vectors."""
+    from fdalg.linalg import solve_in_span
+
+    F, d = a.field, a.dim
+    rows = []
+    while len(rows) < d or span(F, d, rows).dim < d:
+        rows = [tuple(F.coerce(rng.randrange(F.p)) for _ in range(d)) for _ in range(d)]
+    mul = [[solve_in_span(F, rows, a.multiply_coords(x, y)) for y in rows] for x in rows]
+    return Algebra(F, mul, solve_in_span(F, rows, a.unit))
+
+
+def test_one_sided_peirce_table_matches_two_sided_spans():
+    # A·f spanned once per f, then e·(A·f), against e·b_j·f over the basis
+    cases = [cyclic_group_algebra(F5, 4), s3_group_algebra(QQ),
+             cyclic_group_algebra(GF(BIG_P), 6),
+             _random_basis_copy(lower_triangular(F5, 3), random.Random(22))]
+    for a in cases:
+        es = structure._idempotent_record(a, 0).idempotents
+        assert "certified_candidate" not in a._cache and len(es) > 1
+        table = structure._peirce_table(a, es)
+        assert [list(row) for row in table] == [[algebras.peirce_rows(a, e, f) for f in es]
+                                                for e in es]
+    # the triangular copy has a radical, and its idempotents are spread over the basis
+    assert radical(a).dim == 3 and all(sum(map(bool, e)) > 1 for e in es)
+
+
+def _full_recursion(b, z, minpoly, pieces, rng):
+    """``_recurse_split`` without its shortcut: every CRT idempotent's corner
+    is split again."""
+    out = []
+    for e in structure._crt_idempotents(b, z, minpoly, pieces):
+        sub, rows = corner_data(b, e)
+        prims = structure._primitive_decomposition(sub, rng)
+        lifted = structure.combine(b.field, [coords for coords, _ in prims], rows)
+        out += [(x, cdim) for x, (_, cdim) in zip(lifted, prims)]
+    return out
+
+
+def test_recurse_split_shortcut_matches_the_full_recursion():
+    # with dim b CRT idempotents every corner is one-dimensional: the
+    # shortcut returns them with corner dim 1 and draws no random number
+    for a in (cyclic_group_algebra(F5, 4), cyclic_group_algebra(GF(7), 3),
+              cyclic_group_algebra(QQ, 2), cyclic_group_algebra(GF(BIG_P), 6)):
+        b = semisimple_quotient(parse_algebra_text(write_algebra_text(a))).algebra
+        F = b.field
+        for z in structure._splitting_candidates(b, random.Random(0)):
+            mp = minimal_polynomial(b, z)
+            pieces = (structure._coprime_pieces_fp(F, mp, random.Random(0)) if F.p
+                      else structure._coprime_pieces_q(F, mp))
+            if pieces:
+                break
+        assert len(pieces) == b.dim
+        fast, full = random.Random(5), random.Random(5)
+        want = _full_recursion(b, z, mp, pieces, full)
+        assert structure._recurse_split(b, z, mp, pieces, fast) == want
+        assert fast.getstate() == full.getstate() == random.Random(5).getstate()
