@@ -1,5 +1,5 @@
 """Basic algebras, fullness witnesses, the induced coset maps, and
-progenerator inflation.
+progenerator inflation, which hands over two things: its radical and idempotents.
 
 The invariance certificate is computed per instance: for a full idempotent e
 with 1 = sum u_k e v_k, the map a + K(A) -> sum e v_k a u_k e + K(B) on cosets
