@@ -1,6 +1,6 @@
 """Radical, semisimple quotient, primitive idempotents, Cartan data.
 
-The Jacobson radical comes from one of four routes:
+The Jacobson radical comes from one of five routes:
 
 - the path-length grading of a quiver build (``Provenance.degrees``): once
   the grading, its degree-0 idempotents and the generation of each degree
@@ -11,6 +11,15 @@ The Jacobson radical comes from one of four routes:
   eAe inherits e·Rad(A)·e from a parent whose radical is known
   (Rad(eAe) = e·Rad(A)·e), and a progenerator inflation End_B(P) gets
   Hom(P, P·Rad B) (``morita.inflate``);
+- for an algebra whose record hands over nothing (parsed text, group
+  algebras, ``lower_triangular``, ``truncated_polynomial``), a grading
+  guessed from the structure constants (``_guessed_grading``) under the same
+  certificate.  Its degree 0 may hold matrix units, as on a text copy of an
+  inflation or of M_n(F) (Năstăsescu and Van Oystaeyen, *Methods of Graded
+  Rings*, LNM 1836); then A_{>=1} is proved complete by the basis guess of
+  idempotents passing ``_certify_candidate`` against it, which gives
+  dim A - dim A_{>=1} = sum n_i^2.  A guess that is dropped or fails raises
+  nothing, caches nothing and leaves A to the routes below;
 - the kernel of the regular trace form, in characteristic zero;
 - in characteristic p, the chain of lifted power-trace conditions
   g_i(xy) = 0, with g_i(z) = (tr(L̃_z^{p^i}) mod p^{i+1}) / p^i for an integer
@@ -97,6 +106,9 @@ from .polyfactor import (
 
 RANDOM_SPLIT_TRIES_FP = 256
 RANDOM_SPLIT_TRIES_Q = 64
+
+# a set of idempotents that passed ``_certify_candidate``, with its Peirce table
+_Certified = Tuple[IdempotentCandidate, Tuple]
 
 
 # -- minimal polynomials ----------------------------------------------------
@@ -335,18 +347,89 @@ def _check_radical(a: Algebra, rad: Subspace) -> List[Subspace]:
     return chain
 
 
-def _graded_radical(a: Algebra, degrees: Sequence[int]) -> List[Subspace]:
+def _guessed_grading(a: Algebra) -> Optional[List[int]]:
+    """Degrees of the basis guessed from the nonzero structure constants, or
+    None; ``_graded_radical`` decides whether the guess holds.
+
+    Degree 0 is the unit's support, closed under: c_ijk != 0 with k in degree
+    0 puts i and j in degree 0 (so e_rs·e_sr = e_rr takes the matrix units of
+    an inflation, and M_n(F) is all degree 0).  Any other b_k gets
+    deg i + deg j from the first product b_i·b_j, both outside degree 0, whose
+    support holds b_k, and 1 when there is none.  A cycle among those first
+    products drops the guess.
+    """
+    d = a.dim
+    into: List[List[Tuple[int, int]]] = [[] for _ in range(d)]  # (i, j) with c_ijk != 0
+    for i, plane in enumerate(a.mul):
+        for j, row in enumerate(plane):
+            if any(row):
+                for k, c in enumerate(row):
+                    if c:
+                        into[k].append((i, j))
+    zero = [bool(c) for c in a.unit]
+    work = [k for k in range(d) if zero[k]]
+    while work:
+        for pair in into[work.pop()]:
+            for i in pair:
+                if not zero[i]:
+                    zero[i] = True
+                    work.append(i)
+    first = [None if zero[k] else next(((i, j) for i, j in into[k] if not (zero[i] or zero[j])),
+                                       None)
+             for k in range(d)]
+    # each b_k waits for the factors of its first product (Kahn's order)
+    waiting = [0] * d
+    users: List[List[int]] = [[] for _ in range(d)]
+    for k, pair in enumerate(first):
+        for i in set(pair or ()):
+            waiting[k] += 1
+            users[i].append(k)
+    degrees: List[Optional[int]] = [0 if z else None for z in zero]
+    work = [k for k in range(d) if not zero[k] and not waiting[k]]
+    while work:
+        k = work.pop()
+        degrees[k] = 1 if first[k] is None else degrees[first[k][0]] + degrees[first[k][1]]
+        for m in users[k]:
+            waiting[m] -= 1
+            if not waiting[m]:
+                work.append(m)
+    return None if None in degrees else degrees
+
+
+def _degree_zero_fault(a: Algebra, vertices: Sequence[int], scaled: bool) -> Optional[str]:
+    """Why the degree-0 basis vectors are not pairwise orthogonal idempotents
+    u_i·b_i, or None.  u_i is 1, or with ``scaled`` the unit's coefficient on
+    b_i, so that b_i·b_i = u_i⁻¹·b_i."""
+    F = a.field
+    one = F.one()
+    for i in vertices:
+        u = a.unit[i] if scaled else one
+        if not u or a.mul[i][i] != (a._unit_vec(i) if u == one else _point(a, i, F.inv(u))):
+            return f"degree-0 basis element {i} is not idempotent"
+    zero = (F.zero(),) * a.dim
+    for i, j in itertools.permutations(vertices, 2):
+        if a.mul[i][j] != zero:
+            return f"degree-0 basis elements {i} and {j} are not orthogonal"
+    return None
+
+
+def _graded_radical(a: Algebra, degrees: Sequence[int], guessed: bool = False
+                    ) -> Tuple[List[Subspace], Optional[_Certified]]:
     """The chain J^n = A_{>=n}, n = 1 up to the first zero, for a grading of
-    the basis, certified; Rad A = J = A_{>=1}.
+    the basis, certified; Rad A = J = A_{>=1}.  Also returns the basis guess
+    of idempotents when it was what certified degree 0, else None.
 
     The checks, each raising InternalInconsistency:
 
     - the degrees are non-negative, one per basis element;
     - every nonzero c_ijk has deg k = deg i + deg j, so A = (+)_m A_m is graded
       and A_{>=1} is a nilpotent two-sided ideal, inside Rad A;
-    - the degree-0 basis elements are pairwise orthogonal idempotents, so
-      A/A_{>=1} ~ A_0 is a product of copies of the field, semisimple, and
-      Rad A lies inside A_{>=1};
+    - J = A_{>=1} is all of Rad A.  Either the degree-0 basis elements are
+      pairwise orthogonal idempotents u_i·b_i (u_i = 1 for a handed-over
+      grading), so A/A_{>=1} ~ A_0 is a product of copies of the field,
+      semisimple; or, for a ``guessed`` grading only, the basis guess
+      (``_adopt_basis_candidate``) passes ``_certify_candidate`` against
+      A_{>=1}, which gives dim A - dim A_{>=1} = sum n_i^2;
     - for each m >= 2 the products (degree 1)·(degree m-1) of basis elements
       span A_m (by rank), so A_m = A_1^(m-n)·A_n lies in J^n for m >= n, and
       J^n = A_{>=n}.
@@ -354,7 +437,8 @@ def _graded_radical(a: Algebra, degrees: Sequence[int]) -> List[Subspace]:
     F, d = a.field, a.dim
     if len(degrees) != d or min(degrees) < 0:
         raise InternalInconsistency("the grading does not give each basis element a degree >= 0")
-    for i, plane in enumerate(a.mul):
+    top = max(degrees)
+    for i, plane in enumerate(a.mul if top else ()):  # all of degree 0 is homogeneous
         for j, row in enumerate(plane):
             if not any(row):
                 continue
@@ -366,18 +450,16 @@ def _graded_radical(a: Algebra, degrees: Sequence[int]) -> List[Subspace]:
     by_degree: Dict[int, List[int]] = {}
     for i, g in enumerate(degrees):
         by_degree.setdefault(g, []).append(i)
-    vertices = by_degree.get(0, [])
-    zero = (F.zero(),) * d
-    for i in vertices:
-        if a.mul[i][i] != a._unit_vec(i):
-            raise InternalInconsistency(f"degree-0 basis element {i} is not idempotent")
-    for i, j in itertools.permutations(vertices, 2):
-        if a.mul[i][j] != zero:
-            raise InternalInconsistency(f"degree-0 basis elements {i} and {j} are not orthogonal")
-    top = max(degrees)
-    for m in range(2, top + 1):
-        targets = by_degree.get(m)
-        if not targets:
+    certified = None
+    fault = _degree_zero_fault(a, by_degree.get(0, []), scaled=guessed)
+    if fault is not None:
+        rad = coordinate_subspace(F, d, [i for i, g in enumerate(degrees) if g])
+        certified = _adopt_basis_candidate(a, rad) if guessed else None
+        if certified is None:
+            raise InternalInconsistency(fault)
+    # a degree m with no degree m - 1 fails here, so the chain below has at most d + 1 terms
+    for m, targets in sorted(by_degree.items()):
+        if m < 2:
             continue
         acc = echelon_for(F, len(targets))
         for i, j in itertools.product(by_degree.get(1, []), by_degree.get(m - 1, [])):
@@ -386,27 +468,49 @@ def _graded_radical(a: Algebra, degrees: Sequence[int]) -> List[Subspace]:
                 break
         else:
             raise InternalInconsistency(f"degree {m} is not generated by the arrows")
-    return [coordinate_subspace(F, d, [i for i, g in enumerate(degrees) if g >= n])
-            for n in range(1, top + 2)]
+    chain = [coordinate_subspace(F, d, [i for i, g in enumerate(degrees) if g >= n])
+             for n in range(1, top + 2)]
+    return chain, certified
+
+
+def _guessed_radical(a: Algebra) -> Optional[Tuple[List[Subspace], Optional[_Certified]]]:
+    """``_graded_radical`` of the guessed grading, or None when the guess is
+    dropped or fails; it raises nothing and caches nothing."""
+    degrees = _guessed_grading(a)
+    if degrees is None:
+        return None
+    try:
+        return _graded_radical(a, degrees, guessed=True)
+    except InternalInconsistency:
+        return None
 
 
 def radical(a: Algebra) -> Subspace:
     """Jacobson radical as a canonical subspace of the coordinate space.
 
-    It reads ``Provenance.degrees``, else ``radical_rows``, else computes.
+    It reads ``Provenance.degrees``, else ``radical_rows``; an algebra whose
+    record hands over nothing tries a grading guessed from its structure
+    constants (``_guessed_grading``), certified as a handed-over one is, and
+    a guess that is dropped or fails leaves it to the computed routes.
     Every route returns the chain J ⊃ J^2 ⊃ ... ⊃ 0 it certified.
     Handed-over ``idempotents`` are certified against the radical
     (``_certify_candidate``), which also proves the radical complete; without
-    them the basis may supply some (``_adopt_basis_candidate``).  Only when
-    every check has passed are the radical, its chain (``"rad_powers"``) and
-    the certified set cached, so a failure caches none of them.
+    them the basis may supply some (``_adopt_basis_candidate``), unless the
+    guessed grading already certified them.  Only when every check has
+    passed are the radical, its chain (``"rad_powers"``) and the certified
+    set cached, so a failure caches none of them.
     """
     cached = a._cache.get("radical")
     if cached is not None:
         return cached
     prov = a.provenance
+    graded = certified = None
     if prov.degrees is not None:
-        chain = _graded_radical(a, prov.degrees)
+        graded = _graded_radical(a, prov.degrees)
+    elif prov.radical_rows is None and prov.idempotents is None:
+        graded = _guessed_radical(a)
+    if graded is not None:
+        chain, certified = graded
     elif prov.radical_rows is not None:
         chain = _check_radical(a, span(a.field, a.dim, prov.radical_rows))
     elif a.field.characteristic == 0:
@@ -416,7 +520,7 @@ def radical(a: Algebra) -> Subspace:
     rad = chain[0]
     if prov.idempotents is not None:
         certified = (prov.idempotents, _certify_candidate(a, prov.idempotents, rad))
-    else:
+    elif certified is None:
         certified = _adopt_basis_candidate(a, rad)
     if certified is not None:
         a._cache["certified_candidate"] = certified
@@ -1008,8 +1112,7 @@ def _basis_matrix_units(a: Algebra, r: int, left: Sequence[int],
     return None
 
 
-def _adopt_basis_candidate(a: Algebra,
-                           rad: Subspace) -> Optional[Tuple[IdempotentCandidate, Tuple]]:
+def _adopt_basis_candidate(a: Algebra, rad: Subspace) -> Optional[_Certified]:
     """The basis guess and its Peirce table when ``_certify_candidate``
     accepts it; None, which leaves A to the search, for a guess that is
     dropped or fails."""

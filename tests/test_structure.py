@@ -512,7 +512,9 @@ def test_trace_gram_matches_regular_matrix_reference(corpus, field):
 
 
 def _generic(a):
-    """A copy with generic provenance and an empty cache: the char-p route runs."""
+    """A copy with generic provenance and an empty cache: with the grading
+    guess switched off (``_guessed_grading`` patched to None), the char-p
+    route runs, even on M_n(F) or an inflation, whose guess holds."""
     return Algebra(a.field, a.mul, a.unit, _canonical=True)
 
 
@@ -560,6 +562,7 @@ def _power_trace_route(a, monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(structure, "_power_trace_gram", recording)
+        mp.setattr(structure, "_guessed_grading", lambda a: None)
         rad = radical(a)
     return stages, rad
 
@@ -598,12 +601,14 @@ def test_power_trace_stages_match_charpoly_reference(corpus, monkeypatch):
 
 
 def test_stage_space_that_is_not_an_ideal_raises(monkeypatch):
+    monkeypatch.setattr(structure, "_guessed_grading", lambda a: None)
     monkeypatch.setattr(structure, "_ideal_contains_products", lambda a, sub: False)
     with pytest.raises(InternalInconsistency, match="not a two-sided ideal"):
         radical(_generic(matrix_algebra(F2, 4)))
 
 
 def test_power_trace_not_divisible_raises(monkeypatch):
+    monkeypatch.setattr(structure, "_guessed_grading", lambda a: None)
     real = structure._lifted_power_traces
     monkeypatch.setattr(structure, "_lifted_power_traces",
                         lambda a, w, power, modulus: (real(a, w, power, modulus) + 1) % modulus)
@@ -896,6 +901,110 @@ def test_rejected_basis_guess_falls_back_under_python_O():
     assert out.returncode == 0, out.stderr
     assert out.stdout.split("\n")[:2] == [str(_m2_plus_f_summary()),
                                          str(_m2_plus_f_summary(_rescaled_m2_plus_f_text()))]
+
+
+# -- the grading guessed from the basis -----------------------------------------
+
+
+def _radical_summary(a):
+    """J, each J^n up to the first zero, the Loewy length and the series."""
+    series = codim_series(a)
+    return (radical(a), [radical_power(a, n) for n in range(1, loewy_length(a) + 2)],
+            loewy_length(a), series.k, series.values)
+
+
+def _guess_inputs(corpus):
+    """Permuted and rescaled texts of every split corpus algebra, and
+    rescaled texts of its inflations with a multiplicity above 1."""
+    rng = random.Random(23)
+    for entry in corpus:
+        a = _split_or_none(entry.algebra)
+        if a is None:
+            continue
+        yield f"{entry.name} permuted", _permuted_text(a, rng)
+        yield f"{entry.name} rescaled", _rescaled_text(a, rng)
+        b = basic_algebra_data(a)[0]
+        for mult in itertools.product((1, 2), repeat=ell(a)):
+            if max(mult) > 1 and inflation_dim(b, list(mult)) <= 16:
+                yield f"{entry.name} inflated {mult}", _rescaled_text(inflate(b, list(mult)), rng)
+
+
+def test_guessed_grading_matches_the_computed_routes(corpus, monkeypatch):
+    guessed = non_diagonal = oracle_checked = 0
+    for name, text in _guess_inputs(corpus):
+        graded = structure._guessed_radical(parse_algebra_text(text))
+        if graded is None:
+            continue
+        a = parse_algebra_text(text)
+        got = _radical_summary(a)
+        with monkeypatch.context() as m:
+            m.setattr(structure, "_guessed_grading", lambda alg: None)
+            assert got == _radical_summary(parse_algebra_text(text)), name
+        if a.field.p and a.field.p ** a.dim <= RADICAL_ORACLE_CAP:
+            assert got[0] == radical_oracle(a), name
+            oracle_checked += 1
+        guessed += 1
+        # degree 0 holds more than the unit's terms: the basis guess certified it
+        non_diagonal += graded[1] is not None
+    assert guessed >= 300 and non_diagonal >= 170 and oracle_checked >= 140, (
+        guessed, non_diagonal, oracle_checked)
+
+
+# F_7^3 on the basis 1, x = (0, 2, 4), y = x^2 = (0, 4, 2): y^2 = x and
+# xy = -(x + y), so the first product holding x is x·y, and x waits for itself
+CYCLE_TEXT = """algebra dim=3 field=Fp:7
+unit: 1 0 0
+mul 0 0 0 1
+mul 0 1 1 1
+mul 0 2 2 1
+mul 1 0 1 1
+mul 2 0 2 1
+mul 1 1 2 1
+mul 2 2 1 1
+mul 1 2 1 6
+mul 1 2 2 6
+mul 2 1 1 6
+mul 2 1 2 6
+"""
+
+
+def test_dropped_grading_guess_falls_back(monkeypatch):
+    from test_quiver import _corrupt_quiver
+
+    # F_2[C_4] collapses to degree 0, and its one basis idempotent fails the
+    # count 4 - 0 != 1; the basic text of F_5[S_3] fails the degree-0 check;
+    # CYCLE_TEXT's first products form a cycle
+    cases = [(write_algebra_text(cyclic_group_algebra(F2, 4)), [0] * 4),
+             (write_algebra_text(basic_algebra_data(s3_group_algebra(F5))[0]), [0] * 3),
+             (CYCLE_TEXT, None)]
+    for text, degrees in cases:
+        assert parse_algebra_text(text).validate().ok
+        a = parse_algebra_text(text)
+        assert structure._guessed_grading(a) == degrees
+        assert structure._guessed_radical(a) is None and not a._cache
+        with monkeypatch.context() as m:
+            m.setattr(structure, "_guessed_grading", lambda alg: None)
+            want = _radical_summary(parse_algebra_text(text))
+        assert _radical_summary(a) == want
+        assert radical(a) == radical_oracle(a)
+    assert radical(parse_algebra_text(cases[0][0])).dim == 3
+    # a guess on a corrupted tensor raises nothing either
+    for kind in ("non-homogeneous", "not idempotent", "not orthogonal", "not generated"):
+        c = _corrupt_quiver(kind)
+        structure._guessed_radical(Algebra(c.field, c.mul, c.unit))
+
+
+def test_ungraded_dense_input_drops_the_guess_without_products(monkeypatch):
+    # every basis vector of a random-basis M_4(F_5) is in degree 0, and the
+    # guess is dropped off the structure constants alone
+    a = _random_basis_copy(matrix_algebra(F5, 4), random.Random(23))
+    products = []
+    multiply = Algebra.multiply_coords
+    monkeypatch.setattr(Algebra, "multiply_coords",
+                        lambda alg, x, y: products.append(x) or multiply(alg, x, y))
+    assert structure._guessed_grading(a) == [0] * 16
+    assert structure._guessed_radical(a) is None and not products and not a._cache
+    assert radical(a).dim == 0
 
 
 def _corrupted_search_exit(path, cdim=1):
