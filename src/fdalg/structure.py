@@ -396,18 +396,19 @@ def _guessed_grading(a: Algebra) -> Optional[List[int]]:
     return None if None in degrees else degrees
 
 
-def _degree_zero_fault(a: Algebra, vertices: Sequence[int], scaled: bool) -> Optional[str]:
-    """Why the degree-0 basis vectors are not pairwise orthogonal idempotents
-    u_i·b_i, or None.  u_i is 1, or with ``scaled`` the unit's coefficient on
-    b_i, so that b_i·b_i = u_i⁻¹·b_i."""
+def _idempotent_fault(a: Algebra, positions: Sequence[int], scaled: bool) -> Optional[str]:
+    """Why the basis vectors b_i at ``positions`` (degree 0 of a grading, or
+    the unit's support) are not pairwise orthogonal idempotents u_i·b_i, or
+    None.  u_i is 1, or with ``scaled`` the unit's coefficient on b_i, so
+    that b_i·b_i = u_i⁻¹·b_i, read off the structure constants."""
     F = a.field
     one = F.one()
-    for i in vertices:
+    for i in positions:
         u = a.unit[i] if scaled else one
         if not u or a.mul[i][i] != (a._unit_vec(i) if u == one else _point(a, i, F.inv(u))):
             return f"degree-0 basis element {i} is not idempotent"
     zero = (F.zero(),) * a.dim
-    for i, j in itertools.permutations(vertices, 2):
+    for i, j in itertools.permutations(positions, 2):
         if a.mul[i][j] != zero:
             return f"degree-0 basis elements {i} and {j} are not orthogonal"
     return None
@@ -451,7 +452,7 @@ def _graded_radical(a: Algebra, degrees: Sequence[int], guessed: bool = False
     for i, g in enumerate(degrees):
         by_degree.setdefault(g, []).append(i)
     certified = None
-    fault = _degree_zero_fault(a, by_degree.get(0, []), scaled=guessed)
+    fault = _idempotent_fault(a, by_degree.get(0, []), scaled=guessed)
     if fault is not None:
         rad = coordinate_subspace(F, d, [i for i, g in enumerate(degrees) if g])
         certified = _adopt_basis_candidate(a, rad) if guessed else None
@@ -1054,33 +1055,23 @@ def _basis_candidate(a: Algebra, rad: Subspace
     The guess: over the support S of the unit 1 = sum_i u_i·b_i, the
     elements e_i = u_i·b_i, each a nonzero multiple of a basis vector.  They
     are pairwise orthogonal idempotents when b_i·b_i = u_i⁻¹·b_i and
-    b_i·b_j = 0 for i != j in S, both read off the structure constants; and
-    every basis vector must lie in one of their Peirce blocks
-    (``_coordinate_blocks``).  i ~ j when the block (i, j) holds a basis
-    vector outside J; a class's representative is its first member.  The
-    guess is dropped unless dim A - dim J = sum n_i^2 over the classes, a
-    test that needs no product.  For each other member k of a class with
+    b_i·b_j = 0 for i != j in S, both read off the structure constants
+    (``_idempotent_fault``); and every basis vector must lie in one of their
+    Peirce blocks (``_coordinate_blocks``).  i ~ j when the block (i, j)
+    holds a basis vector outside J; a class's representative is its first
+    member.  The guess is dropped unless dim A - dim J = sum n_i^2 over the
+    classes, a test that needs no product.  For each other member k of a class with
     representative r, the matrix units are a basis vector u in block (r, k)
     and a multiple of a basis vector v in block (k, r) with u·v = e_r
     (``_basis_matrix_units``).  ``_certify_candidate`` then decides whether
     the guess holds.
     """
-    F, d = a.field, a.dim
-    one = F.one()
+    d = a.dim
+    one = a.field.one()
     support = [i for i, c in enumerate(a.unit) if c]
-    es = []
-    zero = (F.zero(),) * d
-    for i in support:
-        u = a.unit[i]
-        if u == one:  # e_i = b_i: b_i·b_i = b_i
-            e = square = a._unit_vec(i)
-        else:
-            e, square = _point(a, i, u), _point(a, i, F.inv(u))
-        if a.mul[i][i] != square:
-            return None
-        if any(a.mul[i][j] != zero for j in support if j != i):
-            return None
-        es.append(e)
+    if _idempotent_fault(a, support, scaled=True) is not None:
+        return None
+    es = [a._unit_vec(i) if a.unit[i] == one else _point(a, i, a.unit[i]) for i in support]
     blocks = _coordinate_blocks(a, es)
     if blocks is None:
         return None
