@@ -47,7 +47,8 @@ class Provenance:
     builds; each fact is certified where it is read, and a false one raises
     InternalInconsistency.  ``kind`` ("generic" | "quiver" | "group") is what
     ``report`` prints.  ``degrees`` grades the basis (a quiver build's path
-    lengths) and ``radical_rows`` span Rad A: ``structure.radical`` reads
+    lengths, or an inflation's degrees carried over from a graded basic
+    algebra) and ``radical_rows`` span Rad A: ``structure.radical`` reads
     ``degrees`` first, and a constructor hands over at most one of the two.
     ``idempotents`` are primitive idempotents with their matrix units
     (``structure.radical``); the certified record keeps the units, and

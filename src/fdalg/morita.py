@@ -1,5 +1,6 @@
 """Basic algebras, fullness witnesses, the induced coset maps, and
-progenerator inflation, which hands over two things: its radical and idempotents.
+progenerator inflation, which hands over its idempotents and either its
+grading or its radical rows, never both.
 
 The invariance certificate is computed per instance: for a full idempotent e
 with 1 = sum u_k e v_k, the map a + K(A) -> sum e v_k a u_k e + K(B) on cosets
@@ -13,13 +14,14 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .algebras import Algebra, Element, IdempotentCandidate, Provenance, corner_data
 from .errors import BadParameter, InternalInconsistency, NotBasic, NotFull, ParentMismatch
 from .invariants import commutator_subspace, k_n_space, k_of
 from .linalg import Matrix, echelon_for, kernel, solve_in_span, span
 from .structure import (
+    certified_grading,
     loewy_length,
     peirce_grid,
     peirce_radical_diagonal,
@@ -265,11 +267,20 @@ def inflate(a: Algebra, multiplicities: Sequence[int], seed: int = 0) -> Algebra
     multiplied like matrix units with entry composition in A.  Each product
     of Peirce basis vectors is taken once and copied into every block.
 
-    B's ``Provenance`` hands over two things the construction knows, each
+    B's ``Provenance`` hands over what the construction knows, each fact
     certified where it is read:
 
-    - ``radical_rows``: Rad B = Hom(P, P·Rad A) (Anderson and Fuller,
-      *Rings and Categories of Modules*; Lam, *A First Course in
+    - ``degrees``, when A's radical was certified from a grading
+      (``certified_grading``), A's basic representatives lie in degree 0 and
+      every Peirce basis vector is homogeneous: block (i, r, j, s, w) gets
+      deg w.  This grades B = End_A(P) (Năstăsescu and Van Oystaeyen,
+      *Methods of Graded Rings*, LNM 1836), and since A_m = A_1·A_(m-1) and
+      1 = sum_j e_j, e_i A_m e_t = sum_j (e_i A_1 e_j)(e_j A_(m-1) e_t), so
+      B_m = B_1·B_(m-1).  Its degree 0 holds the matrix units, which the
+      handed-over idempotents prove complete; ``structure.radical``
+      certifies both;
+    - otherwise ``radical_rows``: Rad B = Hom(P, P·Rad A) (Anderson and
+      Fuller, *Rings and Categories of Modules*; Lam, *A First Course in
       Noncommutative Rings*, §21), the blocks (i, r, j, s) with i != j whole
       (A is basic, so e_i A e_j lies in Rad A) and e_i·Rad(A)·e_i in the
       blocks (i, r, i, s); ``structure.radical`` certifies it;
@@ -310,14 +321,12 @@ def inflate(a: Algebra, multiplicities: Sequence[int], seed: int = 0) -> Algebra
                 for widx, c in nz:
                     row[base + widx] = c
 
-    diag = peirce_radical_diagonal(a, 1, seed)
-    ecoords, jcoords = [], []  # e_i, and a basis of e_i·Rad(A)·e_i, in e_i A e_i
+    ecoords = []  # e_i in e_i A e_i
     for i, e in enumerate(es):
         c = peirce[i][i].coords_of(e.coords)
         if c is None:
             raise InternalInconsistency("idempotent lies outside its own Peirce component")
         ecoords.append(c)
-        jcoords.append([peirce[i][i].coords_of(x) for x in diag[i].basis_vectors()])
 
     def block_vector(block, coords) -> Tuple:
         out = [z] * dim
@@ -331,20 +340,46 @@ def inflate(a: Algebra, multiplicities: Sequence[int], seed: int = 0) -> Algebra
     def add(x, y) -> Tuple:
         return tuple(F.add(p, q) for p, q in zip(x, y))
 
-    rad_rows = []
-    for i, r in copies:
-        for j, s in copies:
-            n = peirce[i][j].dim  # A is basic: e_i A e_j lies in Rad A for i != j
-            coords = jcoords[i] if i == j else [
-                [F.one() if x == w else z for x in range(n)] for w in range(n)]
-            rad_rows += [block_vector((i, r, j, s), c) for c in coords]
     units = [matrix_unit(i, r, r) for i, r in copies]
     idempotents = IdempotentCandidate(
         tuple(units),
         tuple(tuple(k for k, (i, _) in enumerate(copies) if i == c) for c in range(l)),
         {k: (matrix_unit(i, 0, r), matrix_unit(i, r, 0)) for k, (i, r) in enumerate(copies) if r})
-    prov = Provenance(radical_rows=tuple(rad_rows), idempotents=idempotents)
+    degrees = _peirce_degrees(a, es, vecs)
+    if degrees is not None:
+        prov = Provenance(degrees=tuple(g for i, _ in copies for j, _ in copies
+                                        for g in degrees[i][j]), idempotents=idempotents)
+    else:
+        diag = peirce_radical_diagonal(a, 1, seed)
+        rad_rows = []
+        for i, r in copies:
+            for j, s in copies:
+                n = peirce[i][j].dim  # A is basic: e_i A e_j lies in Rad A for i != j
+                coords = ([peirce[i][i].coords_of(x) for x in diag[i].basis_vectors()]
+                          if i == j else [[F.one() if x == w else z for x in range(n)]
+                                          for w in range(n)])
+                rad_rows += [block_vector((i, r, j, s), c) for c in coords]
+        prov = Provenance(radical_rows=tuple(rad_rows), idempotents=idempotents)
     return Algebra(F, mul, functools.reduce(add, units), prov, _canonical=True)
+
+
+def _peirce_degrees(a: Algebra, es: Sequence[Element], vecs: List[List[List[Tuple]]]
+                    ) -> Optional[List[List[List[int]]]]:
+    """The degree of each Peirce basis vector vecs[i][j][w] in the grading
+    ``radical`` certified on A, when there is one, each e_i lies in degree 0
+    and every vecs[i][j][w] is homogeneous; otherwise None."""
+    grading = certified_grading(a)
+    if grading is None:
+        return None
+
+    def degree(vec) -> Optional[int]:
+        found = {grading[k] for k, c in enumerate(vec) if c}
+        return found.pop() if len(found) == 1 else None
+
+    if any(degree(e.coords) != 0 for e in es):
+        return None
+    out = [[[degree(x) for x in block] for block in row] for row in vecs]
+    return None if any(None in block for row in out for block in row) else out
 
 
 def inflation_dim(a: Algebra, multiplicities: Sequence[int], seed: int = 0) -> int:

@@ -2,15 +2,19 @@
 
 The Jacobson radical comes from one of five routes:
 
-- the path-length grading of a quiver build (``Provenance.degrees``): once
-  the grading, its degree-0 idempotents and the generation of each degree
-  by degree 1 are certified, Rad A = A_{>=1} and J^n = A_{>=n} (Assem,
-  Simson and Skowroński, *Elements of the Representation Theory of
-  Associative Algebras* I, §II.1-2), with no product of subspaces;
+- a grading handed over as ``Provenance.degrees``: a quiver build's path
+  lengths, or the degrees ``morita.inflate`` carries over from a basic
+  algebra whose grading was certified.  Once the grading, its degree 0 and
+  the generation of each degree by degree 1 are certified, Rad A = A_{>=1}
+  and J^n = A_{>=n} (Assem, Simson and Skowroński, *Elements of the
+  Representation Theory of Associative Algebras* I, §II.1-2), with no
+  product of subspaces.  Degree 0 is a set of orthogonal idempotents, or,
+  on an inflation, matrix units proved complete by the handed-over
+  idempotents passing ``_certify_candidate`` against A_{>=1};
 - rows a construction hands over as ``Provenance.radical_rows``: a corner
   eAe inherits e·Rad(A)·e from a parent whose radical is known
-  (Rad(eAe) = e·Rad(A)·e), and a progenerator inflation End_B(P) gets
-  Hom(P, P·Rad B) (``morita.inflate``);
+  (Rad(eAe) = e·Rad(A)·e), and a progenerator inflation End_B(P) of a B
+  with no certified grading gets Hom(P, P·Rad B) (``morita.inflate``);
 - for an algebra whose record hands over nothing (parsed text, group
   algebras, ``lower_triangular``, ``truncated_polynomial``), a grading
   guessed from the structure constants (``_guessed_grading``) under the same
@@ -31,7 +35,8 @@ Every route returns the chain J ⊃ J^2 ⊃ ... ⊃ 0 it certified: the graded
 route reads it off the grading, which its own certificate checks; the others
 check a two-sided ideal and multiply its powers down to zero.  ``radical``
 caches J and the chain once every check has passed, and ``radical_power``
-and ``loewy_length`` read the chain.
+and ``loewy_length`` read the chain.  The graded route also caches its
+degrees (``certified_grading``), which an inflation carries over.
 
 Primitive idempotents have three sources, one certificate and one reader.
 A complete set comes from
@@ -414,11 +419,19 @@ def _idempotent_fault(a: Algebra, positions: Sequence[int], scaled: bool) -> Opt
     return None
 
 
-def _graded_radical(a: Algebra, degrees: Sequence[int], guessed: bool = False
-                    ) -> Tuple[List[Subspace], Optional[_Certified]]:
+class _Graded(NamedTuple):
+    """What ``_graded_radical`` certified: the chain J^n = A_{>=n}, the basis
+    guess of idempotents when it was what certified degree 0 (else None),
+    and the degrees themselves."""
+
+    chain: List[Subspace]
+    certified: Optional[_Certified]
+    degrees: Tuple[int, ...]
+
+
+def _graded_radical(a: Algebra, degrees: Sequence[int], guessed: bool = False) -> _Graded:
     """The chain J^n = A_{>=n}, n = 1 up to the first zero, for a grading of
-    the basis, certified; Rad A = J = A_{>=1}.  Also returns the basis guess
-    of idempotents when it was what certified degree 0, else None.
+    the basis, certified; Rad A = J = A_{>=1}.
 
     The checks, each raising InternalInconsistency:
 
@@ -428,9 +441,12 @@ def _graded_radical(a: Algebra, degrees: Sequence[int], guessed: bool = False
     - J = A_{>=1} is all of Rad A.  Either the degree-0 basis elements are
       pairwise orthogonal idempotents u_i·b_i (u_i = 1 for a handed-over
       grading), so A/A_{>=1} ~ A_0 is a product of copies of the field,
-      semisimple; or, for a ``guessed`` grading only, the basis guess
-      (``_adopt_basis_candidate``) passes ``_certify_candidate`` against
-      A_{>=1}, which gives dim A - dim A_{>=1} = sum n_i^2;
+      semisimple; or a set of idempotents proves it: for a ``guessed``
+      grading the basis guess (``_adopt_basis_candidate``), and next to
+      handed-over degrees the handed-over ``Provenance.idempotents`` (an
+      inflation's degree 0 holds matrix units), which ``radical`` certifies
+      before it caches anything.  Either set passes ``_certify_candidate``
+      against A_{>=1}, which gives dim A - dim A_{>=1} = sum n_i^2;
     - for each m >= 2 the products (degree 1)·(degree m-1) of basis elements
       span A_m (by rank), so A_m = A_1^(m-n)·A_n lies in J^n for m >= n, and
       J^n = A_{>=n}.
@@ -453,7 +469,7 @@ def _graded_radical(a: Algebra, degrees: Sequence[int], guessed: bool = False
         by_degree.setdefault(g, []).append(i)
     certified = None
     fault = _idempotent_fault(a, by_degree.get(0, []), scaled=guessed)
-    if fault is not None:
+    if fault is not None and a.provenance.idempotents is None:
         rad = coordinate_subspace(F, d, [i for i, g in enumerate(degrees) if g])
         certified = _adopt_basis_candidate(a, rad) if guessed else None
         if certified is None:
@@ -471,10 +487,10 @@ def _graded_radical(a: Algebra, degrees: Sequence[int], guessed: bool = False
             raise InternalInconsistency(f"degree {m} is not generated by the arrows")
     chain = [coordinate_subspace(F, d, [i for i, g in enumerate(degrees) if g >= n])
              for n in range(1, top + 2)]
-    return chain, certified
+    return _Graded(chain, certified, tuple(degrees))
 
 
-def _guessed_radical(a: Algebra) -> Optional[Tuple[List[Subspace], Optional[_Certified]]]:
+def _guessed_radical(a: Algebra) -> Optional[_Graded]:
     """``_graded_radical`` of the guessed grading, or None when the guess is
     dropped or fails; it raises nothing and caches nothing."""
     degrees = _guessed_grading(a)
@@ -498,8 +514,9 @@ def radical(a: Algebra) -> Subspace:
     (``_certify_candidate``), which also proves the radical complete; without
     them the basis may supply some (``_adopt_basis_candidate``), unless the
     guessed grading already certified them.  Only when every check has
-    passed are the radical, its chain (``"rad_powers"``) and the certified
-    set cached, so a failure caches none of them.
+    passed are the radical, its chain (``"rad_powers"``), the certified set
+    and, on the graded route, the grading (``"grading"``, read by
+    ``certified_grading``) cached, so a failure caches none of them.
     """
     cached = a._cache.get("radical")
     if cached is not None:
@@ -511,7 +528,7 @@ def radical(a: Algebra) -> Subspace:
     elif prov.radical_rows is None and prov.idempotents is None:
         graded = _guessed_radical(a)
     if graded is not None:
-        chain, certified = graded
+        chain, certified = graded.chain, graded.certified
     elif prov.radical_rows is not None:
         chain = _check_radical(a, span(a.field, a.dim, prov.radical_rows))
     elif a.field.characteristic == 0:
@@ -525,9 +542,19 @@ def radical(a: Algebra) -> Subspace:
         certified = _adopt_basis_candidate(a, rad)
     if certified is not None:
         a._cache["certified_candidate"] = certified
+    if graded is not None:
+        a._cache["grading"] = graded.degrees
     a._cache["rad_powers"] = chain
     a._cache["radical"] = rad
     return rad
+
+
+def certified_grading(a: Algebra) -> Optional[Tuple[int, ...]]:
+    """The degrees of the basis from which ``radical`` certified
+    Rad A = A_{>=1}, handed over or guessed; None when another route
+    certified the radical."""
+    radical(a)
+    return a._cache.get("grading")
 
 
 def radical_power(a: Algebra, n: int) -> Subspace:

@@ -247,8 +247,13 @@ def test_handed_over_inflations_match_generic_copies(corpus, monkeypatch):
     import fdalg.structure
 
     fields = set()
-    checked = 0
+    checked = graded = rows = 0
     for name, big, mult in _small_inflations(corpus):
+        # a graded source hands over its grading, any other its radical rows
+        prov = big.provenance
+        assert (prov.degrees is None) != (prov.radical_rows is None), name
+        graded += prov.degrees is not None
+        rows += prov.radical_rows is not None
         generic = Algebra(big.field, big.mul, big.unit)
         with monkeypatch.context() as m:
             m.setattr(fdalg.structure, "_adopt_basis_candidate", lambda alg, rad: None)
@@ -282,22 +287,47 @@ def test_handed_over_inflations_match_generic_copies(corpus, monkeypatch):
         checked += 1
     assert {"Fp:2", "Fp:3", "Fp:5", "Q"} <= fields
     assert checked >= 100, checked
+    assert graded >= 180 and rows >= 140, (graded, rows)
+
+
+def test_inflation_hands_over_degrees_only_for_a_homogeneous_peirce_basis():
+    # deg 1 = 0, deg x = 1, deg x^2 = 2 is the grading radical() certifies on
+    # F_5[x]/(x^3); a Peirce basis vector or a representative that mixes
+    # degrees is not handed over, and an ungraded source gives no degrees
+    from fdalg.morita import _peirce_degrees
+
+    t3 = truncated_polynomial(F5, 3)
+    one, x, x2 = (b.coords for b in t3.basis())
+    assert inflate(t3, [2]).provenance.degrees is not None
+    assert _peirce_degrees(t3, [t3.unit_element()], [[[one, x, x2]]]) == [[[0, 1, 2]]]
+    assert _peirce_degrees(t3, [t3.unit_element()], [[[one, (0, 1, 1)]]]) is None
+    assert _peirce_degrees(t3, [t3.element((1, 1, 0))], [[[one, x, x2]]]) is None
+    c3 = cyclic_group_algebra(F3, 3)
+    assert _peirce_degrees(c3, [c3.unit_element()], [[[b.coords for b in c3.basis()]]]) is None
 
 
 def _corrupt(kind, big=None):
-    """An inflation (by default a Kronecker one over F_3) with one
-    handed-over object corrupted, as a fresh algebra on the same tensor with
-    the altered record; or, for "fullness pair", with the certified
-    idempotent set it memoizes corrupted.  The first class must hold two
-    copies."""
+    """An inflation with one handed-over object corrupted, as a fresh algebra
+    on the same tensor with the altered record; or, for "fullness pair",
+    with the certified idempotent set it memoizes corrupted.  By default it
+    is a Kronecker one over F_3, which hands over its grading, and for
+    "radical row" one of F_3[C_3], whose source has no grading, so that it
+    hands over radical rows.  The first class must hold two copies."""
     if big is None:
-        big = inflate(kronecker(F3, 2), [2, 1])
+        big = (inflate(cyclic_group_algebra(F3, 3), [2]) if kind == "radical row"
+               else inflate(kronecker(F3, 2), [2, 1]))
     F = big.field
     prov = big.provenance
     cand = prov.idempotents
     if kind == "radical row":
         prov = dataclasses.replace(prov, radical_rows=(cand.idempotents[0],)
                                    + prov.radical_rows[1:])
+    elif kind == "degree":
+        # basis vector 0 is e_0 in block (0, 0, 0, 0), of degree 0; in degree 1,
+        # e_0·e_0 = e_0 is not homogeneous
+        degrees = list(prov.degrees)
+        degrees[0] = 1
+        prov = dataclasses.replace(prov, degrees=tuple(degrees))
     elif kind == "idempotent":
         units = list(cand.idempotents)
         units[1] = tuple(F.mul(2, x) for x in units[1])
@@ -331,6 +361,7 @@ def _corrupt(kind, big=None):
 
 CORRUPTIONS = [
     ("radical row", "radical candidate is not a two-sided ideal"),
+    ("degree", "not homogeneous"),
     ("idempotent", "idempotent 1 is not idempotent"),
     ("zero idempotent", "handed-over idempotent 0 is zero"),
     ("class grouping", "representatives 0 and 1 are isomorphic"),
@@ -345,10 +376,11 @@ def test_corrupted_hand_over_is_caught(kind, message):
         verify_morita_invariance(_corrupt(kind))
 
 
-@pytest.mark.parametrize("kind,message", CORRUPTIONS)
+@pytest.mark.parametrize("kind,message", [c for c in CORRUPTIONS if c[0] != "degree"])
 def test_corrupted_rescaled_hand_over_is_caught(kind, message):
     # the diagonal matrix units of this inflation of F_7[C_3] are 5·b_m, so
-    # its certificate reads the Peirce table off the basis
+    # its certificate reads the Peirce table off the basis; F_7[C_3] has no
+    # grading, so the inflation hands over radical rows and no degrees
     big = inflate(cyclic_group_algebra(GF(7), 3), [2, 1, 1])
     assert all(sorted(set(e)) == [0, 5] for e in big.provenance.idempotents.idempotents)
     with pytest.raises(InternalInconsistency, match=message):
@@ -358,11 +390,13 @@ def test_corrupted_rescaled_hand_over_is_caught(kind, message):
 @pytest.mark.parametrize("kind,message", [c for c in CORRUPTIONS if c[0] != "fullness pair"])
 def test_failed_radical_caches_no_chain(kind, message):
     # every corruption but the fullness pair fails inside radical(), after
-    # the hand-over's radical rows have passed or failed their own checks
+    # the hand-over's grading or radical rows have passed or failed their
+    # own checks
     big = _corrupt(kind)
     with pytest.raises(InternalInconsistency, match=message):
         radical(big)
     assert "radical" not in big._cache and "rad_powers" not in big._cache
+    assert "grading" not in big._cache
 
 
 def test_corrupted_hand_over_is_caught_under_python_O():
@@ -382,23 +416,31 @@ def test_corrupted_hand_over_is_caught_under_python_O():
             "for kind in ('class grouping', 'fullness pair'):\n"
             "  for big in (None, inflate(cyclic_group_algebra(GF(7), 3), [2, 1, 1])):\n"
             "    try:\n        verify_morita_invariance(_corrupt(kind, big))\n"
-            "    except InternalInconsistency as exc:\n        print(kind, exc)\n")
+            "    except InternalInconsistency as exc:\n        print(kind, exc)\n"
+            "for kind in ('radical row', 'degree'):\n"
+            "  try:\n    verify_morita_invariance(_corrupt(kind))\n"
+            "  except InternalInconsistency as exc:\n    print(kind, exc)\n")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fdalg.__file__).parent.parent))
     out = subprocess.run([sys.executable, "-O", "-c", code, str(pathlib.Path(__file__).parent)],
                          capture_output=True, text=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
         "class grouping handed-over representatives 0 and 1 are isomorphic"] * 2 + [
-        "fullness pair fullness witness does not sum to the unit"] * 2
+        "fullness pair fullness witness does not sum to the unit"] * 2 + [
+        "radical row radical candidate is not a two-sided ideal",
+        "degree structure constant c_(0,0,0) is not homogeneous in the grading"]
 
 
 def test_dropped_radical_row_is_caught():
     # a nilpotent ideal smaller than the radical passes the ideal and nilpotency
     # checks; dim A - dim J = sum n_i^2 over the certified classes does not
-    handed = inflate(truncated_polynomial(F5, 3), [2])
-    rows = handed.provenance.radical_rows  # M_2(J) for J = (x, x^2): x, x^2 per block
+    # F_3[C_3] has no grading, so its inflation hands over radical rows: M_2(J)
+    # for J = Rad F_3[C_3] = (g - 1), two rows per block; one per block is kept
+    handed = inflate(cyclic_group_algebra(F3, 3), [2])
+    assert handed.provenance.radical_rows is not None
+    rows = tuple(radical_power(handed, 2).basis_vectors())  # M_2(J^2)
     big = Algebra(handed.field, handed.mul, handed.unit,
-                  dataclasses.replace(handed.provenance, radical_rows=rows[1::2]))  # M_2(J^2)
+                  dataclasses.replace(handed.provenance, radical_rows=rows))
     with pytest.raises(InternalInconsistency, match="misses part of Rad"):
         radical(big)
     assert "radical" not in big._cache

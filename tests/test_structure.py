@@ -106,7 +106,11 @@ def _chain_route_input(route):
         a = random_quiver_algebra(F3, 3, max_dim=12)
         return a, a.provenance.degrees is not None
     if route == "inflation":
-        return big, big.provenance.radical_rows is not None and big.provenance.idempotents
+        # F_3[C_3] has no grading, so its inflation hands over radical rows
+        a = inflate(cyclic_group_algebra(F3, 3), [2])
+        return a, a.provenance.radical_rows is not None and a.provenance.idempotents
+    if route == "graded inflation":
+        return big, big.provenance.degrees is not None and big.provenance.radical_rows is None
     if route == "corner":
         a = basic_algebra_data(big)[0]  # big's radical is cached first: eAe inherits e·J·e
         return a, a.provenance.radical_rows is not None and a.provenance.idempotents is None
@@ -116,8 +120,8 @@ def _chain_route_input(route):
     return a, a.provenance.radical_rows is None and a.provenance.degrees is None
 
 
-@pytest.mark.parametrize("route", ["quiver", "inflation", "corner", "Q text", "Fp text",
-                                   "semisimple Fp"])
+@pytest.mark.parametrize("route", ["quiver", "inflation", "graded inflation", "corner", "Q text",
+                                   "Fp text", "semisimple Fp"])
 def test_radical_power_reads_the_certified_chain(route):
     a, on_route = _chain_route_input(route)
     assert on_route
