@@ -75,6 +75,12 @@ class ValidationReport:
         return self.ok
 
 
+def _any_nonzero(values, p: int) -> bool:
+    """Whether an unreduced value is nonzero: mod p over F_p, exactly over Q
+    (``p`` is 0)."""
+    return any(v % p if p else v for v in values)
+
+
 class Element:
     """A coordinate vector over a named parent algebra.
 
@@ -152,6 +158,13 @@ class Algebra:
     own builders (matrix_algebra, direct_sum, corner_data, the group,
     quotient, inflation, quiver and corpus constructions, parse_algebra_text)
     make canonical scalars and pass ``_canonical=True``: shape checks only.
+
+    ``_nz``, built on first use and memoized, indexes the nonzero structure
+    constants: ``_nz[i][j]`` is the tuple of pairs (k, c_ijk) with c_ijk != 0.
+    The whole-tensor sweeps read it, not the d^3 tensor: ``validate``,
+    ``center``, ``invariants.commutator_subspace``, and the grading guess and
+    checks and the orthogonality test of ``structure``.  ``multiply_coords``
+    reads the dense rows.
     """
 
     def __init__(self, field: Field, mul, unit, provenance: Provenance = GENERIC, *,
@@ -189,6 +202,17 @@ class Algebra:
             t = _numutil.tensor_from_mul(self.mul, self.field.p)
             self._cache["np_tensor"] = t
         return t
+
+    @property
+    def _nz(self) -> Tuple[Tuple[Tuple[Tuple[int, object], ...], ...], ...]:
+        """The nonzero structure constants: ``_nz[i][j]`` holds the pairs
+        (k, c_ijk) with c_ijk != 0 in order of k, and is () for a zero row."""
+        nz = self._cache.get("nz")
+        if nz is None:
+            nz = tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c) if any(row) else ()
+                             for row in plane) for plane in self.mul)
+            self._cache["nz"] = nz
+        return nz
 
     # -- elements ------------------------------------------------------------
 
@@ -257,9 +281,12 @@ class Algebra:
 
         Every basis triple is checked up to dim 64 by default; beyond that a
         seeded sample of 4096 triples is used unless ``full=True`` forces the
-        whole check.  Each triple costs its nonzero terms: sum over m of
-        |nz(b_i b_j)| |nz(b_m b_k)| + |nz(b_j b_k)| |nz(b_i b_m)|, at most
-        2·d^2 multiplications, far fewer on sparse tensors.
+        whole check.  Both read the index ``_nz`` and visit only the terms
+        that compose: the full check costs d^2 steps over (i, j) plus its
+        terms, sum over (i, j, m, k) of |nz(b_m b_k)| with c_ijm != 0 and
+        sum over (j, k, m, i) of |nz(b_i b_m)| with c_jkm != 0, so a sparse
+        tensor costs far less than its d^3 triples; the unit check costs the
+        nonzero constants of the unit's support.
         The report for the default arguments is cached on the algebra.
         """
         if full is None and sample_seed == 0:
@@ -273,28 +300,81 @@ class Algebra:
         return self._validate(full, sample_seed)
 
     def _validate(self, full: bool, sample_seed: int) -> ValidationReport:
-        d = self.dim
-        unit_failures = []
-        u = self.unit
-        for i in range(d):
-            b = [self.field.zero()] * d
-            b[i] = self.field.one()
-            if self.multiply_coords(u, b) != tuple(b) or self.multiply_coords(b, u) != tuple(b):
-                unit_failures.append(i)
-        assoc_failures = self._sparse_assoc_failures(self._validate_triples(full, sample_seed))
+        p = self.field.p if self.field.is_prime_field else 0
+        if full:
+            assoc_failures = self._full_assoc_failures(p)
+        else:
+            assoc_failures = self._sparse_assoc_failures(self._validate_triples(sample_seed), p)
+        unit_failures = self._unit_failures(p)
         ok = not assoc_failures and not unit_failures
         return ValidationReport(ok, assoc_failures, unit_failures, full)
 
-    def _sparse_assoc_failures(self, triples) -> List[Tuple[int, int, int]]:
-        """The first 50 triples, in order, where (b_i b_j) b_k != b_i (b_j b_k).
+    def _unit_failures(self, p: int) -> List[int]:
+        """The i with u·b_i != b_i or b_i·u != b_i, read off the index:
+        u·b_i = sum_m u_m (b_m b_i) and b_i·u = sum_m u_m (b_i b_m), each
+        accumulated unreduced against -b_i."""
+        nz = self._nz
+        d = self.dim
+        left = [{i: -1} for i in range(d)]
+        right = [{i: -1} for i in range(d)]
+        for m, u in enumerate(self.unit):
+            if not u:
+                continue
+            for i in range(d):
+                for side, row in ((left, nz[m][i]), (right, nz[i][m])):
+                    if row:
+                        acc = side[i]
+                        for k, c in row:
+                            acc[k] = acc.get(k, 0) + u * c
+        return [i for i in range(d)
+                if _any_nonzero(left[i].values(), p) or _any_nonzero(right[i].values(), p)]
 
-        With nz[i][j] the nonzero pairs (m, c_ijm), (b_i b_j) b_k is
-        sum_m c_ijm (b_m b_k) and b_i (b_j b_k) is sum_m c_jkm (b_i b_m); their
-        difference is accumulated unreduced and tested once, mod p over F_p.
+    def _full_assoc_failures(self, p: int) -> List[Tuple[int, int, int]]:
+        """The first 50 triples (i, j, k), in lexicographic order, where
+        (b_i b_j) b_k != b_i (b_j b_k), over all d^3 triples.
+
+        For each (i, j) in order, (b_i b_j) b_k = sum_m c_ijm (b_m b_k) is
+        accumulated over the k with b_m b_k != 0, and b_i (b_j b_k) =
+        sum_m c_jkm (b_i b_m) over the k with b_j b_k != 0 and the m with
+        b_i b_m != 0; the difference for each k that got a term is unreduced,
+        and tested once, mod p over F_p (``p`` is 0 over Q).
         """
-        p = self.field.p if self.field.is_prime_field else 0
-        nz = [[tuple((m, c) for m, c in enumerate(row) if c) for row in plane]
-              for plane in self.mul]
+        nz = self._nz
+        # rows[m]: the pairs (k, nz[m][k]) with b_m b_k != 0
+        rows = [[(k, row) for k, row in enumerate(plane) if row] for plane in nz]
+        failures: List[Tuple[int, int, int]] = []
+        for i, plane_i in enumerate(nz):
+            for j, ij in enumerate(plane_i):
+                diff: Dict[int, dict] = {}
+                for m, c in ij:
+                    for k, row in rows[m]:
+                        dk = diff.get(k)
+                        if dk is None:
+                            dk = diff[k] = {}
+                        for l, x in row:
+                            dk[l] = dk.get(l, 0) + c * x
+                for k, jk in rows[j]:
+                    dk = diff.get(k)
+                    for m, c in jk:
+                        row = plane_i[m]
+                        if row:
+                            if dk is None:
+                                dk = diff[k] = {}
+                            for l, x in row:
+                                dk[l] = dk.get(l, 0) - c * x
+                for k in sorted(diff):
+                    if _any_nonzero(diff[k].values(), p):
+                        failures.append((i, j, k))
+                        if len(failures) >= 50:
+                            return failures
+        return failures
+
+    def _sparse_assoc_failures(self, triples, p: int) -> List[Tuple[int, int, int]]:
+        """The first 50 of ``triples``, in order, where (b_i b_j) b_k !=
+        b_i (b_j b_k): sum_m c_ijm (b_m b_k) and sum_m c_jkm (b_i b_m) read
+        off the index, their difference accumulated unreduced and tested
+        once, mod p over F_p (``p`` is 0 over Q)."""
+        nz = self._nz
         failures: List[Tuple[int, int, int]] = []
         for (i, j, k) in triples:
             if not (nz[i][j] or nz[j][k]):
@@ -307,7 +387,7 @@ class Algebra:
             for m, c in nz[j][k]:
                 for l, x in row_i[m]:
                     diff[l] = diff.get(l, 0) - c * x
-            if any(v % p if p else v for v in diff.values()):
+            if _any_nonzero(diff.values(), p):
                 failures.append((i, j, k))
                 if len(failures) >= 50:
                     break
@@ -318,30 +398,41 @@ class Algebra:
         v[i] = self.field.one()
         return tuple(v)
 
-    def _validate_triples(self, full: bool, seed: int):
-        d = self.dim
-        if full:
-            return [(i, j, k) for i in range(d) for j in range(d) for k in range(d)]
+    def _validate_triples(self, seed: int) -> List[Tuple[int, int, int]]:
+        """The 4096 seeded random triples of the sampled check."""
         import random
 
+        d = self.dim
         rng = random.Random(seed)
         return [(rng.randrange(d), rng.randrange(d), rng.randrange(d)) for _ in range(4096)]
 
     # -- derived subspaces -----------------------------------------------
 
     def center(self) -> Subspace:
-        """x with x·b_j = b_j·x for all j: kernel of the (d^2 x d) difference system."""
+        """x with x·b_j = b_j·x for all j: the kernel of the difference system,
+        whose row (j, k) is (c_ijk - c_jik)_i.  Only its nonzero rows are
+        built, in order of (j, k), from the pairs b_i b_j != b_j b_i of the
+        index ``_nz``."""
         cached = self._cache.get("center")
         if cached is not None:
             return cached
         d = self.dim
         F = self.field
+        mul, nz = self.mul, self._nz
         rows = []
         for j in range(d):
-            for k in range(d):
-                row = tuple(F.sub(self.mul[i][j][k], self.mul[j][i][k]) for i in range(d))
+            # k -> the i with b_i b_j != b_j b_i and k in the support of either
+            support: Dict[int, List[int]] = {}
+            for i in range(d):
+                if nz[i][j] != nz[j][i]:
+                    for k, _ in nz[i][j] + nz[j][i]:
+                        support.setdefault(k, []).append(i)
+            for k in sorted(support):
+                row = [F.zero()] * d
+                for i in support[k]:
+                    row[i] = F.sub(mul[i][j][k], mul[j][i][k])
                 if any(row):
-                    rows.append(row)
+                    rows.append(tuple(row))
         if not rows:
             result = linalg.full_subspace(F, d)
         else:

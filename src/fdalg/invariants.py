@@ -30,17 +30,22 @@ SYMMETRIC_RANDOM_TRIALS = 64
 
 
 def commutator_subspace(a: Algebra) -> Subspace:
-    """K(A) = span{xy - yx}, from the d(d-1)/2 basis-pair commutators."""
+    """K(A) = span{xy - yx}, from the basis-pair commutators b_i b_j - b_j b_i,
+    i < j, in order; only the nonzero ones are built, from the pairs whose
+    rows differ in the index ``Algebra._nz``."""
     cached = a._cache.get("commutator")
     if cached is not None:
         return cached
     F = a.field
     d = a.dim
+    mul, nz = a.mul, a._nz
     acc = echelon_for(F, d)
     for i in range(d):
         for j in range(i + 1, d):
-            row = [F.sub(x, y) for x, y in zip(a.mul[i][j], a.mul[j][i])]
-            if any(row):
+            if nz[i][j] != nz[j][i]:
+                row = [F.zero()] * d
+                for k, _ in nz[i][j] + nz[j][i]:
+                    row[k] = F.sub(mul[i][j][k], mul[j][i][k])
                 acc.insert(row)
     result = _subspace_from_acc(F, d, acc)
     a._cache["commutator"] = result

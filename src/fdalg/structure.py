@@ -365,12 +365,10 @@ def _guessed_grading(a: Algebra) -> Optional[List[int]]:
     """
     d = a.dim
     into: List[List[Tuple[int, int]]] = [[] for _ in range(d)]  # (i, j) with c_ijk != 0
-    for i, plane in enumerate(a.mul):
+    for i, plane in enumerate(a._nz):
         for j, row in enumerate(plane):
-            if any(row):
-                for k, c in enumerate(row):
-                    if c:
-                        into[k].append((i, j))
+            for k, _ in row:
+                into[k].append((i, j))
     zero = [bool(c) for c in a.unit]
     work = [k for k in range(d) if zero[k]]
     while work:
@@ -412,9 +410,9 @@ def _idempotent_fault(a: Algebra, positions: Sequence[int], scaled: bool) -> Opt
         u = a.unit[i] if scaled else one
         if not u or a.mul[i][i] != (a._unit_vec(i) if u == one else _point(a, i, F.inv(u))):
             return f"degree-0 basis element {i} is not idempotent"
-    zero = (F.zero(),) * a.dim
+    nz = a._nz
     for i, j in itertools.permutations(positions, 2):
-        if a.mul[i][j] != zero:
+        if nz[i][j]:
             return f"degree-0 basis elements {i} and {j} are not orthogonal"
     return None
 
@@ -455,13 +453,11 @@ def _graded_radical(a: Algebra, degrees: Sequence[int], guessed: bool = False) -
     if len(degrees) != d or min(degrees) < 0:
         raise InternalInconsistency("the grading does not give each basis element a degree >= 0")
     top = max(degrees)
-    for i, plane in enumerate(a.mul if top else ()):  # all of degree 0 is homogeneous
+    for i, plane in enumerate(a._nz if top else ()):  # all of degree 0 is homogeneous
         for j, row in enumerate(plane):
-            if not any(row):
-                continue
             want = degrees[i] + degrees[j]
-            for k, c in enumerate(row):
-                if c and degrees[k] != want:
+            for k, _ in row:
+                if degrees[k] != want:
                     raise InternalInconsistency(
                         f"structure constant c_({i},{j},{k}) is not homogeneous in the grading")
     by_degree: Dict[int, List[int]] = {}
@@ -973,10 +969,12 @@ def _certify_candidate(a: Algebra, cand: IdempotentCandidate, rad: Subspace,
     the M_{n_i}(F), semisimple, so J is all of Rad(A), each e_r is a split
     primitive and representatives of different classes are not isomorphic.
 
-    When each idempotent is a nonzero multiple of a basis vector and every
-    basis vector lies in one block e_r·A·e_s, the table is read off the basis
-    (``_coordinate_blocks``, or ``blocks``) instead of spanned; ``table``, the
-    search's table of all the idempotents, is sliced when given.
+    When each idempotent is a nonzero multiple s·b_i of a basis vector,
+    orthogonality is read off the index ``Algebra._nz`` (e_x·e_y = 0 exactly
+    when the row c_{i_x i_y} is zero) instead of multiplied; when, moreover,
+    every basis vector lies in one block e_r·A·e_s, the table is read off the
+    basis (``_coordinate_blocks``, or ``blocks``) instead of spanned;
+    ``table``, the search's table of all the idempotents, is sliced when given.
     """
     F = a.field
     es = cand.idempotents
@@ -985,12 +983,18 @@ def _certify_candidate(a: Algebra, cand: IdempotentCandidate, rad: Subspace,
     if sorted(k for c in classes for k in c) != list(range(len(es))) or not all(classes):
         raise InternalInconsistency(f"{source} iso classes do not partition the idempotents")
     total = [F.zero()] * a.dim
+    positions = _basis_positions(es)
     for x, e in enumerate(es):
         if not any(e):
             raise InternalInconsistency(f"{source} idempotent {x} is zero")
         if mul(e, e) != e:
             raise InternalInconsistency(f"{source} idempotent {x} is not idempotent")
-        if any(any(mul(e, f)) for y, f in enumerate(es) if y != x):
+        if positions is None:
+            touching = any(any(mul(e, f)) for y, f in enumerate(es) if y != x)
+        else:  # e_x·e_y = s_x s_y·b_i b_j is 0 exactly when the row c_ij is
+            row = a._nz[positions[x]]
+            touching = any(row[positions[y]] for y in range(len(es)) if y != x)
+        if touching:
             raise InternalInconsistency(f"{source} idempotent {x} is not orthogonal to the rest")
         total = [F.add(t, c) for t, c in zip(total, e)]
     if tuple(total) != a.unit:
@@ -1045,14 +1049,10 @@ def _coordinate_blocks(a: Algebra,
     """
     F = a.field
     one = F.one()
-    positions, scales = [], []
-    for e in es:
-        support = [i for i, c in enumerate(e) if c]
-        if len(support) != 1:
-            return None
-        positions.append(support[0])
-        scales.append(e[support[0]])
-    rescaled = [(r, F.inv(s)) for r, s in enumerate(scales) if s != one]
+    positions = _basis_positions(es)
+    if positions is None:
+        return None
+    rescaled = [(r, F.inv(e[i])) for r, (e, i) in enumerate(zip(es, positions)) if e[i] != one]
     blocks: Dict[Tuple[int, int], List[int]] = {}
     for m in range(a.dim):
         b = a._unit_vec(m)
@@ -1065,6 +1065,18 @@ def _coordinate_blocks(a: Algebra,
             return None
         blocks.setdefault((left, right), []).append(m)
     return blocks
+
+
+def _basis_positions(es: Sequence[Tuple]) -> Optional[List[int]]:
+    """The index i of each e when every e is a nonzero multiple s·b_i of a
+    basis vector; otherwise None."""
+    positions = []
+    for e in es:
+        support = [i for i, c in enumerate(e) if c]
+        if len(support) != 1:
+            return None
+        positions.append(support[0])
+    return positions
 
 
 def _point(a: Algebra, i: int, c) -> Tuple:

@@ -182,8 +182,11 @@ def _reference_validate(a, full, sample_seed):
         b = a._unit_vec(i)
         if a.multiply_coords(a.unit, b) != b or a.multiply_coords(b, a.unit) != b:
             unit_failures.append(i)
+    d = a.dim
+    triples = ([(i, j, k) for i in range(d) for j in range(d) for k in range(d)] if full
+               else a._validate_triples(sample_seed))
     assoc = []
-    for (i, j, k) in a._validate_triples(full, sample_seed):
+    for (i, j, k) in triples:
         bi, bj, bk = a._unit_vec(i), a._unit_vec(j), a._unit_vec(k)
         lhs = a.multiply_coords(a.multiply_coords(bi, bj), bk)
         rhs = a.multiply_coords(bi, a.multiply_coords(bj, bk))
@@ -250,6 +253,69 @@ def test_sparse_validate_matches_per_triple_loop(corpus, field):
             saw_failure |= bool(assoc)
             saw_ok |= ok
     assert saw_failure and saw_ok
+
+
+def _dense_center(a):
+    """The centre as it was once built: one row (c_ijk - c_jik)_i for every
+    (j, k), zero rows dropped."""
+    from fdalg import linalg
+
+    F, d = a.field, a.dim
+    rows = [row for j in range(d) for k in range(d)
+            for row in [tuple(F.sub(a.mul[i][j][k], a.mul[j][i][k]) for i in range(d))]
+            if any(row)]
+    return linalg.kernel(linalg.Matrix(F, len(rows), d, tuple(rows))) if rows \
+        else linalg.full_subspace(F, d)
+
+
+def _dense_commutator(a):
+    """K(A) as it was once built: every row b_i b_j - b_j b_i, i < j, in order."""
+    from fdalg.linalg import _subspace_from_acc, echelon_for
+
+    F, d = a.field, a.dim
+    acc = echelon_for(F, d)
+    for i in range(d):
+        for j in range(i + 1, d):
+            row = [F.sub(x, y) for x, y in zip(a.mul[i][j], a.mul[j][i])]
+            if any(row):
+                acc.insert(row)
+    return _subspace_from_acc(F, d, acc)
+
+
+@pytest.mark.parametrize("field", [QQ, F5, BIG_P], ids=["Q", "Fp:5", "Fp:2147483659"])
+def test_center_and_commutator_match_dense_rows(corpus, field):
+    from fdalg.invariants import commutator_subspace
+
+    rng = random.Random(field.p + 13)
+    algebras = _corrupted_copies(corpus, field, 24, rng) + [_many_failures(field)]
+    noncentral = 0
+    for a in algebras:
+        for got, want in ((a.center(), _dense_center(a)),
+                          (commutator_subspace(a), _dense_commutator(a))):
+            assert got.dim == want.dim, a
+            assert [[(type(x), x) for x in v] for v in got.basis_vectors()] == \
+                [[(type(x), x) for x in v] for v in want.basis_vectors()], a
+        noncentral += a.center().dim < a.dim
+    assert noncentral
+
+
+@pytest.mark.parametrize("field", [QQ, F5, BIG_P], ids=["Q", "Fp:5", "Fp:2147483659"])
+def test_nonzero_index_holds_exactly_the_nonzero_constants(corpus, field):
+    rng = random.Random(field.p + 17)
+    zero_rows = 0
+    for a in _corrupted_copies(corpus, field, 12, rng) + [_many_failures(field)]:
+        nz = a._nz
+        assert a._nz is nz and a._cache["nz"] is nz
+        for plane, nz_plane in zip(a.mul, nz):
+            for row, pairs in zip(plane, nz_plane):
+                assert pairs == tuple((k, c) for k, c in enumerate(row) if c)
+                assert all(type(c) is type(field.coerce(c)) and c == field.coerce(c)
+                           for _, c in pairs)
+                zero_rows += pairs == ()
+    assert zero_rows
+
+
+# -- the product routines against products read straight off the tensor --------
 
 
 # -- the product routines against products read straight off the tensor --------

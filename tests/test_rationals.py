@@ -66,7 +66,7 @@ def test_q_analyses_hold_canonical_rationals(corpus):
     # the walk reached every kind of result it is meant to check, and
     # non-integral values did occur
     for key in ("radical", "rad_powers", "center", "commutator", ("k_n", 1),
-                ("idempotents", 0), ("basic", 0), "radical_rows", "ss_quotient"):
+                ("idempotents", 0), ("basic", 0), "radical_rows", "ss_quotient", "nz"):
         assert key in keys, key
     assert fractions > 0
 

@@ -887,6 +887,39 @@ def test_rejected_basis_guess_falls_back_to_the_search(monkeypatch):
         assert "certified_candidate" not in b._cache
 
 
+def test_orthogonality_of_basis_multiples_is_read_off_the_index(monkeypatch):
+    # T_2 on the basis f_0 = e11, f_1 = e11 + e12, f_2 = e22, rescaled: all
+    # three are idempotent up to a scalar, f_0 and f_2 are orthogonal, and
+    # f_1·f_2 = e12 != 0
+    mul = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    mul[0][0], mul[0][1], mul[1][0] = [1, 0, 0], [0, 1, 0], [1, 0, 0]
+    mul[1][1], mul[1][2], mul[2][2] = [0, 1, 0], [-1, 1, 0], [0, 0, 1]
+    positions = structure._basis_positions
+    for F in (F5, QQ):
+        a = _rescaled(F, mul, [1, 0, 1], random.Random(5))
+        assert a.validate().ok
+        rad = radical(a)
+        e0, e2 = structure._point(a, 0, a.unit[0]), structure._point(a, 2, a.unit[2])
+        e1 = structure._point(a, 1, F.inv(a.mul[1][1][1]))
+        good = algebras.IdempotentCandidate((e0, e2), ((0,), (1,)), {})
+        bad = algebras.IdempotentCandidate((e1, e2), ((0,), (1,)), {})
+        grids = []
+        for read_off in (positions, lambda es: None):
+            monkeypatch.setattr(structure, "_basis_positions", read_off)
+            products = []
+            multiply = Algebra.multiply_coords
+            with monkeypatch.context() as m:
+                m.setattr(Algebra, "multiply_coords",
+                          lambda alg, x, y: products.append((x, y)) or multiply(alg, x, y))
+                with pytest.raises(InternalInconsistency,
+                                   match="handed-over idempotent 0 is not orthogonal to the rest"):
+                    structure._certify_candidate(a, bad, rad)
+            # off the index, only e_1·e_1 is multiplied before the fault
+            assert (products == [(e1, e1)]) == (read_off is positions)
+            grids.append(structure._certify_candidate(a, good, rad))
+        assert grids[0] == grids[1]
+
+
 def test_rejected_basis_guess_falls_back_under_python_O():
     import os
     import pathlib
@@ -985,7 +1018,8 @@ def test_dropped_grading_guess_falls_back(monkeypatch):
         assert parse_algebra_text(text).validate().ok
         a = parse_algebra_text(text)
         assert structure._guessed_grading(a) == degrees
-        assert structure._guessed_radical(a) is None and not a._cache
+        # the index of nonzero constants is the only memo; no result is cached
+        assert structure._guessed_radical(a) is None and set(a._cache) == {"nz"}
         with monkeypatch.context() as m:
             m.setattr(structure, "_guessed_grading", lambda alg: None)
             want = _radical_summary(parse_algebra_text(text))
@@ -1007,7 +1041,7 @@ def test_ungraded_dense_input_drops_the_guess_without_products(monkeypatch):
     monkeypatch.setattr(Algebra, "multiply_coords",
                         lambda alg, x, y: products.append(x) or multiply(alg, x, y))
     assert structure._guessed_grading(a) == [0] * 16
-    assert structure._guessed_radical(a) is None and not products and not a._cache
+    assert structure._guessed_radical(a) is None and not products and set(a._cache) == {"nz"}
     assert radical(a).dim == 0
 
 
