@@ -162,9 +162,9 @@ class Algebra:
     ``_nz``, built on first use and memoized, indexes the nonzero structure
     constants: ``_nz[i][j]`` is the tuple of pairs (k, c_ijk) with c_ijk != 0.
     The whole-tensor sweeps read it, not the d^3 tensor: ``validate``,
-    ``center``, ``invariants.commutator_subspace``, and the grading guess and
-    checks and the orthogonality test of ``structure``.  ``multiply_coords``
-    reads the dense rows.
+    ``center``, ``invariants.commutator_subspace``, and in ``structure`` the
+    grading guess, its homogeneity check and the orthogonality tests.
+    ``multiply_coords`` reads the dense rows.
     """
 
     def __init__(self, field: Field, mul, unit, provenance: Provenance = GENERIC, *,
