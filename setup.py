@@ -1,27 +1,13 @@
-"""Build the optional compiled kernels; the package falls back to the pure
+"""Build the optional compiled kernel; the package falls back to the pure
 Python implementations when the extension is unavailable.
 
-With Cython the extension is generated from ``_fast.pyx``; without it the
-shipped ``_fast.c`` is compiled.  Either way the extension is optional, so a
-failed compile still installs the pure package.
-"""
-import os
+``_fast.c`` is hand-written against the CPython C API and needs no code
+generator.  The extension is optional, so a failed compile still installs the
+pure package.  To build it in a source checkout:
 
+    python3 setup.py build_ext --inplace
+"""
 from setuptools import Extension, setup
 
-ext_modules = []
-if os.environ.get("FDALG_NO_EXT", "") in ("", "0"):
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        ext_modules = [Extension("fdalg._kernels._fast", ["src/fdalg/_kernels/_fast.c"],
-                                 extra_compile_args=["-O3"], optional=True)]
-    else:
-        ext_modules = cythonize(
-            [Extension("fdalg._kernels._fast",
-                       ["src/fdalg/_kernels/_fast.pyx"],
-                       extra_compile_args=["-O3"], optional=True)],
-            compiler_directives={"language_level": "3"},
-        )
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension("fdalg._kernels._fast", ["src/fdalg/_kernels/_fast.c"],
+                             extra_compile_args=["-O3"], optional=True)])

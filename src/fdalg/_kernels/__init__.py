@@ -1,6 +1,10 @@
 """Kernel backend selection: compiled extension if available, else pure Python.
 
-Set FDALG_PURE=1 in the environment to force the pure backend.
+Only the F_p row echelon is compiled: ``_fast.c`` is a hand-written CPython
+extension defining ``FpEchelon``, built in place by
+``python3 setup.py build_ext --inplace``.  Everything else, and every prime
+at or above its limit, runs the pure kernels.  Set FDALG_PURE=1 in the
+environment to force the pure backend.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ else:
 HAVE_COMPILED = _fast is not None
 BACKEND = "compiled" if HAVE_COMPILED else "pure"
 
-# The compiled kernels use int64 arithmetic; products must not overflow,
+# The compiled kernel uses int64 arithmetic; products must not overflow,
 # so primes at or above 2**31 fall back to the pure implementation.
 _FAST_P_LIMIT = 2 ** 31
 
@@ -36,7 +40,4 @@ def q_echelon(width: int):
     return pure.QEchelon(width)
 
 
-def fp_charpoly(mat, p: int):
-    if HAVE_COMPILED and p < _FAST_P_LIMIT:
-        return _fast.fp_charpoly(mat, p)
-    return pure.fp_charpoly(mat, p)
+fp_charpoly = pure.fp_charpoly

@@ -1,8 +1,9 @@
 """Pure-Python row-reduction and charpoly kernels.
 
-Reference implementations of the hot kernels; the compiled module in
-``_fast`` mirrors these semantics exactly (the test suite cross-checks
-them).  They work for any prime p, at Python-loop speed.
+Reference implementations of the hot kernels, for any prime p, at
+Python-loop speed.  The compiled ``_fast`` module mirrors ``FpEchelon``
+alone, for p < 2**31 (the test suite cross-checks the two); ``QEchelon``
+and ``fp_charpoly`` exist only here.
 """
 from __future__ import annotations
 

@@ -403,14 +403,15 @@ def _idempotent_fault(a: Algebra, positions: Sequence[int], scaled: bool) -> Opt
     """Why the basis vectors b_i at ``positions`` (degree 0 of a grading, or
     the unit's support) are not pairwise orthogonal idempotents u_i·b_i, or
     None.  u_i is 1, or with ``scaled`` the unit's coefficient on b_i, so
-    that b_i·b_i = u_i⁻¹·b_i, read off the structure constants."""
+    that b_i·b_i = u_i⁻¹·b_i, read off the index of nonzero structure
+    constants: ``_nz[i][i] == ((i, u_i⁻¹),)``."""
     F = a.field
     one = F.one()
+    nz = a._nz
     for i in positions:
         u = a.unit[i] if scaled else one
-        if not u or a.mul[i][i] != (a._unit_vec(i) if u == one else _point(a, i, F.inv(u))):
+        if not u or nz[i][i] != ((i, F.inv(u)),):
             return f"degree-0 basis element {i} is not idempotent"
-    nz = a._nz
     for i, j in itertools.permutations(positions, 2):
         if nz[i][j]:
             return f"degree-0 basis elements {i} and {j} are not orthogonal"
@@ -1040,27 +1041,24 @@ def _coordinate_blocks(a: Algebra,
     Adapted means: every e_r is a nonzero multiple s_r·b_{i_r} of a basis
     vector, and each b_m has e_r·b_m = b_m = b_m·e_s for some (r, s), read off
     the structure constants with no product: e_r·b_m = s_r·c_{i_r,m,·}, so
-    the test is c_{i_r,m,·} = s_r⁻¹·b_m (one tuple compare against b_m when
-    s_r = 1).  For pairwise orthogonal idempotents summing to 1, A is the
-    direct sum of the e_r·A·e_s, so that (r, s) is unique, and the d basis
-    vectors, each inside its block, span every block: e_r·A·e_s is the
-    coordinate subspace on its basis vectors.  The caller checks
-    orthogonality and the sum.
+    the test is c_{i_r,m,·} = s_r⁻¹·b_m, on the index of nonzero constants
+    ``_nz[i_r][m] == ((m, s_r⁻¹),)``.  For pairwise orthogonal idempotents
+    summing to 1, A is the direct sum of the e_r·A·e_s, so that (r, s) is
+    unique, and the d basis vectors, each inside its block, span every
+    block: e_r·A·e_s is the coordinate subspace on its basis vectors.  The
+    caller checks orthogonality and the sum.
     """
-    F = a.field
-    one = F.one()
     positions = _basis_positions(es)
     if positions is None:
         return None
-    rescaled = [(r, F.inv(e[i])) for r, (e, i) in enumerate(zip(es, positions)) if e[i] != one]
+    inverses = [a.field.inv(e[i]) for e, i in zip(es, positions)]
+    nz = a._nz
     blocks: Dict[Tuple[int, int], List[int]] = {}
     for m in range(a.dim):
-        b = a._unit_vec(m)
-        want = [b] * len(positions)  # want[r] = s_r⁻¹·b_m
-        for r, t in rescaled:
-            want[r] = _point(a, m, t)
-        left = next((r for r, i in enumerate(positions) if a.mul[i][m] == want[r]), None)
-        right = next((s for s, i in enumerate(positions) if a.mul[m][i] == want[s]), None)
+        left = next((r for r, i in enumerate(positions) if nz[i][m] == ((m, inverses[r]),)),
+                    None)
+        right = next((s for s, i in enumerate(positions) if nz[m][i] == ((m, inverses[s]),)),
+                     None)
         if left is None or right is None:
             return None
         blocks.setdefault((left, right), []).append(m)
@@ -1134,11 +1132,12 @@ def _basis_matrix_units(a: Algebra, r: int, left: Sequence[int],
     """(b_u, (u_r / c)·b_v) for the first basis vectors u in ``left`` and v in
     ``right`` with b_u·b_v = c·b_r, c != 0, where u_r is the unit's
     coefficient on b_r, so that their product is e_r = u_r·b_r; or None."""
+    nz = a._nz
     for u in left:
         for v in right:
-            row = a.mul[u][v]
-            if row[r] and sum(map(bool, row)) == 1:
-                return a._unit_vec(u), _point(a, v, a.field.div(a.unit[r], row[r]))
+            pairs = nz[u][v]
+            if len(pairs) == 1 and pairs[0][0] == r:
+                return a._unit_vec(u), _point(a, v, a.field.div(a.unit[r], pairs[0][1]))
     return None
 
 
