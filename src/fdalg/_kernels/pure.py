@@ -39,7 +39,10 @@ class FpEchelon:
         return [row[:] for row in self._rows]
 
     def reduce(self, row):
-        """Fully reduce ``row`` against the stored basis; returns a new list."""
+        """Fully reduce ``row`` against the stored basis; returns a new list.
+        A row whose length is not the width raises ValueError."""
+        if len(row) != self.width:
+            raise ValueError("row length mismatch")
         p = self.p
         r = [x % p for x in row]
         for piv, base in zip(self._pivots, self._rows):
@@ -52,7 +55,8 @@ class FpEchelon:
         return r
 
     def insert(self, row) -> bool:
-        """Insert a vector; returns True iff the rank grew."""
+        """Insert a vector; returns True iff the rank grew.  A row whose
+        length is not the width raises ValueError, as in ``reduce``."""
         p = self.p
         r = self.reduce(row)
         piv = -1
@@ -104,6 +108,8 @@ class QEchelon:
         return [row[:] for row in self._rows]
 
     def reduce(self, row):
+        if len(row) != self.width:
+            raise ValueError("row length mismatch")
         r = list(row)
         for piv, base in zip(self._pivots, self._rows):
             c = r[piv]

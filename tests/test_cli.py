@@ -184,14 +184,21 @@ def test_quiver_input_with_param(tmp_path, capsys):
 def test_internal_inconsistency_exits_5(tmp_path, capsys, monkeypatch):
     import fdalg.morita
 
-    path = tmp_path / "t3.txt"
-    run(["generate", "triangular", "3", "--field", "Fp:5", "-o", str(path)], capsys)
-    assert run(["verify", str(path)], capsys)[0] == 0
+    # T_3 is basic, so its witness is (1, 1) on the identity route; M_2 is
+    # not, and its witness is read off the record's matrix units
+    paths = []
+    for family in ("triangular", "matrix"):
+        path = tmp_path / f"{family}.txt"
+        run(["generate", family, "3" if family == "triangular" else "2",
+             "--field", "Fp:5", "-o", str(path)], capsys)
+        assert run(["verify", str(path)], capsys)[0] == 0
+        paths.append(path)
     # a fullness witness that fails its own check is a bug, not invalid input
     monkeypatch.setattr(fdalg.morita.FullnessWitness, "verify", lambda self: False)
-    code, _, stderr = run(["verify", str(path)], capsys)
-    assert code == 5
-    assert "internal error: fullness witness does not sum to the unit" in stderr
+    for path in paths:
+        code, _, stderr = run(["verify", str(path)], capsys)
+        assert code == 5, path.name
+        assert "internal error: fullness witness does not sum to the unit" in stderr, path.name
 
 
 def _package_modules():

@@ -86,14 +86,26 @@ def test_compiled_rejects_bad_input(compiled):
             compiled.FpEchelon(3, p)
     with pytest.raises(ValueError):
         compiled.FpEchelon(-1, 5)
-    acc = compiled.FpEchelon(3, 5)
+
+
+@pytest.mark.parametrize("backend", ["pure-Fp", "pure-Q", "compiled"])
+def test_echelon_rejects_rows_of_the_wrong_length(backend, request):
+    # every accumulator raises on a row that is not its width, stores
+    # nothing and keeps its rows; the compiled case skips when the
+    # extension cannot be built
+    if backend == "pure-Fp":
+        acc = pure.FpEchelon(3, 5)
+    elif backend == "pure-Q":
+        acc = pure.QEchelon(3)
+    else:
+        acc = request.getfixturevalue("compiled").FpEchelon(3, 5)
     acc.insert([1, 2, 3])
-    for bad in ([1, 2], [1, 2, 3, 4], ()):
-        with pytest.raises(ValueError):
+    for bad in ([1, 2], [1, 2, 3, 4], (), [2]):
+        with pytest.raises(ValueError, match="row length mismatch"):
             acc.insert(bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="row length mismatch"):
             acc.reduce(bad)
-    assert acc.rows() == [[1, 2, 3]]
+    assert acc.rows() == [[1, 2, 3]] and acc.rank == 1
 
 
 def test_compiled_accumulators_free_their_memory(compiled):

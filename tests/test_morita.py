@@ -9,6 +9,7 @@ from fdalg.corpus import (
     cyclic_group_algebra,
     kronecker,
     lower_triangular,
+    random_quiver_algebra,
     s3_group_algebra,
     truncated_polynomial,
     two_loop_q_algebra,
@@ -90,11 +91,61 @@ def test_tau_matrix_algebra_to_field():
     assert tau.matrix.rows == 1 and tau.matrix.cols == 1
 
 
-def test_tau_identity_for_basic():
+def _no_tau(*args):
+    raise AssertionError("tau_map ran on the identity route")
+
+
+def test_tau_identity_for_basic(monkeypatch):
+    # a basic algebra takes the identity route, which builds no coset map
+    import fdalg.morita
+
+    monkeypatch.setattr(fdalg.morita, "tau_map", _no_tau)
     a = kronecker(F3, 2)
     rep = verify_morita_invariance(a)
     assert rep.ok
     assert rep.basic_dim == a.dim
+
+
+def _identity_route_inputs(corpus):
+    """Every split corpus algebra, or its basic algebra when it is not
+    basic, then the random quiver algebras of seeds 0..29 over F_2, F_3, F_5."""
+    for entry in corpus:
+        try:
+            split = semisimple_decomposition(entry.algebra).split
+        except SplitUndecided:
+            continue
+        if split:
+            yield entry.name, basic_algebra(entry.algebra)
+    for seed in range(30):
+        field = (F2, F3, F5)[seed % 3]
+        yield f"random_quiver({seed})/{field}", random_quiver_algebra(field, seed, max_dim=24)
+
+
+def test_identity_route_matches_the_coset_maps(corpus, monkeypatch):
+    # on B = A, e = 1, the standard basis rows and the (1, 1) witness, the
+    # coset maps tau, sigma and every level map give the identity route's report
+    import fdalg.morita
+    from fdalg.morita import _coset_report
+
+    checked = 0
+    for name, a in _identity_route_inputs(corpus):
+        assert basic_algebra_data(a)[0] is a, name
+        with monkeypatch.context() as m:
+            m.setattr(fdalg.morita, "tau_map", _no_tau)
+            rep = verify_morita_invariance(a)
+        one = a.unit_element()
+        rows = [a._unit_vec(i) for i in range(a.dim)]
+        assert rep == _coset_report(a, a, one, rows, fullness_witness(a, one)), name
+        assert rep.ok and rep.basic_dim == a.dim, name
+        checked += 1
+    assert checked == 94 + 30, checked
+
+
+def test_identity_route_certifies_the_unit(monkeypatch):
+    # the one premise of tau = id is that 1 is a two-sided unit
+    monkeypatch.setattr(Algebra, "_unit_failures", lambda self, p: [0])
+    with pytest.raises(InternalInconsistency, match="unit is not two-sided at basis vector 0"):
+        verify_morita_invariance(kronecker(F3, 2))
 
 
 def test_inflate_ground_field_gives_matrix_algebra():
@@ -419,7 +470,12 @@ def test_corrupted_hand_over_is_caught_under_python_O():
             "    except InternalInconsistency as exc:\n        print(kind, exc)\n"
             "for kind in ('radical row', 'degree'):\n"
             "  try:\n    verify_morita_invariance(_corrupt(kind))\n"
-            "  except InternalInconsistency as exc:\n    print(kind, exc)\n")
+            "  except InternalInconsistency as exc:\n    print(kind, exc)\n"
+            "from fdalg.algebras import Algebra\n"
+            "from fdalg.corpus import kronecker\n"
+            "Algebra._unit_failures = lambda self, p: [0]\n"
+            "try:\n  verify_morita_invariance(kronecker(GF(3), 2))\n"
+            "except InternalInconsistency as exc:\n  print('unit', exc)\n")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fdalg.__file__).parent.parent))
     out = subprocess.run([sys.executable, "-O", "-c", code, str(pathlib.Path(__file__).parent)],
                          capture_output=True, text=True, env=env, timeout=120)
@@ -428,7 +484,8 @@ def test_corrupted_hand_over_is_caught_under_python_O():
         "class grouping handed-over representatives 0 and 1 are isomorphic"] * 2 + [
         "fullness pair fullness witness does not sum to the unit"] * 2 + [
         "radical row radical candidate is not a two-sided ideal",
-        "degree structure constant c_(0,0,0) is not homogeneous in the grading"]
+        "degree structure constant c_(0,0,0) is not homogeneous in the grading",
+        "unit the unit is not two-sided at basis vector 0"]
 
 
 def test_dropped_radical_row_is_caught():
