@@ -1,9 +1,16 @@
 """Structure-constant model of a finite-dimensional unital associative algebra.
 
 An ``Algebra`` owns a dense tensor c[i][j][k] with b_i · b_j = sum_k c[i][j][k] b_k,
-a distinguished unit vector, and a provenance tag.  Elements are coordinate
+a distinguished unit vector, and a ``kind`` ("generic", "quiver" or "group")
+that reports print as its provenance.  Elements are coordinate
 vectors tied to their parent algebra by identity, so cross-algebra arithmetic
 fails loudly rather than silently mixing tensors.
+
+A construction hands ``Algebra(...)`` nothing else: no grading, radical or
+idempotents.  ``structure.radical`` finds the radical by one of three
+routes (a grading guessed from the structure constants, the char-0 trace
+form, the char-p power-trace stages) and the primitive idempotents from two
+sources (a guess from the basis, the split search), and certifies each.
 """
 from __future__ import annotations
 
@@ -24,44 +31,6 @@ from .linalg import Matrix, Subspace, span
 from . import linalg
 
 VALIDATE_FULL_CAP = 64
-
-
-@dataclass(frozen=True)
-class IdempotentCandidate:
-    """Primitive idempotents in coordinates, certified before use
-    (``structure._certify_candidate``).  ``iso_classes`` partitions the
-    indices of ``idempotents``, each class listing its representative first.
-    ``matrix_units[k] = (u, v)`` for every other index k, with r its class
-    representative: u in e_r·A·e_k and v in e_k·A·e_r with u·v = e_r and
-    v·u = e_k.
-    """
-
-    idempotents: Tuple[Tuple, ...]
-    iso_classes: Tuple[Tuple[int, ...], ...]
-    matrix_units: Dict[int, Tuple[Tuple, Tuple]]
-
-
-@dataclass(frozen=True)
-class Provenance:
-    """What a construction hands to ``Algebra(...)`` about the algebra it
-    builds; each fact is certified where it is read, and a false one raises
-    InternalInconsistency.  ``kind`` ("generic" | "quiver" | "group") is what
-    ``report`` prints.  ``degrees`` grades the basis (a quiver build's path
-    lengths, or an inflation's degrees carried over from a graded basic
-    algebra) and ``radical_rows`` span Rad A: ``structure.radical`` reads
-    ``degrees`` first, and a constructor hands over at most one of the two.
-    ``idempotents`` are primitive idempotents with their matrix units
-    (``structure.radical``); the certified record keeps the units, and
-    ``morita.fullness_witness`` reads its witness off them.
-    """
-
-    kind: str = "generic"
-    degrees: Optional[Tuple[int, ...]] = None
-    radical_rows: Optional[Tuple[Tuple, ...]] = None
-    idempotents: Optional[IdempotentCandidate] = None
-
-
-GENERIC = Provenance()
 
 
 @dataclass
@@ -167,7 +136,7 @@ class Algebra:
     ``multiply_coords`` reads the dense rows.
     """
 
-    def __init__(self, field: Field, mul, unit, provenance: Provenance = GENERIC, *,
+    def __init__(self, field: Field, mul, unit, kind: str = "generic", *,
                  _canonical: bool = False):
         d = len(mul)
         if d == 0:
@@ -186,7 +155,7 @@ class Algebra:
                 raise BadParameter("structure tensor is not d x d x d")
         if len(self.unit) != d:
             raise BadParameter("unit vector length mismatch")
-        self.provenance = provenance
+        self.kind = kind
         self._cache: dict = {}
 
     # -- fast-path plumbing ------------------------------------------------
@@ -451,7 +420,7 @@ class Algebra:
         )
 
     def __repr__(self):
-        return f"Algebra(dim={self.dim}, field={self.field}, provenance={self.provenance.kind})"
+        return f"Algebra(dim={self.dim}, field={self.field}, provenance={self.kind})"
 
 
 # -- constructions ----------------------------------------------------------
@@ -507,13 +476,7 @@ def peirce_rows(a: Algebra, e: Sequence, f: Sequence) -> Subspace:
 def corner_data(a: Algebra, e: Element, sub: Optional[Subspace] = None
                 ) -> Tuple[Algebra, List[Tuple]]:
     """The corner algebra eAe plus its basis rows in A-coordinates; ``sub``
-    is eAe when the caller has already spanned it (``peirce_rows`` otherwise).
-
-    When A's radical is already cached, the corner is handed the rows
-    e·r·e (r in Rad(A)) as ``Provenance.radical_rows``, since Rad(eAe) =
-    e·Rad(A)·e (Lam, *A First Course in Noncommutative Rings*, Thm 21.10);
-    ``structure.radical`` still certifies them before use.
-    """
+    is eAe when the caller has already spanned it (``peirce_rows`` otherwise)."""
     if e.algebra is not a:
         raise ParentMismatch("idempotent from another algebra")
     if a.multiply(e, e) != e:
@@ -538,17 +501,7 @@ def corner_data(a: Algebra, e: Element, sub: Optional[Subspace] = None
     unit = sub.coords_of(e.coords)
     if unit is None:
         raise InternalInconsistency("idempotent lies outside its own corner")
-    prov = GENERIC
-    rad = a._cache.get("radical")
-    if rad is not None:
-        inherited = []
-        for r in rad.basis_vectors():
-            coords = sub.coords_of(a.sandwich_coords(e.coords, r, e.coords))
-            if coords is None:
-                raise InternalInconsistency("e·Rad(A)·e left the corner")
-            inherited.append(tuple(coords))
-        prov = Provenance(radical_rows=tuple(inherited))
-    return Algebra(F, mul, unit, prov, _canonical=True), rows
+    return Algebra(F, mul, unit, _canonical=True), rows
 
 
 def corner(a: Algebra, e: Element) -> Algebra:
@@ -584,4 +537,4 @@ def group_algebra_from_cayley(field: Field, table: Sequence[Sequence[int]]) -> A
         for j in range(n):
             mul[i][j][tab[i][j]] = o
     unit = [o] + [z] * (n - 1)
-    return Algebra(field, mul, unit, Provenance("group"), _canonical=True)
+    return Algebra(field, mul, unit, "group", _canonical=True)

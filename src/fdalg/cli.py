@@ -104,7 +104,7 @@ def build_report(a: Algebra, seed: int = 0, descriptor: str = "") -> Dict:
         "input": descriptor,
         "field": str(F),
         "dim": a.dim,
-        "provenance": a.provenance.kind,
+        "provenance": a.kind,
         "backend": _kernels.BACKEND,
         "seeds": {"analysis": seed},
     }

@@ -145,11 +145,11 @@ def _random_quiver(rng: random.Random, field: Field, trunc: Optional[int]) -> Qu
 
 def random_quiver_algebra(field: Field, seed: int, trunc: Optional[int] = None,
                           max_dim: int = 40) -> Algebra:
-    """Seeded admissible quiver algebra.  It keeps the path-length grading
-    ``build_path_algebra`` hands over, so its radical and radical powers are
-    certified rather than computed, and its vertex idempotents are the basis
-    guess, so its primitive idempotents and semisimple decomposition are
-    certified rather than searched for; it is its own basic corner."""
+    """Seeded admissible quiver algebra.  Its path-length grading is the
+    grading guess, so its radical and radical powers are certified rather
+    than computed, and its vertex idempotents are the basis guess, so its
+    primitive idempotents and semisimple decomposition are certified rather
+    than searched for; it is its own basic corner."""
     if trunc is not None and trunc < 2:
         raise BadParameter(f"truncation length must be at least 2: {trunc}")
     rng = random.Random(seed)
@@ -187,7 +187,9 @@ def random_local_algebra(field: Field, seed: int, generators: Optional[int] = No
                          trunc: Optional[int] = None,
                          max_dim: int = MAX_RANDOM_DIM) -> Algebra:
     """Seeded local algebra: truncated free algebra on loops, extra monomial and
-    binomial relations, provenance stripped so the radical is recomputed."""
+    binomial relations, of kind "generic".  Its relations are homogeneous, so
+    ``structure.radical`` certifies its radical from the guessed grading, as
+    on a quiver build."""
     if trunc is not None and trunc < 2:
         raise BadParameter(f"truncation length must be at least 2: {trunc}")
     rng = random.Random(seed)
@@ -196,7 +198,7 @@ def random_local_algebra(field: Field, seed: int, generators: Optional[int] = No
         strata = _stratum_pass(q, DEFAULT_CAP)
         if len(strata.basis) <= max_dim:
             alg = _path_products(q, strata).algebra
-            # a fresh algebra without the grading: the radical is recomputed honestly
+            # the same tensor, reported as kind "generic" rather than "quiver"
             return Algebra(field, alg.mul, alg.unit, _canonical=True)
     raise GeneratorFailed(f"no local algebra of dim <= {max_dim} after 100 draws")
 

@@ -1,6 +1,8 @@
 """Basic algebras, fullness witnesses, the induced coset maps, and
-progenerator inflation, which hands over its idempotents and either its
-grading or its radical rows, never both.
+progenerator inflation.  An inflation is handed only its tensor and unit;
+``structure.radical`` finds its radical and primitive idempotents as on any
+other algebra, by the grading and basis guesses when they certify and by
+the computed routes otherwise.
 
 The invariance certificate is computed per instance: for a full idempotent e
 with 1 = sum u_k e v_k, the map a + K(A) -> sum e v_k a u_k e + K(B) on cosets
@@ -14,23 +16,15 @@ map is built, and the report is read off the memoized series K_n(A).
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .algebras import Algebra, Element, IdempotentCandidate, Provenance, corner_data
+from .algebras import Algebra, Element, corner_data
 from .errors import BadParameter, InternalInconsistency, NotBasic, NotFull, ParentMismatch
 from .invariants import commutator_subspace, k_n_space, k_of
 from .linalg import Matrix, echelon_for, kernel, solve_in_span, span
-from .structure import (
-    certified_grading,
-    loewy_length,
-    peirce_grid,
-    peirce_radical_diagonal,
-    primitive_idempotents,
-    radical_power,
-)
+from .structure import loewy_length, peirce_grid, primitive_idempotents, radical_power
 
 
 def basic_idempotent(a: Algebra, seed: int = 0) -> Element:
@@ -296,29 +290,12 @@ def inflate(a: Algebra, multiplicities: Sequence[int], seed: int = 0) -> Algebra
     multiplied like matrix units with entry composition in A.  Each product
     of Peirce basis vectors is taken once and copied into every block.
 
-    B's ``Provenance`` hands over what the construction knows, each fact
-    certified where it is read:
-
-    - ``degrees``, when A's radical was certified from a grading
-      (``certified_grading``), A's basic representatives lie in degree 0 and
-      every Peirce basis vector is homogeneous: block (i, r, j, s, w) gets
-      deg w.  This grades B = End_A(P) (Năstăsescu and Van Oystaeyen,
-      *Methods of Graded Rings*, LNM 1836), and since A_m = A_1·A_(m-1) and
-      1 = sum_j e_j, e_i A_m e_t = sum_j (e_i A_1 e_j)(e_j A_(m-1) e_t), so
-      B_m = B_1·B_(m-1).  Its degree 0 holds the matrix units, which the
-      handed-over idempotents prove complete; ``structure.radical``
-      certifies both;
-    - otherwise ``radical_rows``: Rad B = Hom(P, P·Rad A) (Anderson and
-      Fuller, *Rings and Categories of Modules*; Lam, *A First Course in
-      Noncommutative Rings*, §21), the blocks (i, r, j, s) with i != j whole
-      (A is basic, so e_i A e_j lies in Rad A) and e_i·Rad(A)·e_i in the
-      blocks (i, r, i, s); ``structure.radical`` certifies it;
-    - ``idempotents``: the diagonal units ε_(i,r), the unit of A's
-      e_i in block (i, r, i, r), grouped by i with representative ε_(i,0),
-      and the matrix units between ε_(i,0) and ε_(i,r);
-      ``structure.primitive_idempotents`` certifies them, and
-      ``fullness_witness`` reads its witness for e = sum_i ε_(i,0) off the
-      certified record.
+    B is given its tensor and its unit, the sum of the diagonal units
+    ε_(i,r), e_i in block (i, r, i, r), and nothing else: ``structure.radical``
+    certifies its radical and primitive idempotents as on any other algebra.
+    When each e_i is a multiple of a basis vector of e_i·A·e_i, the ε_(i,r)
+    are multiples of basis vectors of B, which the basis guess takes;
+    otherwise they are searched for.
     """
     l = _inflation_classes(a, multiplicities, seed)
     idems = primitive_idempotents(a, seed)
@@ -350,65 +327,15 @@ def inflate(a: Algebra, multiplicities: Sequence[int], seed: int = 0) -> Algebra
                 for widx, c in nz:
                     row[base + widx] = c
 
-    ecoords = []  # e_i in e_i A e_i
+    unit = [z] * dim  # the sum of the ε_(i,r), whose blocks are disjoint
     for i, e in enumerate(es):
         c = peirce[i][i].coords_of(e.coords)
         if c is None:
             raise InternalInconsistency("idempotent lies outside its own Peirce component")
-        ecoords.append(c)
-
-    def block_vector(block, coords) -> Tuple:
-        out = [z] * dim
-        out[offset[block]:offset[block] + len(coords)] = coords
-        return tuple(out)
-
-    def matrix_unit(i, r, s) -> Tuple:
-        """e_i in block (i, r, i, s)."""
-        return block_vector((i, r, i, s), ecoords[i])
-
-    def add(x, y) -> Tuple:
-        return tuple(F.add(p, q) for p, q in zip(x, y))
-
-    units = [matrix_unit(i, r, r) for i, r in copies]
-    idempotents = IdempotentCandidate(
-        tuple(units),
-        tuple(tuple(k for k, (i, _) in enumerate(copies) if i == c) for c in range(l)),
-        {k: (matrix_unit(i, 0, r), matrix_unit(i, r, 0)) for k, (i, r) in enumerate(copies) if r})
-    degrees = _peirce_degrees(a, es, vecs)
-    if degrees is not None:
-        prov = Provenance(degrees=tuple(g for i, _ in copies for j, _ in copies
-                                        for g in degrees[i][j]), idempotents=idempotents)
-    else:
-        diag = peirce_radical_diagonal(a, 1, seed)
-        rad_rows = []
-        for i, r in copies:
-            for j, s in copies:
-                n = peirce[i][j].dim  # A is basic: e_i A e_j lies in Rad A for i != j
-                coords = ([peirce[i][i].coords_of(x) for x in diag[i].basis_vectors()]
-                          if i == j else [[F.one() if x == w else z for x in range(n)]
-                                          for w in range(n)])
-                rad_rows += [block_vector((i, r, j, s), c) for c in coords]
-        prov = Provenance(radical_rows=tuple(rad_rows), idempotents=idempotents)
-    return Algebra(F, mul, functools.reduce(add, units), prov, _canonical=True)
-
-
-def _peirce_degrees(a: Algebra, es: Sequence[Element], vecs: List[List[List[Tuple]]]
-                    ) -> Optional[List[List[List[int]]]]:
-    """The degree of each Peirce basis vector vecs[i][j][w] in the grading
-    ``radical`` certified on A, when there is one, each e_i lies in degree 0
-    and every vecs[i][j][w] is homogeneous; otherwise None."""
-    grading = certified_grading(a)
-    if grading is None:
-        return None
-
-    def degree(vec) -> Optional[int]:
-        found = {grading[k] for k, c in enumerate(vec) if c}
-        return found.pop() if len(found) == 1 else None
-
-    if any(degree(e.coords) != 0 for e in es):
-        return None
-    out = [[[degree(x) for x in block] for block in row] for row in vecs]
-    return None if any(None in block for row in out for block in row) else out
+        for r in range(m[i]):
+            start = offset[(i, r, i, r)]
+            unit[start:start + len(c)] = c
+    return Algebra(F, mul, unit, _canonical=True)
 
 
 def inflation_dim(a: Algebra, multiplicities: Sequence[int], seed: int = 0) -> int:

@@ -13,6 +13,11 @@ parse time (the CLI binds them with ``--param q=...``).
 Relations must combine parallel paths of a single common length >= 2; the
 length-graded normal form this module uses is exact precisely for such
 homogeneous ideals, and anything else is rejected up front.
+
+A build hands its algebra only the tensor, the unit and the kind "quiver".
+``structure.radical`` recovers the path-length grading and the vertex
+idempotents from the structure constants, by its grading guess and its basis
+guess, and certifies both as on any other algebra.
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .algebras import Algebra, Element, Provenance
+from .algebras import Algebra, Element
 from .errors import NotAdmissible, QuiverSyntaxError, UnsupportedRelations
 from .fields import Field
 from .linalg import Subspace, coordinate_subspace, echelon_for
@@ -447,14 +452,12 @@ def build_path_algebra(q: QuiverPresentation, cap: int = DEFAULT_CAP) -> PathAlg
     Since the bound N certifies that length-N paths die in the ideal, any
     product of total length >= N is zero.
 
-    The algebra is handed its grading, the path length of each basis
-    element, as ``Provenance.degrees``: ``structure.radical`` certifies it
-    and reads Rad A = A_{>=1} and J^n = A_{>=n} off it.  The vertex
-    idempotents are the basis vectors on the support of the unit, so
-    ``structure.radical`` takes them as its basis guess, each its own iso
-    class, under the same certificate as a handed-over set; the primitive
-    idempotents, the semisimple decomposition, the Cartan matrix and the
-    Ext^1 diagonal follow vertex order.
+    ``structure.radical`` guesses the grading by path length from the
+    structure constants, certifies it and reads Rad A = A_{>=1} and
+    J^n = A_{>=n} off it.  The vertex idempotents are the basis vectors on
+    the support of the unit, so it takes them as its basis guess, each its
+    own iso class; the primitive idempotents, the semisimple decomposition,
+    the Cartan matrix and the Ext^1 diagonal follow vertex order.
 
     FQ/I is basic, so its basic corner is the algebra itself.
     """
@@ -499,11 +502,10 @@ def _path_products(q: QuiverPresentation, st: _Strata) -> PathAlgebraResult:
 
     nv = len(q.vertices)
     unit = [one] * nv + [z] * (dim - nv)
-    lengths = [len(p) for (_, p) in basis_paths]
-    alg = Algebra(field, mul, unit, Provenance("quiver", degrees=tuple(lengths)), _canonical=True)
+    alg = Algebra(field, mul, unit, "quiver", _canonical=True)
     pb = PathBasis(
         labels=[_path_label(q, p, s) for (s, p) in basis_paths],
-        lengths=lengths,
+        lengths=[len(p) for (_, p) in basis_paths],
         sources=[s for (s, _) in basis_paths],
         targets=[q.arrows[p[-1]].target if p else s for (s, p) in basis_paths],
         paths=[p for (_, p) in basis_paths],

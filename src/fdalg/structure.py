@@ -1,27 +1,19 @@
 """Radical, semisimple quotient, primitive idempotents, Cartan data.
 
-The Jacobson radical comes from one of five routes:
+An algebra hands over nothing but its tensor, its unit and its kind: every
+result here is found from the structure constants and certified before it is
+cached.  The Jacobson radical comes from one of three routes:
 
-- a grading handed over as ``Provenance.degrees``: a quiver build's path
-  lengths, or the degrees ``morita.inflate`` carries over from a basic
-  algebra whose grading was certified.  Once the grading, its degree 0 and
-  the generation of each degree by degree 1 are certified, Rad A = A_{>=1}
-  and J^n = A_{>=n} (Assem, Simson and Skowroński, *Elements of the
-  Representation Theory of Associative Algebras* I, §II.1-2), with no
-  product of subspaces.  Degree 0 is a set of orthogonal idempotents, or,
-  on an inflation, matrix units proved complete by the handed-over
-  idempotents passing ``_certify_candidate`` against A_{>=1};
-- rows a construction hands over as ``Provenance.radical_rows``: a corner
-  eAe inherits e·Rad(A)·e from a parent whose radical is known
-  (Rad(eAe) = e·Rad(A)·e), and a progenerator inflation End_B(P) of a B
-  with no certified grading gets Hom(P, P·Rad B) (``morita.inflate``);
-- for an algebra whose record hands over nothing (parsed text, group
-  algebras, ``lower_triangular``, ``truncated_polynomial``), a grading
-  guessed from the structure constants (``_guessed_grading``) under the same
-  certificate.  Its degree 0 may hold matrix units, as on a text copy of an
-  inflation or of M_n(F) (Năstăsescu and Van Oystaeyen, *Methods of Graded
-  Rings*, LNM 1836); then A_{>=1} is proved complete by the basis guess of
-  idempotents passing ``_certify_candidate`` against it, which gives
+- a grading guessed from the structure constants (``_guessed_grading``).
+  Once the grading, its degree 0 and the generation of each degree by
+  degree 1 are certified, Rad A = A_{>=1} and J^n = A_{>=n} (Assem, Simson
+  and Skowroński, *Elements of the Representation Theory of Associative
+  Algebras* I, §II.1-2), with no product of subspaces.  On a quiver build
+  the guess is the path-length grading.  Degree 0 is a set of orthogonal
+  idempotents, or it holds matrix units, as on an inflation or a copy of
+  M_n(F) (Năstăsescu and Van Oystaeyen, *Methods of Graded Rings*, LNM
+  1836); then A_{>=1} is proved complete by the basis guess of idempotents
+  passing ``_certify_candidate`` against it, which gives
   dim A - dim A_{>=1} = sum n_i^2.  A guess that is dropped or fails raises
   nothing, caches nothing and leaves A to the routes below;
 - the kernel of the regular trace form, in characteristic zero;
@@ -35,38 +27,36 @@ Every route returns the chain J ⊃ J^2 ⊃ ... ⊃ 0 it certified: the graded
 route reads it off the grading, which its own certificate checks; the others
 check a two-sided ideal and multiply its powers down to zero.  ``radical``
 caches J and the chain once every check has passed, and ``radical_power``
-and ``loewy_length`` read the chain.  The graded route also caches its
-degrees (``certified_grading``), which an inflation carries over.
+and ``loewy_length`` read the chain.
 
-Primitive idempotents have three sources, one certificate and one reader.
+Primitive idempotents have two sources, one certificate and one reader.
 A complete set comes from
 
-- a hand-over: ``Provenance.idempotents`` holds an ``IdempotentCandidate``
-  (inflations hand over their diagonal matrix units), and a set that fails
-  its certificate raises InternalInconsistency;
-- a guess from the basis, for any other algebra (quiver builds, parsed
-  text, group algebras, ``lower_triangular``, ``truncated_polynomial``):
-  ``radical`` tries the unit's terms u_i·b_i, each a nonzero multiple of a
-  basis vector, grouped by the Peirce blocks of the basis
-  (``_basis_candidate``), and a guess that fails its certificate is dropped;
+- a guess from the basis: ``radical`` tries the unit's terms u_i·b_i, each
+  a nonzero multiple of a basis vector, grouped by the Peirce blocks of the
+  basis (``_basis_candidate``).  These are a quiver build's vertex
+  idempotents, and an inflation's diagonal matrix units when its source's
+  idempotents are multiples of Peirce basis vectors.  A guess that fails its
+  certificate is dropped;
 - the search, otherwise: A/J is split by minimal polynomials and the pieces
   are lifted to A, grouped and given matrix units
   (``_searched_idempotents``); over F_p a commutative piece is first tested
   by Frobenius (``_is_field_fp``), and a field F_{p^f} is one primitive of
-  corner dim f.  A searched set that fails its certificate raises.
+  corner dim f.  A searched set that fails its certificate raises
+  InternalInconsistency.
 
 ``_certify_candidate`` checks every split set against the radical, which
 also proves the radical complete (dim A - dim J = sum n_i^2 over the
 classes), and returns the representatives' Peirce table, read off the
 basis (``_coordinate_blocks``) when each idempotent is a nonzero multiple
 of a basis vector and the basis lies in their Peirce blocks, else spanned
-once per block from one-sided spans (``_peirce_table``).  A handed-over or
-guessed set is memoized with its table as ``"certified_candidate"``, a
-searched one per seed; ``semisimple_decomposition``, ``primitive_idempotents``
-and ``peirce_grid`` read only that record (``_idempotent_record``), which
-also keeps the certified matrix units (``morita.fullness_witness``).  A set
-with a corner dim above 1, over a field where A is not split, is grouped
-the same way and not certified.
+once per block from one-sided spans (``_peirce_table``).  A guessed set is
+memoized with its table as ``"certified_candidate"``, a searched one per
+seed; ``semisimple_decomposition``, ``primitive_idempotents`` and
+``peirce_grid`` read only that record (``_idempotent_record``), which also
+keeps the certified matrix units (``morita.fullness_witness``).  A set with
+a corner dim above 1, over a field where A is not split, is grouped the same
+way and not certified.
 
 ``peirce_grid`` is that table over the basic representatives of
 ``primitive_idempotents``, and ``peirce_radical_diagonal`` spans each
@@ -83,7 +73,7 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _numutil
-from .algebras import Algebra, Element, IdempotentCandidate, corner_data, peirce_rows
+from .algebras import Algebra, Element, corner_data, peirce_rows
 from .errors import BadParameter, InternalInconsistency, NotSplit, SplitUndecided, TooLarge
 from .fields import Field
 from .linalg import (
@@ -111,6 +101,22 @@ from .polyfactor import (
 
 RANDOM_SPLIT_TRIES_FP = 256
 RANDOM_SPLIT_TRIES_Q = 64
+
+
+@dataclass(frozen=True)
+class IdempotentCandidate:
+    """Primitive idempotents in coordinates, certified before use
+    (``_certify_candidate``).  ``iso_classes`` partitions the indices of
+    ``idempotents``, each class listing its representative first.
+    ``matrix_units[k] = (u, v)`` for every other index k, with r its class
+    representative: u in e_r·A·e_k and v in e_k·A·e_r with u·v = e_r and
+    v·u = e_k.
+    """
+
+    idempotents: Tuple[Tuple, ...]
+    iso_classes: Tuple[Tuple[int, ...], ...]
+    matrix_units: Dict[int, Tuple[Tuple, Tuple]]
+
 
 # a set of idempotents that passed ``_certify_candidate``, with its Peirce table
 _Certified = Tuple[IdempotentCandidate, Tuple]
@@ -399,17 +405,16 @@ def _guessed_grading(a: Algebra) -> Optional[List[int]]:
     return None if None in degrees else degrees
 
 
-def _idempotent_fault(a: Algebra, positions: Sequence[int], scaled: bool) -> Optional[str]:
+def _idempotent_fault(a: Algebra, positions: Sequence[int]) -> Optional[str]:
     """Why the basis vectors b_i at ``positions`` (degree 0 of a grading, or
     the unit's support) are not pairwise orthogonal idempotents u_i·b_i, or
-    None.  u_i is 1, or with ``scaled`` the unit's coefficient on b_i, so
-    that b_i·b_i = u_i⁻¹·b_i, read off the index of nonzero structure
-    constants: ``_nz[i][i] == ((i, u_i⁻¹),)``."""
+    None.  u_i is the unit's coefficient on b_i, so that
+    b_i·b_i = u_i⁻¹·b_i, read off the index of nonzero structure constants:
+    ``_nz[i][i] == ((i, u_i⁻¹),)``."""
     F = a.field
-    one = F.one()
     nz = a._nz
     for i in positions:
-        u = a.unit[i] if scaled else one
+        u = a.unit[i]
         if not u or nz[i][i] != ((i, F.inv(u)),):
             return f"degree-0 basis element {i} is not idempotent"
     for i, j in itertools.permutations(positions, 2):
@@ -419,16 +424,15 @@ def _idempotent_fault(a: Algebra, positions: Sequence[int], scaled: bool) -> Opt
 
 
 class _Graded(NamedTuple):
-    """What ``_graded_radical`` certified: the chain J^n = A_{>=n}, the basis
-    guess of idempotents when it was what certified degree 0 (else None),
-    and the degrees themselves."""
+    """What ``_graded_radical`` certified: the chain J^n = A_{>=n}, and the
+    basis guess of idempotents when it was what certified degree 0 (else
+    None)."""
 
     chain: List[Subspace]
     certified: Optional[_Certified]
-    degrees: Tuple[int, ...]
 
 
-def _graded_radical(a: Algebra, degrees: Sequence[int], guessed: bool = False) -> _Graded:
+def _graded_radical(a: Algebra, degrees: Sequence[int]) -> _Graded:
     """The chain J^n = A_{>=n}, n = 1 up to the first zero, for a grading of
     the basis, certified; Rad A = J = A_{>=1}.
 
@@ -438,14 +442,11 @@ def _graded_radical(a: Algebra, degrees: Sequence[int], guessed: bool = False) -
     - every nonzero c_ijk has deg k = deg i + deg j, so A = (+)_m A_m is graded
       and A_{>=1} is a nilpotent two-sided ideal, inside Rad A;
     - J = A_{>=1} is all of Rad A.  Either the degree-0 basis elements are
-      pairwise orthogonal idempotents u_i·b_i (u_i = 1 for a handed-over
-      grading), so A/A_{>=1} ~ A_0 is a product of copies of the field,
-      semisimple; or a set of idempotents proves it: for a ``guessed``
-      grading the basis guess (``_adopt_basis_candidate``), and next to
-      handed-over degrees the handed-over ``Provenance.idempotents`` (an
-      inflation's degree 0 holds matrix units), which ``radical`` certifies
-      before it caches anything.  Either set passes ``_certify_candidate``
-      against A_{>=1}, which gives dim A - dim A_{>=1} = sum n_i^2;
+      pairwise orthogonal idempotents u_i·b_i, with u_i the unit's
+      coefficient, so A/A_{>=1} ~ A_0 is a product of copies of the field,
+      semisimple; or the basis guess of idempotents
+      (``_adopt_basis_candidate``) passes ``_certify_candidate`` against
+      A_{>=1}, which gives dim A - dim A_{>=1} = sum n_i^2;
     - for each m >= 2 the products (degree 1)·(degree m-1) of basis elements
       span A_m (by rank), so A_m = A_1^(m-n)·A_n lies in J^n for m >= n, and
       J^n = A_{>=n}.
@@ -465,10 +466,10 @@ def _graded_radical(a: Algebra, degrees: Sequence[int], guessed: bool = False) -
     for i, g in enumerate(degrees):
         by_degree.setdefault(g, []).append(i)
     certified = None
-    fault = _idempotent_fault(a, by_degree.get(0, []), scaled=guessed)
-    if fault is not None and a.provenance.idempotents is None:
+    fault = _idempotent_fault(a, by_degree.get(0, []))
+    if fault is not None:
         rad = coordinate_subspace(F, d, [i for i, g in enumerate(degrees) if g])
-        certified = _adopt_basis_candidate(a, rad) if guessed else None
+        certified = _adopt_basis_candidate(a, rad)
         if certified is None:
             raise InternalInconsistency(fault)
     # a degree m with no degree m - 1 fails here, so the chain below has at most d + 1 terms
@@ -484,7 +485,7 @@ def _graded_radical(a: Algebra, degrees: Sequence[int], guessed: bool = False) -
             raise InternalInconsistency(f"degree {m} is not generated by the arrows")
     chain = [coordinate_subspace(F, d, [i for i, g in enumerate(degrees) if g >= n])
              for n in range(1, top + 2)]
-    return _Graded(chain, certified, tuple(degrees))
+    return _Graded(chain, certified)
 
 
 def _guessed_radical(a: Algebra) -> Optional[_Graded]:
@@ -494,7 +495,7 @@ def _guessed_radical(a: Algebra) -> Optional[_Graded]:
     if degrees is None:
         return None
     try:
-        return _graded_radical(a, degrees, guessed=True)
+        return _graded_radical(a, degrees)
     except InternalInconsistency:
         return None
 
@@ -502,56 +503,33 @@ def _guessed_radical(a: Algebra) -> Optional[_Graded]:
 def radical(a: Algebra) -> Subspace:
     """Jacobson radical as a canonical subspace of the coordinate space.
 
-    It reads ``Provenance.degrees``, else ``radical_rows``; an algebra whose
-    record hands over nothing tries a grading guessed from its structure
-    constants (``_guessed_grading``), certified as a handed-over one is, and
-    a guess that is dropped or fails leaves it to the computed routes.
-    Every route returns the chain J ⊃ J^2 ⊃ ... ⊃ 0 it certified.
-    Handed-over ``idempotents`` are certified against the radical
-    (``_certify_candidate``), which also proves the radical complete; without
-    them the basis may supply some (``_adopt_basis_candidate``), unless the
-    guessed grading already certified them.  Only when every check has
-    passed are the radical, its chain (``"rad_powers"``), the certified set
-    and, on the graded route, the grading (``"grading"``, read by
-    ``certified_grading``) cached, so a failure caches none of them.
+    It tries a grading guessed from the structure constants
+    (``_guessed_grading``); a guess that is dropped or fails leaves A to the
+    trace-form routes.  Every route returns the chain J ⊃ J^2 ⊃ ... ⊃ 0 it
+    certified.  Unless the guessed grading already certified them, the
+    basis may supply the primitive idempotents (``_adopt_basis_candidate``),
+    which ``_certify_candidate`` checks against the radical.  Only when
+    every check has passed are the radical, its chain (``"rad_powers"``)
+    and the certified set cached, so a failure caches none of them.
     """
     cached = a._cache.get("radical")
     if cached is not None:
         return cached
-    prov = a.provenance
-    graded = certified = None
-    if prov.degrees is not None:
-        graded = _graded_radical(a, prov.degrees)
-    elif prov.radical_rows is None and prov.idempotents is None:
-        graded = _guessed_radical(a)
+    graded = _guessed_radical(a)
     if graded is not None:
-        chain, certified = graded.chain, graded.certified
-    elif prov.radical_rows is not None:
-        chain = _check_radical(a, span(a.field, a.dim, prov.radical_rows))
+        chain, certified = graded
     elif a.field.characteristic == 0:
-        chain = _check_radical(a, span(a.field, a.dim, _radical_char0(a)))
+        chain, certified = _check_radical(a, span(a.field, a.dim, _radical_char0(a))), None
     else:
-        chain = _radical_charp(a)
+        chain, certified = _radical_charp(a), None
     rad = chain[0]
-    if prov.idempotents is not None:
-        certified = (prov.idempotents, _certify_candidate(a, prov.idempotents, rad))
-    elif certified is None:
+    if certified is None:
         certified = _adopt_basis_candidate(a, rad)
     if certified is not None:
         a._cache["certified_candidate"] = certified
-    if graded is not None:
-        a._cache["grading"] = graded.degrees
     a._cache["rad_powers"] = chain
     a._cache["radical"] = rad
     return rad
-
-
-def certified_grading(a: Algebra) -> Optional[Tuple[int, ...]]:
-    """The degrees of the basis from which ``radical`` certified
-    Rad A = A_{>=1}, handed over or guessed; None when another route
-    certified the radical."""
-    radical(a)
-    return a._cache.get("grading")
 
 
 def radical_power(a: Algebra, n: int) -> Subspace:
@@ -802,9 +780,9 @@ class _Record(NamedTuple):
 
 
 def _idempotent_record(a: Algebra, seed: int) -> _Record:
-    """The record per (algebra, seed): the certified candidate when one was
-    handed over or guessed, else the search's, memoized per seed."""
-    radical(a)  # certifies a handed-over candidate, or adopts one from the basis
+    """The record per (algebra, seed): the certified basis guess when there
+    is one, else the search's, memoized per seed."""
+    radical(a)  # adopts a guess from the basis when it passes its certificate
     certified = a._cache.get("certified_candidate")
     if certified is not None:
         cand, grid = certified
@@ -885,7 +863,7 @@ def _searched_idempotents(a: Algebra, seed: int) -> _Record:
             if w is not None:
                 units[k] = (u, a.sandwich_coords(es[k], w, r))
     cand = IdempotentCandidate(es, classes, units)
-    grid = _certify_candidate(a, cand, rad, source="searched", table=table)
+    grid = _certify_candidate(a, cand, rad, "searched", table=table)
     return _Record(es, classes, corner_dims, grid, units)
 
 
@@ -918,17 +896,14 @@ def primitive_idempotents(a: Algebra, seed: int = 0) -> IdempotentSet:
     """A complete set of primitive orthogonal idempotents, grouped by iso
     class, read off the idempotent record; NotSplit unless A is split.
 
-    The record's three sources, each certified by ``_certify_candidate``:
+    The record's two sources, each certified by ``_certify_candidate``:
 
-    - handed over: ``Provenance.idempotents``, which ``radical`` certifies:
-      ``morita.inflate`` hands over the diagonal matrix units of End_B(P),
-      with their iso classes and the matrix units between copies;
-    - guessed from the basis: with nothing handed over, ``radical`` takes
-      the unit's terms u_i·b_i, each a nonzero multiple of a basis vector,
-      when they pass the certificate (``_basis_candidate``); on a quiver
-      build these are the vertex idempotents, each its own class, in vertex
-      order, and on a text copy of an inflation whose diagonal matrix units
-      are multiples of basis vectors, those units;
+    - guessed from the basis: ``radical`` takes the unit's terms u_i·b_i,
+      each a nonzero multiple of a basis vector, when they pass the
+      certificate (``_basis_candidate``); on a quiver build these are the
+      vertex idempotents, each its own class, in vertex order, and on an
+      inflation, or a text copy of one, whose diagonal matrix units are
+      multiples of basis vectors, those units, grouped by class;
     - searched: the primitives of a seeded split of A/Rad(A), lifted to A,
       grouped by e_r·A·e_s ⊄ J and given matrix units
       (``_searched_idempotents``, which proves the matrix units exist).
@@ -947,13 +922,12 @@ def primitive_idempotents(a: Algebra, seed: int = 0) -> IdempotentSet:
     return result
 
 
-def _certify_candidate(a: Algebra, cand: IdempotentCandidate, rad: Subspace,
-                       blocks: Optional[Dict] = None, source: str = "handed-over",
+def _certify_candidate(a: Algebra, cand: IdempotentCandidate, rad: Subspace, source: str,
+                       blocks: Optional[Dict] = None,
                        table: Optional[Tuple] = None) -> Tuple[Tuple[Subspace, ...], ...]:
     """Certify a set of idempotents against a nilpotent ideal J inside
     Rad(A), or raise InternalInconsistency; returns the representatives'
-    Peirce table.  ``source`` ("handed-over", "guessed" or "searched") opens
-    each message.
+    Peirce table.  ``source`` ("guessed" or "searched") opens each message.
 
     The checks: each e is a nonzero idempotent, the set is pairwise
     orthogonal and sums to 1; e_r·A·e_s ⊆ J for representatives r != s; each other member k of a
@@ -1106,7 +1080,7 @@ def _basis_candidate(a: Algebra, rad: Subspace
     d = a.dim
     one = a.field.one()
     support = [i for i, c in enumerate(a.unit) if c]
-    if _idempotent_fault(a, support, scaled=True) is not None:
+    if _idempotent_fault(a, support) is not None:
         return None
     es = [a._unit_vec(i) if a.unit[i] == one else _point(a, i, a.unit[i]) for i in support]
     blocks = _coordinate_blocks(a, es)
@@ -1150,7 +1124,7 @@ def _adopt_basis_candidate(a: Algebra, rad: Subspace) -> Optional[_Certified]:
         return None
     cand, blocks = guess
     try:
-        return cand, _certify_candidate(a, cand, rad, blocks, source="guessed")
+        return cand, _certify_candidate(a, cand, rad, "guessed", blocks)
     except InternalInconsistency:
         return None
 

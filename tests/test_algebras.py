@@ -41,7 +41,7 @@ def test_perturbed_tensor_reports_failures():
 def test_group_algebra_from_cayley_valid():
     g = group_algebra_from_cayley(F3, S3_TABLE)
     assert g.validate().ok
-    assert g.provenance.kind == "group"
+    assert g.kind == "group"
 
 
 @pytest.mark.parametrize("field", [F2, F3, QQ], ids=["Fp:2", "Fp:3", "Q"])

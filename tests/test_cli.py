@@ -37,7 +37,7 @@ def test_format_detection():
 
 def test_load_cayley_with_field():
     a = load_text("2\n0 1\n1 0", GF(2))
-    assert a.dim == 2 and a.provenance.kind == "group"
+    assert a.dim == 2 and a.kind == "group"
 
 
 def test_generate_then_report(tmp_path, capsys):
@@ -293,8 +293,8 @@ def test_package_reads_every_private_name_and_constant():
 
 def test_package_memoizes_only_on_the_first_parameter():
     # a function writes X._cache[...] or calls X._cache.setdefault only for X
-    # its first parameter: what a construction knows about the algebra it
-    # builds goes into that algebra's Provenance record, not its memo dict
+    # its first parameter: a construction does not write into the memo dict
+    # of the algebra it builds, which holds only what was certified on it
     import ast
 
     found = []
@@ -346,24 +346,6 @@ def test_each_literal_cache_key_has_one_writer():
                         writers.setdefault(key.value, set()).add(f"{path}: {fn.name}")
     assert "radical" in writers
     assert {key: sorted(fns) for key, fns in writers.items() if len(fns) > 1} == {}
-
-
-def test_each_provenance_field_has_a_reader():
-    # a fact a construction hands over is read somewhere in the package, as
-    # an attribute; a field nothing reads is a dead hand-over that costs its
-    # builder for nothing
-    import ast
-    import dataclasses
-
-    from fdalg.algebras import Provenance
-
-    read = {node.attr for _, tree in _package_modules() for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    fields = [f.name for f in dataclasses.fields(Provenance)]
-    assert [name for name in fields if name not in read] == []
-    # a field left declared after its reader is gone, such as the fullness
-    # witness inflations once handed over, is caught
-    assert [name for name in fields + ["fullness"] if name not in read] == ["fullness"]
 
 
 def _cli_process(args, tmp_path, text):

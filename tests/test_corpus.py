@@ -67,14 +67,14 @@ def test_random_quiver_validates():
     for seed in range(8):
         a = random_quiver_algebra(F3, seed)
         assert a.validate().ok
-        assert a.provenance.kind == "quiver"
+        assert a.kind == "quiver"
 
 
 def test_random_local_properties():
     for seed in range(8):
         a = random_local_algebra(F2, seed)
         assert a.validate().ok
-        assert a.provenance.kind == "generic"
+        assert a.kind == "generic"
         assert a.dim <= 12
         # local by construction: radical has codimension one
         assert radical(a).dim == a.dim - 1

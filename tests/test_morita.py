@@ -27,8 +27,14 @@ from fdalg.morita import (
     tau_map,
     verify_morita_invariance,
 )
+from fdalg.linalg import span
 from fdalg.structure import (
     IdempotentCandidate,
+    _certify_candidate,
+    _check_radical,
+    _graded_radical,
+    _guessed_grading,
+    _searched_idempotents,
     cartan_matrix,
     ell,
     ext1_diagonal,
@@ -244,21 +250,19 @@ def test_pruned_witness_gives_the_same_tau(field, monkeypatch):
     if field.p != 2:
         cases.append((two_loop_q_algebra(field, -1), [2]))
     for src, mult in cases:
-        handed = inflate(basic_algebra(src), mult)
-        # a generic copy hands over nothing: its record is guessed from the basis
-        generic = Algebra(handed.field, handed.mul, handed.unit)
-        for a in (generic, handed):
-            b, e, rows = basic_algebra_data(a)
-            w = fullness_witness(a, e)
-            assert not solved and len(w.pairs) == sum(mult) and w.verify()
-            tau = tau_map(a, e, w, b, rows).matrix
-            pruned = FullnessWitness(e, _solved_pairs(a, e))
-            assert solved.pop() <= a.dim and len(pruned.pairs) <= a.dim and pruned.verify()
-            full = _witness_over_all_products(a, e)
-            assert full.verify()
-            assert tau == tau_map(a, e, pruned, b, rows).matrix
-            assert tau == tau_map(a, e, full, b, rows).matrix
-        assert "certified_candidate" in generic._cache and generic.provenance.idempotents is None
+        # the inflation's record is guessed from the basis
+        a = inflate(basic_algebra(src), mult)
+        b, e, rows = basic_algebra_data(a)
+        w = fullness_witness(a, e)
+        assert not solved and len(w.pairs) == sum(mult) and w.verify()
+        tau = tau_map(a, e, w, b, rows).matrix
+        pruned = FullnessWitness(e, _solved_pairs(a, e))
+        assert solved.pop() <= a.dim and len(pruned.pairs) <= a.dim and pruned.verify()
+        full = _witness_over_all_products(a, e)
+        assert full.verify()
+        assert tau == tau_map(a, e, pruned, b, rows).matrix
+        assert tau == tau_map(a, e, full, b, rows).matrix
+        assert "certified_candidate" in a._cache
 
 
 @pytest.mark.parametrize("mult,message", [([1, 2, 3], "need 2 multiplicities, got 3"),
@@ -271,7 +275,7 @@ def test_inflation_dim_rejects_what_inflate_rejects(mult, message):
             build(k1, mult)
 
 
-# -- what inflate hands over ----------------------------------------------------
+# -- what inflations get from the guesses ---------------------------------------
 
 
 def _small_inflations(corpus, cap=16):
@@ -290,20 +294,17 @@ def _small_inflations(corpus, cap=16):
                 yield f"{entry.name} x{list(mult)}", inflate(b, list(mult)), list(mult)
 
 
-def test_handed_over_inflations_match_generic_copies(corpus, monkeypatch):
-    # the generic copy carries no candidates, so every search route runs on it;
-    # its radical is computed with the basis guess switched off, and the guess
-    # is made nowhere else
+def test_guessed_inflation_records_match_the_search(corpus, monkeypatch):
+    # an inflation is handed nothing but its tensor and unit; where its
+    # grading and idempotents are guessed, the results agree with a copy whose
+    # radical is computed with the basis guess switched off, so that every
+    # search route runs on it
     import fdalg.structure
 
     fields = set()
-    checked = graded = rows = 0
+    checked = graded = guessed = 0
     for name, big, mult in _small_inflations(corpus):
-        # a graded source hands over its grading, any other its radical rows
-        prov = big.provenance
-        assert (prov.degrees is None) != (prov.radical_rows is None), name
-        graded += prov.degrees is not None
-        rows += prov.radical_rows is not None
+        graded += fdalg.structure._guessed_radical(big) is not None
         generic = Algebra(big.field, big.mul, big.unit)
         with monkeypatch.context() as m:
             m.setattr(fdalg.structure, "_adopt_basis_candidate", lambda alg, rad: None)
@@ -311,9 +312,14 @@ def test_handed_over_inflations_match_generic_copies(corpus, monkeypatch):
         assert "certified_candidate" not in generic._cache, name
         assert verify_morita_invariance(big) == verify_morita_invariance(generic), name
         idems = primitive_idempotents(big)
-        assert [e.coords for e in idems.idempotents] == list(
-            big.provenance.idempotents.idempotents), name
-        assert [len(c) for c in idems.iso_classes] == mult, name
+        if "certified_candidate" in big._cache:
+            # the basis guess took the diagonal units ε_(i,r), grouped by i,
+            # and nothing above searched the inflation's semisimple quotient
+            assert all(sum(map(bool, e.coords)) == 1 for e in idems.idempotents), name
+            assert [len(c) for c in idems.iso_classes] == mult, name
+            assert ("idempotent_search", 0) not in big._cache, name
+            guessed += 1
+        assert sorted(len(c) for c in idems.iso_classes) == sorted(mult), name
         ll = loewy_length(big)
         assert ll == loewy_length(generic), name
         for n in range(1, ll + 1):
@@ -321,8 +327,6 @@ def test_handed_over_inflations_match_generic_copies(corpus, monkeypatch):
             assert k_n_space(big, n).dim == k_n_space(generic, n).dim, (name, n)
         assert _cartan_canonical(cartan_matrix(big), ext1_diagonal(big)) == _cartan_canonical(
             cartan_matrix(generic), ext1_diagonal(generic)), name
-        # nothing above searched the inflation's semisimple quotient; the copy's was
-        assert ("idempotent_search", 0) not in big._cache, name
         assert ("idempotent_search", 0) in generic._cache, name
         assert ell(big) == ell(generic) == len(mult), name
         dec, gdec = semisimple_decomposition(big), semisimple_decomposition(generic)
@@ -336,84 +340,70 @@ def test_handed_over_inflations_match_generic_copies(corpus, monkeypatch):
         fields.add(str(big.field))
         checked += 1
     assert {"Fp:2", "Fp:3", "Fp:5", "Q"} <= fields
-    assert checked >= 100, checked
-    assert graded >= 180 and rows >= 140, (graded, rows)
-
-
-def test_inflation_hands_over_degrees_only_for_a_homogeneous_peirce_basis():
-    # deg 1 = 0, deg x = 1, deg x^2 = 2 is the grading radical() certifies on
-    # F_5[x]/(x^3); a Peirce basis vector or a representative that mixes
-    # degrees is not handed over, and an ungraded source gives no degrees
-    from fdalg.morita import _peirce_degrees
-
-    t3 = truncated_polynomial(F5, 3)
-    one, x, x2 = (b.coords for b in t3.basis())
-    assert inflate(t3, [2]).provenance.degrees is not None
-    assert _peirce_degrees(t3, [t3.unit_element()], [[[one, x, x2]]]) == [[[0, 1, 2]]]
-    assert _peirce_degrees(t3, [t3.unit_element()], [[[one, (0, 1, 1)]]]) is None
-    assert _peirce_degrees(t3, [t3.element((1, 1, 0))], [[[one, x, x2]]]) is None
-    c3 = cyclic_group_algebra(F3, 3)
-    assert _peirce_degrees(c3, [c3.unit_element()], [[[b.coords for b in c3.basis()]]]) is None
+    assert checked >= 350, checked
+    # the inflations of modular group algebras are not graded, and those of
+    # the basic algebra of F_3[S_3] are searched
+    assert graded >= 330 and guessed >= 350, (graded, guessed)
 
 
 def _corrupt(kind, big=None):
-    """An inflation with one handed-over object corrupted, as a fresh algebra
-    on the same tensor with the altered record; or, for "fullness pair",
-    with the certified idempotent set it memoizes corrupted.  By default it
-    is a Kronecker one over F_3, which hands over its grading, and for
-    "radical row" one of F_3[C_3], whose source has no grading, so that it
-    hands over radical rows.  The first class must hold two copies."""
+    """A fresh algebra on the tensor of an inflation, and a call that hands
+    the certificate guarding ``kind`` one corrupted object:
+
+    - "radical row": ``_check_radical`` gets the radical with its first row
+      replaced by the first diagonal unit;
+    - "degree": ``_graded_radical`` gets the guessed grading with basis
+      vector 0, the unit e_0 of block (0, 0, 0, 0), moved to degree 1;
+    - "fullness pair": ``verify_morita_invariance`` runs with the certified
+      set memoized with the second copy of the first class dropped, so the
+      witness read off it has one pair too few;
+    - any other kind: ``_certify_candidate`` gets the certified basis guess
+      with one part altered, against the radical.
+
+    By default the inflation is a Kronecker one over F_3.  Its idempotents
+    must be guessed, and the first class must hold two copies."""
     if big is None:
-        big = (inflate(cyclic_group_algebra(F3, 3), [2]) if kind == "radical row"
-               else inflate(kronecker(F3, 2), [2, 1]))
+        big = inflate(kronecker(F3, 2), [2, 1])
     F = big.field
-    prov = big.provenance
-    cand = prov.idempotents
+    rad = radical(big)
+    cand = big._cache["certified_candidate"][0]
+    out = Algebra(big.field, big.mul, big.unit)
     if kind == "radical row":
-        prov = dataclasses.replace(prov, radical_rows=(cand.idempotents[0],)
-                                   + prov.radical_rows[1:])
-    elif kind == "degree":
-        # basis vector 0 is e_0 in block (0, 0, 0, 0), of degree 0; in degree 1,
-        # e_0·e_0 = e_0 is not homogeneous
-        degrees = list(prov.degrees)
+        rows = [cand.idempotents[0]] + rad.basis_vectors()[1:]
+        return out, lambda: _check_radical(out, span(F, out.dim, rows))
+    if kind == "degree":
+        # in degree 1, e_0·e_0 = e_0 is not homogeneous
+        degrees = _guessed_grading(big)
         degrees[0] = 1
-        prov = dataclasses.replace(prov, degrees=tuple(degrees))
-    elif kind == "idempotent":
-        units = list(cand.idempotents)
-        units[1] = tuple(F.mul(2, x) for x in units[1])
-        prov = dataclasses.replace(prov, idempotents=IdempotentCandidate(
-            tuple(units), cand.iso_classes, cand.matrix_units))
-    elif kind == "zero idempotent":
-        # the first copy's idempotent moved onto the second; the nonzero
-        # check comes first, so it names the zero
-        units = list(cand.idempotents)
-        units[0], units[1] = tuple(0 for _ in units[0]), tuple(map(F.add, *units[:2]))
-        prov = dataclasses.replace(prov, idempotents=IdempotentCandidate(
-            tuple(units), cand.iso_classes, cand.matrix_units))
-    elif kind == "class grouping":
-        # copies 0 and 1 of the first class, claimed to be two classes
-        classes = ((0,), (1,)) + cand.iso_classes[1:]
-        prov = dataclasses.replace(prov, idempotents=IdempotentCandidate(
-            cand.idempotents, classes, {}))
-    elif kind == "matrix unit":
-        u, v = cand.matrix_units[1]
-        prov = dataclasses.replace(prov, idempotents=IdempotentCandidate(
-            cand.idempotents, cand.iso_classes, {1: (v, u)}))
-    out = Algebra(big.field, big.mul, big.unit, prov)
+        return out, lambda: _graded_radical(out, degrees)
     if kind == "fullness pair":
-        # the certified set, memoized with the second copy of the first class
-        # dropped, so the witness read off it has one pair too few
         idems = primitive_idempotents(out)
         classes = [c[:1] + c[2:] if n == 0 else c for n, c in enumerate(idems.iso_classes)]
         out._cache[("idempotents", 0)] = dataclasses.replace(idems, iso_classes=classes)
-    return out
+        return out, lambda: verify_morita_invariance(out)
+    units = list(cand.idempotents)
+    if kind == "idempotent":
+        units[1] = tuple(F.mul(2, x) for x in units[1])
+        cand = IdempotentCandidate(tuple(units), cand.iso_classes, cand.matrix_units)
+    elif kind == "zero idempotent":
+        # the first copy's idempotent moved onto the second; the nonzero
+        # check comes first, so it names the zero
+        units[0], units[1] = tuple(0 for _ in units[0]), tuple(map(F.add, *units[:2]))
+        cand = IdempotentCandidate(tuple(units), cand.iso_classes, cand.matrix_units)
+    elif kind == "class grouping":
+        # copies 0 and 1 of the first class, claimed to be two classes
+        cand = IdempotentCandidate(cand.idempotents, ((0,), (1,)) + cand.iso_classes[1:], {})
+    elif kind == "matrix unit":
+        u, v = cand.matrix_units[1]
+        cand = IdempotentCandidate(cand.idempotents, cand.iso_classes, {1: (v, u)})
+    return out, lambda: _certify_candidate(out, cand, rad, "guessed")
 
 
 CORRUPTIONS = [
     ("radical row", "radical candidate is not a two-sided ideal"),
     ("degree", "not homogeneous"),
     ("idempotent", "idempotent 1 is not idempotent"),
-    ("zero idempotent", "handed-over idempotent 0 is zero"),
+    ("zero idempotent", "guessed idempotent 0 is zero"),
     ("class grouping", "representatives 0 and 1 are isomorphic"),
     ("matrix unit", "idempotent 1 is not isomorphic to its representative 0"),
     ("fullness pair", "fullness witness does not sum to the unit"),
@@ -422,31 +412,43 @@ CORRUPTIONS = [
 
 @pytest.mark.parametrize("kind,message", CORRUPTIONS)
 def test_corrupted_hand_over_is_caught(kind, message):
+    _, check = _corrupt(kind)
     with pytest.raises(InternalInconsistency, match=message):
-        verify_morita_invariance(_corrupt(kind))
+        check()
 
 
-@pytest.mark.parametrize("kind,message", [c for c in CORRUPTIONS if c[0] != "degree"])
+@pytest.mark.parametrize("kind,message", CORRUPTIONS)
 def test_corrupted_rescaled_hand_over_is_caught(kind, message):
     # the diagonal matrix units of this inflation of F_7[C_3] are 5·b_m, so
-    # its certificate reads the Peirce table off the basis; F_7[C_3] has no
-    # grading, so the inflation hands over radical rows and no degrees
+    # its certificate reads the Peirce table off the basis; the algebra is
+    # semisimple, and its guessed grading puts every basis vector in degree 0
     big = inflate(cyclic_group_algebra(GF(7), 3), [2, 1, 1])
-    assert all(sorted(set(e)) == [0, 5] for e in big.provenance.idempotents.idempotents)
+    radical(big)
+    assert all(sorted(set(e)) == [0, 5] for e in big._cache["certified_candidate"][0].idempotents)
+    _, check = _corrupt(kind, big)
     with pytest.raises(InternalInconsistency, match=message):
-        verify_morita_invariance(_corrupt(kind, big))
+        check()
 
 
 @pytest.mark.parametrize("kind,message", [c for c in CORRUPTIONS if c[0] != "fullness pair"])
-def test_failed_radical_caches_no_chain(kind, message):
-    # every corruption but the fullness pair fails inside radical(), after
-    # the hand-over's grading or radical rows have passed or failed their
-    # own checks
-    big = _corrupt(kind)
+def test_failed_radical_caches_no_chain(kind, message, monkeypatch):
+    # every corruption but the fullness pair fails inside a certificate that
+    # radical() runs before it caches anything: run in place of the step of
+    # radical() that calls that certificate, it leaves nothing cached
+    import fdalg.structure
+
+    out, check = _corrupt(kind)
+    if kind == "radical row":
+        monkeypatch.setattr(fdalg.structure, "_guessed_radical", lambda a: None)
+        monkeypatch.setattr(fdalg.structure, "_radical_charp", lambda a: check())
+    elif kind == "degree":
+        monkeypatch.setattr(fdalg.structure, "_guessed_radical", lambda a: check())
+    else:
+        monkeypatch.setattr(fdalg.structure, "_adopt_basis_candidate", lambda a, rad: check())
     with pytest.raises(InternalInconsistency, match=message):
-        radical(big)
-    assert "radical" not in big._cache and "rad_powers" not in big._cache
-    assert "grading" not in big._cache
+        radical(out)
+    assert "radical" not in out._cache and "rad_powers" not in out._cache
+    assert "certified_candidate" not in out._cache
 
 
 def test_corrupted_hand_over_is_caught_under_python_O():
@@ -465,10 +467,10 @@ def test_corrupted_hand_over_is_caught_under_python_O():
             "from fdalg.morita import inflate, verify_morita_invariance\n"
             "for kind in ('class grouping', 'fullness pair'):\n"
             "  for big in (None, inflate(cyclic_group_algebra(GF(7), 3), [2, 1, 1])):\n"
-            "    try:\n        verify_morita_invariance(_corrupt(kind, big))\n"
+            "    try:\n        _corrupt(kind, big)[1]()\n"
             "    except InternalInconsistency as exc:\n        print(kind, exc)\n"
             "for kind in ('radical row', 'degree'):\n"
-            "  try:\n    verify_morita_invariance(_corrupt(kind))\n"
+            "  try:\n    _corrupt(kind)[1]()\n"
             "  except InternalInconsistency as exc:\n    print(kind, exc)\n"
             "from fdalg.algebras import Algebra\n"
             "from fdalg.corpus import kronecker\n"
@@ -480,7 +482,7 @@ def test_corrupted_hand_over_is_caught_under_python_O():
                          capture_output=True, text=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
-        "class grouping handed-over representatives 0 and 1 are isomorphic"] * 2 + [
+        "class grouping guessed representatives 0 and 1 are isomorphic"] * 2 + [
         "fullness pair fullness witness does not sum to the unit"] * 2 + [
         "radical row radical candidate is not a two-sided ideal",
         "degree structure constant c_(0,0,0) is not homogeneous in the grading",
@@ -489,16 +491,19 @@ def test_corrupted_hand_over_is_caught_under_python_O():
 
 def test_dropped_radical_row_is_caught():
     # a nilpotent ideal smaller than the radical passes the ideal and nilpotency
-    # checks; dim A - dim J = sum n_i^2 over the certified classes does not
-    # F_3[C_3] has no grading, so its inflation hands over radical rows: M_2(J)
-    # for J = Rad F_3[C_3] = (g - 1), two rows per block; one per block is kept
-    handed = inflate(cyclic_group_algebra(F3, 3), [2])
-    assert handed.provenance.radical_rows is not None
-    rows = tuple(radical_power(handed, 2).basis_vectors())  # M_2(J^2)
-    big = Algebra(handed.field, handed.mul, handed.unit,
-                  dataclasses.replace(handed.provenance, radical_rows=rows))
+    # checks; dim A - dim J = sum n_i^2 over the certified classes does not,
+    # for the guessed set and the searched one alike.  The inflation of
+    # F_3[C_3] by [2] is M_2(F_3[C_3]), whose radical is M_2(J) for
+    # J = Rad F_3[C_3] = (g - 1), two rows per block; M_2(J^2) keeps one
+    big = inflate(cyclic_group_algebra(F3, 3), [2])
+    rows = radical_power(big, 2)
+    out = Algebra(big.field, big.mul, big.unit)
+    assert _check_radical(out, rows)[0] == rows and rows.dim == 4
+    guess = big._cache["certified_candidate"][0]
     with pytest.raises(InternalInconsistency, match="misses part of Rad"):
-        radical(big)
-    assert "radical" not in big._cache
+        _certify_candidate(out, guess, rows, "guessed")
+    assert "radical" not in out._cache
+    search = _searched_idempotents(big, 0)
     with pytest.raises(InternalInconsistency, match="misses part of Rad"):
-        primitive_idempotents(big)
+        _certify_candidate(out, IdempotentCandidate(search.idempotents, search.classes,
+                                                    search.matrix_units), rows, "searched")

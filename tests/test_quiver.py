@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from fdalg import structure
@@ -7,19 +5,10 @@ from fdalg.algebras import Algebra
 from fdalg.corpus import kronecker, random_quiver_algebra, two_loop_q_algebra
 from fdalg.errors import InternalInconsistency, NotAdmissible, QuiverSyntaxError, UnsupportedRelations
 from fdalg.fields import GF, QQ
-from fdalg.invariants import k_n_space
 from fdalg.morita import basic_algebra_data, verify_morita_invariance
+from fdalg.oracle import RADICAL_ORACLE_CAP, radical_oracle
 from fdalg.quiver import admissibility_bound, build_path_algebra, parse_quiver
-from fdalg.structure import (
-    cartan_matrix,
-    ell,
-    ext1_diagonal,
-    loewy_length,
-    radical,
-    radical_power,
-    semisimple_decomposition,
-)
-from test_morita import _cartan_canonical
+from fdalg.structure import primitive_idempotents, radical, semisimple_decomposition
 from test_structure import _wedderburn_reference
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
@@ -123,11 +112,8 @@ def test_arrow_ideal_is_radical_and_nilpotent():
     # quotient by the ideal is spanned by the vertices
     assert ideal.codim() == len(res.path_basis.labels) - sum(
         1 for length in res.path_basis.lengths if length > 0)
-    # recomputing the radical without provenance gives the same subspace
-    from fdalg.algebras import Algebra, Provenance
-
-    stripped = Algebra(a.field, a.mul, a.unit, Provenance("generic"))
-    assert radical(stripped) == ideal
+    # the power-trace route, which reads no grading, finds the same subspace
+    assert structure._radical_charp(a)[0] == ideal
 
 
 def test_vertex_idempotents_sum_to_unit():
@@ -147,7 +133,7 @@ def test_syntax_error_positions():
         assert exc.line == 2
 
 
-# -- what quiver builds hand over ------------------------------------------------
+# -- the grading guess on quiver builds ------------------------------------------
 
 
 def _quiver_families(field):
@@ -168,60 +154,72 @@ def _quiver_families(field):
     return out
 
 
-def _hand_over_inputs():
-    for field in (F2, F3, F5, QQ):
-        for name, a in _quiver_families(field):
-            yield f"{name}/{field}", a
-    fields = (F2, F3, F5, QQ)
-    for seed in range(160):
-        field = fields[seed % 4]
-        yield f"random_quiver({seed})/{field}", random_quiver_algebra(field, seed, max_dim=24)
+def _quiver_builds(monkeypatch):
+    """(name, build) for every quiver build of the test corpus, of
+    ``_quiver_families`` over F_2, F_3, F_5 and Q, and of ``fdalg fuzz
+    --family quiver`` seeds 0..139 (F_2, F_3 or F_5 by seed mod 3) at
+    max_dim 24; each build is the ``PathAlgebraResult`` that compiled it,
+    caught on its way out of ``_path_products``."""
+    import fdalg.corpus
+    import fdalg.quiver
+    from conftest import _named_corpus
+
+    real = fdalg.quiver._path_products
+    built = {}
+
+    def spy(q, st):
+        res = real(q, st)
+        built[id(res.algebra)] = res
+        return res
+
+    with monkeypatch.context() as m:
+        m.setattr(fdalg.quiver, "_path_products", spy)
+        m.setattr(fdalg.corpus, "_path_products", spy)
+        named = [(entry.name, entry.algebra) for entry in _named_corpus()]
+        for field in (F2, F3, F5, QQ):
+            named += [(f"{name}/{field}", a) for name, a in _quiver_families(field)]
+        for seed in range(140):
+            field = (F2, F3, F5)[seed % 3]
+            named.append((f"random_quiver({seed})/{field}",
+                          random_quiver_algebra(field, seed, max_dim=24)))
+    return [(name, built[id(a)]) for name, a in named if id(a) in built]
 
 
-def _analyses(a):
-    ll = loewy_length(a)
-    dec = semisimple_decomposition(a)
-    return {
-        "radical": radical(a),
-        "loewy": ll,
-        "powers": [radical_power(a, n) for n in range(1, ll + 2)],
-        "k_n": [k_n_space(a, n).dim for n in range(1, ll + 1)],
-        "ell": ell(a),
-        "split": dec.split,
-        "components": (sorted(dec.component_dims), sorted(dec.corner_dims)),
-        "cartan_ext1": _cartan_canonical(cartan_matrix(a), ext1_diagonal(a)),
-        "morita": verify_morita_invariance(a),
-    }
-
-
-def test_quiver_hand_over_matches_generic_copies(monkeypatch):
-    # the generic copy carries no grading and no candidate, so every search
-    # route runs on it
+def test_guessed_grading_is_the_path_length(monkeypatch):
+    # the grading guess recovers the path lengths and the vertex idempotents
+    # of every build, so the radical is read off the grading, no split search
+    # runs, and the radical agrees with the exhaustive oracle
     def no_search(b, rng):
         raise AssertionError("_primitive_decomposition ran on a quiver build")
 
-    checked = 0
-    for name, a in _hand_over_inputs():
-        assert a.provenance.degrees is not None, name
+    checked = oracle_checked = 0
+    for name, res in _quiver_builds(monkeypatch):
+        a = res.algebra
+        assert a.kind == "quiver", name
+        assert structure._guessed_grading(a) == res.path_basis.lengths, name
         with monkeypatch.context() as mp:
             mp.setattr(structure, "_primitive_decomposition", no_search)
-            got = _analyses(a)
+            assert radical(a) == res.arrow_ideal, name
+            idems = primitive_idempotents(a)
+            assert idems.idempotents == res.vertex_idempotents, name
             assert basic_algebra_data(a)[0] is a, name
+            assert verify_morita_invariance(a).ok, name
         dec = semisimple_decomposition(a)
         assert (dec.components, dec.component_dims) == _wedderburn_reference(a, dec), name
-        generic = Algebra(a.field, a.mul, a.unit)
-        assert got == _analyses(generic), name
-        assert basic_algebra_data(generic)[0] is generic, name
+        if a.field.p and a.field.p ** a.dim <= RADICAL_ORACLE_CAP:
+            assert radical(a) == radical_oracle(a), name
+            oracle_checked += 1
         checked += 1
-    assert checked >= 190, checked
+    # 140 fuzz draws, 26 corpus builds (kronecker and a_q) and 39 family builds
+    assert checked == 140 + 26 + 39 and oracle_checked >= 150, (checked, oracle_checked)
 
 
 def _corrupt_quiver(kind):
-    """A quiver build with its tensor or handed-over grading corrupted, as a
-    fresh algebra with the altered tensor and record."""
+    """A quiver build with its tensor or its path-length grading corrupted:
+    a fresh algebra on the altered tensor, and the altered degrees."""
     a = two_loop_q_algebra(F5, 2) if kind == "non-homogeneous" else kronecker(F3, 2)
     mul = [[list(row) for row in plane] for plane in a.mul]
-    degrees = list(a.provenance.degrees)
+    degrees = structure._guessed_grading(a)
     if kind == "non-homogeneous":
         mul[1][2][0] = 1  # x·y gains a vertex term
     elif kind == "not idempotent":
@@ -230,7 +228,7 @@ def _corrupt_quiver(kind):
         mul[0][1][0] = 1  # e_u·e_v = e_u
     elif kind == "not generated":
         degrees[3] = 2  # the second arrow claimed as a path of length 2
-    return Algebra(a.field, mul, a.unit, dataclasses.replace(a.provenance, degrees=tuple(degrees)))
+    return Algebra(a.field, mul, a.unit, a.kind), degrees
 
 
 @pytest.mark.parametrize("kind,message", [
@@ -240,8 +238,11 @@ def _corrupt_quiver(kind):
     ("not generated", "degree 2 is not generated by the arrows"),
 ])
 def test_corrupted_quiver_hand_over_is_caught(kind, message):
+    # the graded certificate rejects each corruption, and leaves no trace
+    a, degrees = _corrupt_quiver(kind)
     with pytest.raises(InternalInconsistency, match=message):
-        verify_morita_invariance(_corrupt_quiver(kind))
+        structure._graded_radical(a, degrees)
+    assert not a._cache.keys() & {"radical", "rad_powers", "certified_candidate"}
 
 
 def test_corrupted_quiver_hand_over_is_caught_under_python_O():
@@ -255,8 +256,8 @@ def test_corrupted_quiver_hand_over_is_caught_under_python_O():
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "from test_quiver import _corrupt_quiver; "
             "from fdalg.errors import InternalInconsistency; "
-            "from fdalg.morita import verify_morita_invariance\n"
-            "try:\n    verify_morita_invariance(_corrupt_quiver('not generated'))\n"
+            "from fdalg.structure import _graded_radical\n"
+            "try:\n    _graded_radical(*_corrupt_quiver('not generated'))\n"
             "except InternalInconsistency:\n    print('caught')\n")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fdalg.__file__).parent.parent))
     out = subprocess.run([sys.executable, "-O", "-c", code, str(pathlib.Path(__file__).parent)],

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -98,33 +97,56 @@ def _chain_by_products(a):
     return chain
 
 
+# Q[x]/(x^3) on the basis 1, x, x + x^2: every product of x and x + x^2 is
+# x^2 = b_2 - b_1, so b_1's first product is b_1·b_1 and the grading guess drops
+Q_UNGRADED_TEXT = """algebra dim=3 field=Q
+unit: 1 0 0
+mul 0 0 0 1
+mul 0 1 1 1
+mul 0 2 2 1
+mul 1 0 1 1
+mul 2 0 2 1
+mul 1 1 1 -1
+mul 1 1 2 1
+mul 1 2 1 -1
+mul 1 2 2 1
+mul 2 1 1 -1
+mul 2 1 2 1
+mul 2 2 1 -1
+mul 2 2 2 1
+"""
+
+
+def _route(a):
+    """The route ``radical`` takes on A."""
+    if structure._guessed_radical(a) is not None:
+        return "graded"
+    return "char 0" if a.field.characteristic == 0 else "char p"
+
+
 def _chain_route_input(route):
-    """An algebra whose radical comes from the named route; the second value
-    checks its provenance."""
+    """An algebra of the named kind, and the radical route it must take."""
     big = inflate(truncated_polynomial(F5, 3), [2])
     if route == "quiver":
-        a = random_quiver_algebra(F3, 3, max_dim=12)
-        return a, a.provenance.degrees is not None
+        return random_quiver_algebra(F3, 3, max_dim=12), "graded"
     if route == "inflation":
-        # F_3[C_3] has no grading, so its inflation hands over radical rows
-        a = inflate(cyclic_group_algebra(F3, 3), [2])
-        return a, a.provenance.radical_rows is not None and a.provenance.idempotents
+        # F_3[C_3] has no grading, nor has its inflation
+        return inflate(cyclic_group_algebra(F3, 3), [2]), "char p"
     if route == "graded inflation":
-        return big, big.provenance.degrees is not None and big.provenance.radical_rows is None
+        return big, "graded"
     if route == "corner":
-        a = basic_algebra_data(big)[0]  # big's radical is cached first: eAe inherits e·J·e
-        return a, a.provenance.radical_rows is not None and a.provenance.idempotents is None
-    source = {"Q text": two_loop_q_algebra(QQ, 2), "Fp text": cyclic_group_algebra(F2, 4),
-              "semisimple Fp": s3_group_algebra(F5)}[route]
-    a = parse_algebra_text(write_algebra_text(source))
-    return a, a.provenance.radical_rows is None and a.provenance.degrees is None
+        return basic_algebra_data(big)[0], "graded"
+    if route == "Q text":
+        return parse_algebra_text(Q_UNGRADED_TEXT), "char 0"
+    source = {"Fp text": cyclic_group_algebra(F2, 4), "semisimple Fp": s3_group_algebra(F5)}[route]
+    return parse_algebra_text(write_algebra_text(source)), "char p"
 
 
 @pytest.mark.parametrize("route", ["quiver", "inflation", "graded inflation", "corner", "Q text",
                                    "Fp text", "semisimple Fp"])
 def test_radical_power_reads_the_certified_chain(route):
-    a, on_route = _chain_route_input(route)
-    assert on_route
+    a, want = _chain_route_input(route)
+    assert _route(a) == want
     chain = _chain_by_products(a)
     ll = loewy_length(a)
     assert chain[-1].dim == 0 and all(sub.dim for sub in chain[:-1])
@@ -346,7 +368,7 @@ def test_semisimple_multiplicity_reconstruction():
         assert total == semisimple_quotient(a).algebra.dim
 
 
-# -- radicals inherited by corners ---------------------------------------------
+# -- corners ----------------------------------------------------------------------
 
 BIG_P = 2147483659  # above the exact-float64 gate: the tuple path
 
@@ -358,80 +380,36 @@ def _split_or_none(a):
         return None
 
 
-def _check_inherited_radical(a, e):
-    """The corner's radical inherited from A equals the one an independent
-    route finds on a fresh copy of the corner's tensor."""
-    radical(a)
-    b, _ = corner_data(a, e)
-    assert b.provenance.radical_rows is not None
-    fresh = Algebra(b.field, b.mul, b.unit)
-    assert radical(b) == radical(fresh)
-    if b.field.is_prime_field and b.field.p ** b.dim <= RADICAL_ORACLE_CAP:
-        assert radical(b) == radical_oracle(fresh)
-
-
-def test_corner_inherits_radical_on_corpus(corpus):
-    checked = 0
-    for entry in corpus:
-        a = _split_or_none(entry.algebra)
-        if a is None or a.dim > 16:
-            continue
-        idems = primitive_idempotents(a)
-        corners = [idems.idempotents[i] for i in idems.basic_representatives]
-        for e in corners + [basic_algebra_data(a)[1]]:
-            _check_inherited_radical(a, e)
-            checked += 1
-    assert checked > 100
-
-
-def test_corner_inherits_radical_on_inflations(corpus):
-    fields = set()
-    for entry in corpus:
-        a = _split_or_none(entry.algebra)
-        if a is None or a.dim > 8:
-            continue
-        idems = primitive_idempotents(a)
-        if len(idems.idempotents) != len(idems.iso_classes):
-            continue  # inflation needs a basic algebra
-        mult = [2] + [1] * (len(idems.iso_classes) - 1)
-        if inflation_dim(a, mult) > 16:
-            continue
-        big = inflate(a, mult)
-        _check_inherited_radical(big, basic_algebra_data(big)[1])
-        fields.add(str(a.field))
-    assert {"Fp:2", "Fp:3", "Fp:5", "Q"} <= fields
-
-
 def test_corner_skips_radical_not_yet_known():
+    # a corner computes no radical, of A or of itself
     a = lower_triangular(F5, 3)
     b, _ = corner_data(a, a.basis_element(0))
     assert "radical" not in a._cache
-    assert b.provenance.radical_rows is None
+    assert "radical" not in b._cache
 
 
 def test_wrong_radical_candidate_is_rejected():
+    # A itself is a two-sided ideal of A, but not a nilpotent one
     t3 = truncated_polynomial(F3, 3)
-    a = Algebra(t3.field, t3.mul, t3.unit, dataclasses.replace(
-        t3.provenance, radical_rows=tuple(b.coords for b in t3.basis())))  # A itself
     with pytest.raises(RuntimeError, match="not nilpotent"):
-        radical(a)
+        structure._check_radical(t3, span(t3.field, t3.dim, [b.coords for b in t3.basis()]))
+    assert "radical" not in t3._cache
 
 
-def test_inherited_row_outside_corner_raises(monkeypatch):
+def test_product_outside_corner_raises(monkeypatch):
     a = lower_triangular(F5, 2)
-    radical(a)
-    # e00·T_2·e00 = span{e00}; a corrupted projection e·r·e of a radical row
-    # lands on e10 instead.  The corruption starts once the corner basis is
-    # built, so the corner itself is sound and only the projections are wrong.
+    # e00·T_2·e00 = span{e00}; a corrupted product of corner rows lands on
+    # e10 instead.  The corruption starts once the corner basis is built, so
+    # the corner itself is sound and only the products are wrong.
     real_peirce_rows = algebras.peirce_rows
 
     def peirce_rows_then_corrupt(alg, e, f):
         sub = real_peirce_rows(alg, e, f)
-        monkeypatch.setattr(Algebra, "sandwich_coords", lambda self, l, x, r: (0, 1, 0))
+        monkeypatch.setattr(Algebra, "multiply_coords", lambda self, x, y: (0, 1, 0))
         return sub
 
     monkeypatch.setattr(algebras, "peirce_rows", peirce_rows_then_corrupt)
-    with pytest.raises(RuntimeError, match="left the corner"):
+    with pytest.raises(RuntimeError, match="not multiplicatively closed"):
         corner_data(a, a.basis_element(0))
 
 
@@ -516,7 +494,7 @@ def test_trace_gram_matches_regular_matrix_reference(corpus, field):
 
 
 def _generic(a):
-    """A copy with generic provenance and an empty cache: with the grading
+    """A copy of kind "generic" with an empty cache: with the grading
     guess switched off (``_guessed_grading`` patched to None), the char-p
     route runs, even on M_n(F) or an inflation, whose guess holds."""
     return Algebra(a.field, a.mul, a.unit, _canonical=True)
@@ -717,7 +695,7 @@ def test_peirce_table_matches_per_pair_spans(corpus):
 
 def _permuted_text(a, rng):
     """A's structure-constant text on a shuffled basis, so a parse of it
-    carries no hand-over and its basis order is not A's."""
+    has a basis order that is not A's."""
     d = a.dim
     perm = list(range(d))
     rng.shuffle(perm)
@@ -801,22 +779,24 @@ def test_basis_guess_matches_search_on_rescaled_corpus(corpus, monkeypatch):
 
 def test_rescaled_inflation_reads_its_peirce_table_off_the_basis(monkeypatch):
     # the diagonal matrix units of an inflation of F_7[C_3] are multiples
-    # 5·b_m of basis vectors: the certificate spans no Peirce block
+    # 5·b_m of basis vectors: the basis guess takes them, and its certificate
+    # spans no Peirce block
     big = inflate(cyclic_group_algebra(GF(7), 3), [1, 2, 1])
-    units = big.provenance.idempotents.idempotents
-    assert all(sum(map(bool, e)) == 1 for e in units) and any(max(e) != 1 for e in units)
     calls = []
     peirce_table = structure._peirce_table
     monkeypatch.setattr(structure, "_peirce_table",
                         lambda *args: calls.append(args) or peirce_table(*args))
     radical(big)
-    assert "certified_candidate" in big._cache and not calls
+    units = big._cache["certified_candidate"][0].idempotents
+    assert all(sum(map(bool, e)) == 1 for e in units) and any(max(e) != 1 for e in units)
+    assert not calls
     assert cartan_matrix(big) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]] and not calls
-    # the spy sees a span: with the basis reading refused, the same hand-over
-    # is certified over a spanned table
+    # the spy sees a span: with the basis reading refused, the guess is
+    # dropped, and the search's set is certified over the one table it spans
     monkeypatch.setattr(structure, "_coordinate_blocks", lambda *args: None)
-    spanned = Algebra(big.field, big.mul, big.unit, big.provenance)
+    spanned = Algebra(big.field, big.mul, big.unit)
     assert cartan_matrix(spanned) == cartan_matrix(big) and len(calls) == 1
+    assert "certified_candidate" not in spanned._cache
 
 
 # M_2(F_5) x F_5 on the basis 1_M, 1_F, E_12, E_21, E_11: the unit's support
@@ -874,10 +854,10 @@ def test_rejected_basis_guess_falls_back_to_the_search(monkeypatch):
 
     certify = structure._certify_candidate
 
-    def failing(alg, cand, rad, blocks=None, source="handed-over", table=None):
+    def failing(alg, cand, rad, source, blocks=None, table=None):
         if source == "guessed":
             raise InternalInconsistency("refused")
-        return certify(alg, cand, rad, blocks, source, table)
+        return certify(alg, cand, rad, source, blocks, table)
 
     monkeypatch.setattr(structure, "_certify_candidate", failing)
     for text, summary in zip(texts, want):
@@ -901,8 +881,8 @@ def test_orthogonality_of_basis_multiples_is_read_off_the_index(monkeypatch):
         rad = radical(a)
         e0, e2 = structure._point(a, 0, a.unit[0]), structure._point(a, 2, a.unit[2])
         e1 = structure._point(a, 1, F.inv(a.mul[1][1][1]))
-        good = algebras.IdempotentCandidate((e0, e2), ((0,), (1,)), {})
-        bad = algebras.IdempotentCandidate((e1, e2), ((0,), (1,)), {})
+        good = structure.IdempotentCandidate((e0, e2), ((0,), (1,)), {})
+        bad = structure.IdempotentCandidate((e1, e2), ((0,), (1,)), {})
         grids = []
         for read_off in (positions, lambda es: None):
             monkeypatch.setattr(structure, "_basis_positions", read_off)
@@ -912,11 +892,11 @@ def test_orthogonality_of_basis_multiples_is_read_off_the_index(monkeypatch):
                 m.setattr(Algebra, "multiply_coords",
                           lambda alg, x, y: products.append((x, y)) or multiply(alg, x, y))
                 with pytest.raises(InternalInconsistency,
-                                   match="handed-over idempotent 0 is not orthogonal to the rest"):
-                    structure._certify_candidate(a, bad, rad)
+                                   match="guessed idempotent 0 is not orthogonal to the rest"):
+                    structure._certify_candidate(a, bad, rad, "guessed")
             # off the index, only e_1·e_1 is multiplied before the fault
             assert (products == [(e1, e1)]) == (read_off is positions)
-            grids.append(structure._certify_candidate(a, good, rad))
+            grids.append(structure._certify_candidate(a, good, rad, "guessed"))
         assert grids[0] == grids[1]
 
 
@@ -1028,7 +1008,7 @@ def test_dropped_grading_guess_falls_back(monkeypatch):
     assert radical(parse_algebra_text(cases[0][0])).dim == 3
     # a guess on a corrupted tensor raises nothing either
     for kind in ("non-homogeneous", "not idempotent", "not orthogonal", "not generated"):
-        c = _corrupt_quiver(kind)
+        c, _ = _corrupt_quiver(kind)
         structure._guessed_radical(Algebra(c.field, c.mul, c.unit))
 
 
