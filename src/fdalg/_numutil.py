@@ -2,10 +2,8 @@
 
 The float64 matmul trick is exact as long as every intermediate integer is
 below 2**53: entries are < p, products < p**2, and row sums add a factor of
-the inner dimension.  ``usable(p, dim)`` checks that bound for the two users:
-
-- the two-sided ideal test ``structure._ideal_contains_products`` over F_p;
-- the lifted power-trace stages of ``structure._radical_charp``.
+the inner dimension.  ``usable(p, dim)`` checks that bound for the one user,
+the lifted power-trace stages of ``structure._radical_charp``.
 """
 from __future__ import annotations
 

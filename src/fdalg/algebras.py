@@ -132,7 +132,8 @@ class Algebra:
     constants: ``_nz[i][j]`` is the tuple of pairs (k, c_ijk) with c_ijk != 0.
     The whole-tensor sweeps read it, not the d^3 tensor: ``validate``,
     ``center``, ``invariants.commutator_subspace``, and in ``structure`` the
-    grading guess, its homogeneity check and the orthogonality tests.
+    grading guess, its homogeneity check, the orthogonality tests and the
+    two-sided ideal test.
     ``multiply_coords`` reads the dense rows.
     """
 
@@ -159,10 +160,6 @@ class Algebra:
         self._cache: dict = {}
 
     # -- fast-path plumbing ------------------------------------------------
-
-    @property
-    def _np_ok(self) -> bool:
-        return self.field.is_prime_field and _numutil.usable(self.field.p, self.dim)
 
     @property
     def _np_tensor(self):

@@ -184,7 +184,7 @@ def is_local(a: Algebra, seed: int = 0) -> Optional[bool]:
         dec = semisimple_decomposition(a, seed)
     except SplitUndecided:
         return None
-    return len(dec.primitives) == 1
+    return len(dec.corner_dims) == 1
 
 
 # -- symmetrizing form search ---------------------------------------------------

@@ -29,34 +29,34 @@ check a two-sided ideal and multiply its powers down to zero.  ``radical``
 caches J and the chain once every check has passed, and ``radical_power``
 and ``loewy_length`` read the chain.
 
-Primitive idempotents have two sources, one certificate and one reader.
-A complete set comes from
+A complete set of primitive idempotents is one ``_Record``: the
+idempotents, their classes, each one's corner dim, the representatives'
+Peirce table and the matrix units.  It has two sources:
 
 - a guess from the basis: ``radical`` tries the unit's terms u_i·b_i, each
   a nonzero multiple of a basis vector, grouped by the Peirce blocks of the
-  basis (``_basis_candidate``).  These are a quiver build's vertex
-  idempotents, and an inflation's diagonal matrix units when its source's
-  idempotents are multiples of Peirce basis vectors.  A guess that fails its
-  certificate is dropped;
-- the search, otherwise: A/J is split by minimal polynomials and the pieces
-  are lifted to A, grouped and given matrix units
-  (``_searched_idempotents``); over F_p a commutative piece is first tested
-  by Frobenius (``_is_field_fp``), and a field F_{p^f} is one primitive of
-  corner dim f.  A searched set that fails its certificate raises
-  InternalInconsistency.
+  basis (``_basis_candidate``), which give its table with no product.  These
+  are a quiver build's vertex idempotents, and an inflation's diagonal
+  matrix units when its source's idempotents are multiples of Peirce basis
+  vectors.  A guess that fails its certificate is dropped;
+- the search, otherwise, the one step that builds A/J
+  (``semisimple_quotient``): A/J is split by minimal polynomials and the
+  pieces are lifted to A, grouped on one spanned Peirce table
+  (``_peirce_table``) and given matrix units (``_searched_idempotents``);
+  over F_p a commutative piece is first tested by Frobenius
+  (``_is_field_fp``), and a field F_{p^f} is one primitive of corner dim f.
+  A searched set that fails its certificate raises InternalInconsistency.
 
-``_certify_candidate`` checks every split set against the radical, which
-also proves the radical complete (dim A - dim J = sum n_i^2 over the
-classes), and returns the representatives' Peirce table, read off the
-basis (``_coordinate_blocks``) when each idempotent is a nonzero multiple
-of a basis vector and the basis lies in their Peirce blocks, else spanned
-once per block from one-sided spans (``_peirce_table``).  A guessed set is
-memoized with its table as ``"certified_candidate"``, a searched one per
-seed; ``semisimple_decomposition``, ``primitive_idempotents`` and
-``peirce_grid`` read only that record (``_idempotent_record``), which also
-keeps the certified matrix units (``morita.fullness_witness``).  A set with
-a corner dim above 1, over a field where A is not split, is grouped the same
-way and not certified.
+``_certify_candidate`` checks every split record against the radical, over
+the table its source built, which also proves the radical complete
+(dim A - dim J = sum n_i^2 over the classes), and returns the certified
+record.  A guessed record is memoized as ``"certified_candidate"``, a
+searched one per seed; ``semisimple_decomposition``,
+``primitive_idempotents`` and ``peirce_grid`` read only that record
+(``_idempotent_record``), which also keeps the certified matrix units
+(``morita.fullness_witness``).  A set with a corner dim above 1, over a
+field where A is not split, is grouped the same way, has no table and is
+not certified.  ``wedderburn_split`` maps each class sum into A/J.
 
 ``peirce_grid`` is that table over the basic representatives of
 ``primitive_idempotents``, and ``peirce_radical_diagonal`` spans each
@@ -103,23 +103,20 @@ RANDOM_SPLIT_TRIES_FP = 256
 RANDOM_SPLIT_TRIES_Q = 64
 
 
-@dataclass(frozen=True)
-class IdempotentCandidate:
-    """Primitive idempotents in coordinates, certified before use
-    (``_certify_candidate``).  ``iso_classes`` partitions the indices of
-    ``idempotents``, each class listing its representative first.
-    ``matrix_units[k] = (u, v)`` for every other index k, with r its class
-    representative: u in e_r·A·e_k and v in e_k·A·e_r with u·v = e_r and
-    v·u = e_k.
-    """
+class _Record(NamedTuple):
+    """A complete set of primitive orthogonal idempotents of A, in
+    coordinates, grouped into classes (representative first, classes ordered
+    by first member), with each one's corner dim dim ē·(A/J)·ē, the
+    representatives' Peirce table (None until ``_certify_candidate`` passes,
+    and when A is not split) and the matrix units: ``matrix_units[k] = (u, v)``
+    for every other member k of a class with representative r, u in
+    e_r·A·e_k and v in e_k·A·e_r with u·v = e_r and v·u = e_k."""
 
     idempotents: Tuple[Tuple, ...]
-    iso_classes: Tuple[Tuple[int, ...], ...]
+    classes: Tuple[Tuple[int, ...], ...]
+    corner_dims: Tuple[int, ...]
+    grid: Optional[Tuple[Tuple[Subspace, ...], ...]]
     matrix_units: Dict[int, Tuple[Tuple, Tuple]]
-
-
-# a set of idempotents that passed ``_certify_candidate``, with its Peirce table
-_Certified = Tuple[IdempotentCandidate, Tuple]
 
 
 # -- minimal polynomials ----------------------------------------------------
@@ -301,26 +298,23 @@ def _radical_charp(a: Algebra) -> List[Subspace]:
 
 
 def _ideal_contains_products(a: Algebra, sub: Subspace) -> bool:
-    """Whether b_i·r and r·b_i lie in the subspace for every basis b_i and row r."""
-    rows = sub.basis_vectors()
-    if a._np_ok and rows:
-        import numpy as np
+    """Whether b_i·r and r·b_i lie in the subspace for every basis b_i and row r.
 
-        p = a.field.p
-        r = np.array(rows, dtype=np.int64)
-        c = a._np_tensor
-        # b_i·r = sum_j r_j c[i, j, :] and r·b_i = sum_j r_j c[j, i, :]
-        prods = np.concatenate((np.tensordot(r, c, axes=([1], [1])),
-                                np.tensordot(r, c, axes=([1], [0])))).reshape(-1, a.dim) % p
-        # against an RREF basis, a vector's coefficient on row j is its pivot entry
-        resid = prods - _numutil.mat_mul_mod(prods[:, list(sub.pivots)], r, p)
-        return not (resid % p).any()
-    for i in range(a.dim):
-        b = a._unit_vec(i)
-        for r in rows:
-            if not sub.contains(a.multiply_coords(b, r)):
-                return False
-            if not sub.contains(a.multiply_coords(r, b)):
+    b_i·r = sum_j r_j (b_i b_j) and r·b_i = sum_j r_j (b_j b_i) are read off
+    the index ``Algebra._nz``, accumulated unreduced (the echelon kernels
+    reduce mod p), and each nonzero one is tested by ``sub.contains``."""
+    nz = a._nz
+    d = a.dim
+    for r in sub.basis_vectors():
+        support = [(j, c) for j, c in enumerate(r) if c]
+        for i in range(d):
+            left, right = [0] * d, [0] * d
+            for j, c in support:
+                for k, x in nz[i][j]:
+                    left[k] += c * x
+                for k, x in nz[j][i]:
+                    right[k] += c * x
+            if (any(left) and not sub.contains(left)) or (any(right) and not sub.contains(right)):
                 return False
     return True
 
@@ -429,7 +423,7 @@ class _Graded(NamedTuple):
     None)."""
 
     chain: List[Subspace]
-    certified: Optional[_Certified]
+    certified: Optional[_Record]
 
 
 def _graded_radical(a: Algebra, degrees: Sequence[int]) -> _Graded:
@@ -550,6 +544,7 @@ def loewy_length(a: Algebra) -> int:
 
 
 def semisimple_quotient(a: Algebra) -> QuotientData:
+    """A/J, memoized; built only by the search and by ``wedderburn_split``."""
     cached = a._cache.get("ss_quotient")
     if cached is None:
         cached = quotient_algebra(a, radical(a))
@@ -562,13 +557,11 @@ def semisimple_quotient(a: Algebra) -> QuotientData:
 
 @dataclass
 class SemisimpleDecomposition:
-    """Primitive orthogonal idempotents of a semisimple algebra, grouped."""
+    """The Wedderburn data of A/Rad(A), read off the idempotent record."""
 
-    primitives: List[Tuple]          # coordinates in the semisimple algebra
-    corner_dims: List[int]           # dim e S e for each primitive
+    corner_dims: List[int]           # dim ē·(A/J)·ē for each primitive
     components: List[List[int]]      # primitive indices per Wedderburn component
     component_dims: List[int]
-    central_idempotents: List[Tuple]
     split: bool
 
 
@@ -726,36 +719,28 @@ def _recurse_split(b: Algebra, z, minpoly, pieces, rng) -> List[Tuple[Tuple, int
 def semisimple_decomposition(a: Algebra, seed: int = 0) -> SemisimpleDecomposition:
     """Decomposition data of A/Rad(A), read off the idempotent record.
 
-    The primitives are the images in A/J of the record's idempotents and
-    the components its classes.  A class of n_i idempotents of corner dim
-    f_i is a component M_{n_i}(D_i) with dim D_i = f_i, of dim n_i^2·f_i.  A
-    is split when every corner dim is 1, and then the record has passed
-    ``_certify_candidate``, which makes A/J the product of the M_{n_i}(F).
+    The components are the record's classes.  A class of n_i idempotents of
+    corner dim f_i is a component M_{n_i}(D_i) with dim D_i = f_i, of dim
+    n_i^2·f_i.  A is split when every corner dim is 1, and then the record
+    has passed ``_certify_candidate``, which makes A/J the product of the
+    M_{n_i}(F).
     """
-    key = ("ss_decomp", seed)
-    cached = a._cache.get(key)
-    if cached is not None:
-        return cached
     record = _idempotent_record(a, seed)
-    qd = semisimple_quotient(a)
-    F = a.field
-    primitives = [qd.image(e) for e in record.idempotents]
     classes = record.classes
-    central = [tuple(functools.reduce(F.add, col) for col in zip(*(primitives[k] for k in c)))
-               for c in classes]
-    result = SemisimpleDecomposition(
-        primitives, list(record.corner_dims), [list(c) for c in classes],
-        [len(c) ** 2 * record.corner_dims[c[0]] for c in classes], central,
-        record.grid is not None)
-    a._cache[key] = result
-    return result
+    return SemisimpleDecomposition(
+        list(record.corner_dims), [list(c) for c in classes],
+        [len(c) ** 2 * record.corner_dims[c[0]] for c in classes], record.grid is not None)
 
 
 def wedderburn_split(a: Algebra, seed: int = 0) -> Tuple[List[Element], bool]:
-    """Central primitive idempotents of A/Rad(A) and the split flag."""
-    dec = semisimple_decomposition(a, seed)
-    s = semisimple_quotient(a).algebra
-    return [s.element(c) for c in dec.central_idempotents], dec.split
+    """Central primitive idempotents of A/Rad(A), the images of the record's
+    class sums, and the split flag."""
+    record = _idempotent_record(a, seed)
+    qd = semisimple_quotient(a)
+    F = a.field
+    sums = [tuple(functools.reduce(F.add, col) for col in zip(*(record.idempotents[k] for k in c)))
+            for c in record.classes]
+    return [qd.algebra.element(qd.image(e)) for e in sums], record.grid is not None
 
 
 def ell(a: Algebra, seed: int = 0) -> int:
@@ -766,28 +751,13 @@ def ell(a: Algebra, seed: int = 0) -> int:
 # -- the idempotent record ------------------------------------------------------
 
 
-class _Record(NamedTuple):
-    """A complete set of primitive orthogonal idempotents of A, in
-    coordinates, grouped into classes (representative first, classes ordered
-    by first member), with each one's corner dim dim ē·(A/J)·ē, the
-    representatives' Peirce table (None when A is not split) and the matrix units."""
-
-    idempotents: Tuple[Tuple, ...]
-    classes: Tuple[Tuple[int, ...], ...]
-    corner_dims: Tuple[int, ...]
-    grid: Optional[Tuple[Tuple[Subspace, ...], ...]]
-    matrix_units: Dict[int, Tuple[Tuple, Tuple]]
-
-
 def _idempotent_record(a: Algebra, seed: int) -> _Record:
     """The record per (algebra, seed): the certified basis guess when there
     is one, else the search's, memoized per seed."""
     radical(a)  # adopts a guess from the basis when it passes its certificate
-    certified = a._cache.get("certified_candidate")
-    if certified is not None:
-        cand, grid = certified
-        return _Record(cand.idempotents, cand.iso_classes, (1,) * len(cand.idempotents), grid,
-                       cand.matrix_units)
+    record = a._cache.get("certified_candidate")
+    if record is not None:
+        return record
     key = ("idempotent_search", seed)
     record = a._cache.get(key)
     if record is None:
@@ -802,7 +772,7 @@ def _searched_idempotents(a: Algebra, seed: int) -> _Record:
     x -> 3x^2 - 2x^3 (the defect squares each pass, so nilpotency of J
     forces convergence), pushed through shrinking corners so that the lifts
     stay pairwise orthogonal.  The lifts are grouped by e_r·A·e_s ⊄ J
-    (``_classes``) on the Peirce table the certificate shares.  When every
+    (``_classes``) on one Peirce table, sliced for the certificate.  When every
     corner dim is 1, each other member k of a class with representative r
     gets matrix units: u is the first basis vector of e_r·A·e_k outside J,
     and v = e_k·w·e_r for a w with u·w·e_r = e_r,
@@ -862,9 +832,9 @@ def _searched_idempotents(a: Algebra, seed: int) -> _Record:
                 a.field, [a.sandwich_coords(u, a._unit_vec(m), r) for m in range(a.dim)], r)
             if w is not None:
                 units[k] = (u, a.sandwich_coords(es[k], w, r))
-    cand = IdempotentCandidate(es, classes, units)
-    grid = _certify_candidate(a, cand, rad, "searched", table=table)
-    return _Record(es, classes, corner_dims, grid, units)
+    reps = [c[0] for c in classes]
+    return _certify_candidate(a, _Record(es, classes, corner_dims, None, units), rad, "searched",
+                              tuple(tuple(table[r][s] for s in reps) for r in reps))
 
 
 def _classes(m: int, linked) -> Tuple[Tuple[int, ...], ...]:
@@ -886,7 +856,7 @@ class IdempotentSet:
     iso_classes: List[List[int]]
     basic_representatives: List[int]
     seed: int
-    matrix_units: Dict[int, Tuple[Tuple, Tuple]]  # as in IdempotentCandidate
+    matrix_units: Dict[int, Tuple[Tuple, Tuple]]  # as in _Record
 
     def __len__(self):
         return len(self.idempotents)
@@ -922,12 +892,16 @@ def primitive_idempotents(a: Algebra, seed: int = 0) -> IdempotentSet:
     return result
 
 
-def _certify_candidate(a: Algebra, cand: IdempotentCandidate, rad: Subspace, source: str,
-                       blocks: Optional[Dict] = None,
-                       table: Optional[Tuple] = None) -> Tuple[Tuple[Subspace, ...], ...]:
-    """Certify a set of idempotents against a nilpotent ideal J inside
-    Rad(A), or raise InternalInconsistency; returns the representatives'
-    Peirce table.  ``source`` ("guessed" or "searched") opens each message.
+def _certify_candidate(a: Algebra, record: _Record, rad: Subspace, source: str,
+                       grid: Tuple[Tuple[Subspace, ...], ...]) -> _Record:
+    """Certify a record's idempotents, classes and matrix units against a
+    nilpotent ideal J inside Rad(A), or raise InternalInconsistency; returns
+    the record with every corner dim 1 and ``grid`` as its Peirce table.
+    ``source`` ("guessed" or "searched") opens each message.  ``grid[i][j]``
+    is e_r·A·e_s over the representatives r, s of the i-th and j-th classes,
+    which the caller builds from the idempotents: the basis guess reads it off
+    its Peirce blocks (``_coordinate_blocks``), the search slices the table it
+    spanned (``_peirce_table``).
 
     The checks: each e is a nonzero idempotent, the set is pairwise
     orthogonal and sums to 1; e_r·A·e_s ⊆ J for representatives r != s; each other member k of a
@@ -946,15 +920,12 @@ def _certify_candidate(a: Algebra, cand: IdempotentCandidate, rad: Subspace, sou
 
     When each idempotent is a nonzero multiple s·b_i of a basis vector,
     orthogonality is read off the index ``Algebra._nz`` (e_x·e_y = 0 exactly
-    when the row c_{i_x i_y} is zero) instead of multiplied; when, moreover,
-    every basis vector lies in one block e_r·A·e_s, the table is read off the
-    basis (``_coordinate_blocks``, or ``blocks``) instead of spanned;
-    ``table``, the search's table of all the idempotents, is sliced when given.
+    when the row c_{i_x i_y} is zero) instead of multiplied.
     """
     F = a.field
-    es = cand.idempotents
+    es = record.idempotents
     mul = a.multiply_coords
-    classes = cand.iso_classes
+    classes = record.classes
     if sorted(k for c in classes for k in c) != list(range(len(es))) or not all(classes):
         raise InternalInconsistency(f"{source} iso classes do not partition the idempotents")
     total = [F.zero()] * a.dim
@@ -975,15 +946,6 @@ def _certify_candidate(a: Algebra, cand: IdempotentCandidate, rad: Subspace, sou
     if tuple(total) != a.unit:
         raise InternalInconsistency(f"{source} idempotents do not sum to the unit")
     reps = [c[0] for c in classes]
-    if table is None and blocks is None:
-        blocks = _coordinate_blocks(a, es)
-    if table is not None:
-        grid = tuple(tuple(table[r][s] for s in reps) for r in reps)
-    elif blocks is None:
-        grid = _peirce_table(a, [es[r] for r in reps])
-    else:
-        grid = tuple(tuple(coordinate_subspace(F, a.dim, blocks.get((r, s), ())) for s in reps)
-                     for r in reps)
     for i, row in enumerate(grid):
         for j, sub in enumerate(row):
             if j != i and not all(rad.contains(w) for w in sub.basis_vectors()):
@@ -992,7 +954,7 @@ def _certify_candidate(a: Algebra, cand: IdempotentCandidate, rad: Subspace, sou
     for c in classes:
         r = es[c[0]]
         for k in c[1:]:
-            u, v = cand.matrix_units.get(k, (None, None))
+            u, v = record.matrix_units.get(k, (None, None))
             e = es[k]
             if (u is None or a.sandwich_coords(r, u, e) != u or a.sandwich_coords(e, v, r) != v
                     or mul(u, v) != r or mul(v, u) != e):
@@ -1004,7 +966,7 @@ def _certify_candidate(a: Algebra, cand: IdempotentCandidate, rad: Subspace, sou
             f"dim A - dim J = {a.dim - rad.dim}, but the {source} classes give sum n_i^2 = "
             f"{squares}: the radical misses part of Rad(A), or an idempotent is not a split "
             "primitive")
-    return grid
+    return record._replace(corner_dims=(1,) * len(es), grid=grid)
 
 
 def _coordinate_blocks(a: Algebra,
@@ -1059,9 +1021,9 @@ def _point(a: Algebra, i: int, c) -> Tuple:
 
 
 def _basis_candidate(a: Algebra, rad: Subspace
-                     ) -> Optional[Tuple[IdempotentCandidate, Dict[Tuple[int, int], List[int]]]]:
-    """Primitive idempotents guessed from the basis with their Peirce blocks,
-    or None.
+                     ) -> Optional[Tuple[_Record, Tuple[Tuple[Subspace, ...], ...]]]:
+    """Primitive idempotents guessed from the basis, as a record, with the
+    representatives' Peirce table read off their blocks; or None.
 
     The guess: over the support S of the unit 1 = sum_i u_i·b_i, the
     elements e_i = u_i·b_i, each a nonzero multiple of a basis vector.  They
@@ -1075,7 +1037,8 @@ def _basis_candidate(a: Algebra, rad: Subspace
     representative r, the matrix units are a basis vector u in block (r, k)
     and a multiple of a basis vector v in block (k, r) with u·v = e_r
     (``_basis_matrix_units``).  ``_certify_candidate`` then decides whether
-    the guess holds.
+    the guess holds; each block, once the guess is orthogonal and sums to 1,
+    is the coordinate subspace on its basis vectors.
     """
     d = a.dim
     one = a.field.one()
@@ -1098,7 +1061,10 @@ def _basis_candidate(a: Algebra, rad: Subspace
                                            blocks.get((k, c[0]), ()))
             if units[k] is None:
                 return None
-    return IdempotentCandidate(tuple(es), classes, units), blocks
+    reps = [c[0] for c in classes]
+    grid = tuple(tuple(coordinate_subspace(a.field, d, blocks.get((r, s), ())) for s in reps)
+                 for r in reps)
+    return _Record(tuple(es), classes, (1,) * len(es), None, units), grid
 
 
 def _basis_matrix_units(a: Algebra, r: int, left: Sequence[int],
@@ -1115,16 +1081,16 @@ def _basis_matrix_units(a: Algebra, r: int, left: Sequence[int],
     return None
 
 
-def _adopt_basis_candidate(a: Algebra, rad: Subspace) -> Optional[_Certified]:
-    """The basis guess and its Peirce table when ``_certify_candidate``
+def _adopt_basis_candidate(a: Algebra, rad: Subspace) -> Optional[_Record]:
+    """The certified record of the basis guess when ``_certify_candidate``
     accepts it; None, which leaves A to the search, for a guess that is
     dropped or fails."""
     guess = _basis_candidate(a, rad)
     if guess is None:
         return None
-    cand, blocks = guess
+    record, grid = guess
     try:
-        return cand, _certify_candidate(a, cand, rad, "guessed", blocks)
+        return _certify_candidate(a, record, rad, "guessed", grid)
     except InternalInconsistency:
         return None
 

@@ -29,11 +29,11 @@ from fdalg.morita import (
 )
 from fdalg.linalg import span
 from fdalg.structure import (
-    IdempotentCandidate,
     _certify_candidate,
     _check_radical,
     _graded_radical,
     _guessed_grading,
+    _peirce_table,
     _searched_idempotents,
     cartan_matrix,
     ell,
@@ -44,6 +44,7 @@ from fdalg.structure import (
     radical_power,
     semisimple_decomposition,
     semisimple_quotient,
+    wedderburn_split,
 )
 from test_structure import _wedderburn_reference
 
@@ -330,13 +331,14 @@ def test_guessed_inflation_records_match_the_search(corpus, monkeypatch):
         assert ("idempotent_search", 0) in generic._cache, name
         assert ell(big) == ell(generic) == len(mult), name
         dec, gdec = semisimple_decomposition(big), semisimple_decomposition(generic)
-        assert (dec.components, dec.component_dims) == _wedderburn_reference(big, dec), name
+        assert (dec.components, dec.component_dims) == _wedderburn_reference(big), name
         assert sorted(dec.component_dims) == sorted(gdec.component_dims), name
         assert dec.split and dec.corner_dims == [1] * sum(mult), name
         s = semisimple_quotient(big).algebra
-        assert all(s.multiply_coords(c, c) == c for c in dec.central_idempotents), name
+        centrals = [c.coords for c in wedderburn_split(big)[0]]
+        assert all(s.multiply_coords(c, c) == c for c in centrals), name
         assert functools.reduce(lambda x, y: tuple(map(s.field.add, x, y)),
-                                dec.central_idempotents) == s.unit, name
+                                centrals) == s.unit, name
         fields.add(str(big.field))
         checked += 1
     assert {"Fp:2", "Fp:3", "Fp:5", "Q"} <= fields
@@ -358,7 +360,8 @@ def _corrupt(kind, big=None):
       set memoized with the second copy of the first class dropped, so the
       witness read off it has one pair too few;
     - any other kind: ``_certify_candidate`` gets the certified basis guess
-      with one part altered, against the radical.
+      with one part altered, against the radical, and the Peirce table of
+      its representatives.
 
     By default the inflation is a Kronecker one over F_3.  Its idempotents
     must be guessed, and the first class must hold two copies."""
@@ -366,10 +369,10 @@ def _corrupt(kind, big=None):
         big = inflate(kronecker(F3, 2), [2, 1])
     F = big.field
     rad = radical(big)
-    cand = big._cache["certified_candidate"][0]
+    record = big._cache["certified_candidate"]
     out = Algebra(big.field, big.mul, big.unit)
     if kind == "radical row":
-        rows = [cand.idempotents[0]] + rad.basis_vectors()[1:]
+        rows = [record.idempotents[0]] + rad.basis_vectors()[1:]
         return out, lambda: _check_radical(out, span(F, out.dim, rows))
     if kind == "degree":
         # in degree 1, e_0·e_0 = e_0 is not homogeneous
@@ -381,22 +384,23 @@ def _corrupt(kind, big=None):
         classes = [c[:1] + c[2:] if n == 0 else c for n, c in enumerate(idems.iso_classes)]
         out._cache[("idempotents", 0)] = dataclasses.replace(idems, iso_classes=classes)
         return out, lambda: verify_morita_invariance(out)
-    units = list(cand.idempotents)
+    units = list(record.idempotents)
     if kind == "idempotent":
         units[1] = tuple(F.mul(2, x) for x in units[1])
-        cand = IdempotentCandidate(tuple(units), cand.iso_classes, cand.matrix_units)
+        record = record._replace(idempotents=tuple(units))
     elif kind == "zero idempotent":
         # the first copy's idempotent moved onto the second; the nonzero
         # check comes first, so it names the zero
         units[0], units[1] = tuple(0 for _ in units[0]), tuple(map(F.add, *units[:2]))
-        cand = IdempotentCandidate(tuple(units), cand.iso_classes, cand.matrix_units)
+        record = record._replace(idempotents=tuple(units))
     elif kind == "class grouping":
         # copies 0 and 1 of the first class, claimed to be two classes
-        cand = IdempotentCandidate(cand.idempotents, ((0,), (1,)) + cand.iso_classes[1:], {})
+        record = record._replace(classes=((0,), (1,)) + record.classes[1:], matrix_units={})
     elif kind == "matrix unit":
-        u, v = cand.matrix_units[1]
-        cand = IdempotentCandidate(cand.idempotents, cand.iso_classes, {1: (v, u)})
-    return out, lambda: _certify_candidate(out, cand, rad, "guessed")
+        u, v = record.matrix_units[1]
+        record = record._replace(matrix_units={1: (v, u)})
+    reps = [record.idempotents[c[0]] for c in record.classes]
+    return out, lambda: _certify_candidate(out, record, rad, "guessed", _peirce_table(out, reps))
 
 
 CORRUPTIONS = [
@@ -424,7 +428,7 @@ def test_corrupted_rescaled_hand_over_is_caught(kind, message):
     # semisimple, and its guessed grading puts every basis vector in degree 0
     big = inflate(cyclic_group_algebra(GF(7), 3), [2, 1, 1])
     radical(big)
-    assert all(sorted(set(e)) == [0, 5] for e in big._cache["certified_candidate"][0].idempotents)
+    assert all(sorted(set(e)) == [0, 5] for e in big._cache["certified_candidate"].idempotents)
     _, check = _corrupt(kind, big)
     with pytest.raises(InternalInconsistency, match=message):
         check()
@@ -499,11 +503,10 @@ def test_dropped_radical_row_is_caught():
     rows = radical_power(big, 2)
     out = Algebra(big.field, big.mul, big.unit)
     assert _check_radical(out, rows)[0] == rows and rows.dim == 4
-    guess = big._cache["certified_candidate"][0]
+    guess = big._cache["certified_candidate"]
     with pytest.raises(InternalInconsistency, match="misses part of Rad"):
-        _certify_candidate(out, guess, rows, "guessed")
+        _certify_candidate(out, guess, rows, "guessed", guess.grid)
     assert "radical" not in out._cache
     search = _searched_idempotents(big, 0)
     with pytest.raises(InternalInconsistency, match="misses part of Rad"):
-        _certify_candidate(out, IdempotentCandidate(search.idempotents, search.classes,
-                                                    search.matrix_units), rows, "searched")
+        _certify_candidate(out, search, rows, "searched", search.grid)

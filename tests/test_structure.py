@@ -192,6 +192,19 @@ def test_wedderburn_matrix():
     assert dec.component_dims == [4] and len(dec.components[0]) == 2
 
 
+def test_semisimple_quotient_is_built_only_by_the_search():
+    # a guessed record, and the report read off it, build no A/J; the search
+    # splits A/J, so a searched input builds it once
+    from fdalg.cli import build_report
+
+    for a in (truncated_polynomial(F5, 3), random_quiver_algebra(F3, 5, max_dim=16)):
+        build_report(a)
+        assert "certified_candidate" in a._cache and "ss_quotient" not in a._cache
+    a = s3_group_algebra(F3)
+    build_report(a)
+    assert ("idempotent_search", 0) in a._cache and "ss_quotient" in a._cache
+
+
 def test_split_undecided_over_q():
     a = cyclic_group_algebra(QQ, 3)  # Q x Q(omega)
     with pytest.raises(SplitUndecided):
@@ -416,7 +429,6 @@ def test_product_outside_corner_raises(monkeypatch):
 @pytest.mark.parametrize("p", [5, BIG_P])
 def test_ideal_test_rejects_one_sided_ideal(p):
     t2 = lower_triangular(GF(p), 2)
-    assert t2._np_ok == (p == 5)
     # basis e00, e10, e11 with e_ij·e_kl = [j == k] e_il: e00·T_2 = span{e00}
     e = t2.basis_element(0)
     right = span(t2.field, t2.dim,
@@ -437,20 +449,24 @@ def _ideal_contains_products_loop(a, sub):
 
 
 def test_batched_ideal_test_matches_loop(corpus):
-    verdicts = set()
-    for entry in corpus:
-        a = entry.algebra
-        if not a._np_ok:
-            continue
+    # every corpus field, and F_p above the float64 gate on the Q entries' tensors
+    big = GF(BIG_P)
+    inputs = [(entry.name, entry.algebra) for entry in corpus]
+    inputs += [(f"{entry.name[:-1]}{big}", Algebra(big, entry.algebra.mul, entry.algebra.unit))
+               for entry in corpus if entry.name.endswith("/Q")]
+    verdicts = {}
+    for name, a in inputs:
         subs = [radical(a), commutator_subspace(a)]
-        for b in a.basis()[:3]:
+        for b in a.basis()[:3]:  # the right ideal b·A and the left ideal A·b
             subs.append(span(a.field, a.dim,
                              [a.multiply_coords(b.coords, x.coords) for x in a.basis()]))
+            subs.append(span(a.field, a.dim,
+                             [a.multiply_coords(x.coords, b.coords) for x in a.basis()]))
         for sub in subs:
             want = _ideal_contains_products_loop(a, sub)
-            assert _ideal_contains_products(a, sub) == want, entry.name
-            verdicts.add(want)
-    assert verdicts == {True, False}
+            assert _ideal_contains_products(a, sub) == want, name
+            verdicts.setdefault(str(a.field), set()).add(want)
+    assert verdicts == {str(F): {True, False} for F in (F2, F3, F5, GF(7), QQ, big)}
 
 
 # -- the trace form against the regular matrices, entry by entry ---------------
@@ -631,10 +647,12 @@ def _acyc_cyc_reference(a, idems, n):
     return span(a.field, a.dim, vecs)
 
 
-def _wedderburn_reference(a, dec):
-    """(components, component dims) of A/J from all m² Peirce dims e_i·S·e_j."""
-    s = semisimple_quotient(a).algebra
-    prims = dec.primitives
+def _wedderburn_reference(a):
+    """(components, component dims) of A/J from all m² Peirce dims e_i·S·e_j,
+    over the images in A/J of the record's idempotents."""
+    qd = semisimple_quotient(a)
+    s = qd.algebra
+    prims = [qd.image(e) for e in structure._idempotent_record(a, 0).idempotents]
     m = len(prims)
     dims = [[algebras.peirce_rows(s, e, f).dim for f in prims] for e in prims]
     comp_of = list(range(m))
@@ -669,7 +687,7 @@ def test_peirce_table_matches_per_pair_spans(corpus):
             dec = semisimple_decomposition(a)
         except SplitUndecided:
             continue
-        assert (dec.components, dec.component_dims) == _wedderburn_reference(a, dec), name
+        assert (dec.components, dec.component_dims) == _wedderburn_reference(a), name
         if not dec.split:
             continue
         idems = primitive_idempotents(a)
@@ -772,7 +790,7 @@ def test_basis_guess_matches_search_on_rescaled_corpus(corpus, monkeypatch):
         certified = a._cache.get("certified_candidate")
         if certified is not None:
             guessed += 1
-            rescaled += any(c not in (0, 1) for e in certified[0].idempotents for c in e)
+            rescaled += any(c not in (0, 1) for e in certified.idempotents for c in e)
         compared += 1
     assert compared >= 90 and guessed >= 84 and rescaled >= 50, (compared, guessed, rescaled)
 
@@ -787,7 +805,7 @@ def test_rescaled_inflation_reads_its_peirce_table_off_the_basis(monkeypatch):
     monkeypatch.setattr(structure, "_peirce_table",
                         lambda *args: calls.append(args) or peirce_table(*args))
     radical(big)
-    units = big._cache["certified_candidate"][0].idempotents
+    units = big._cache["certified_candidate"].idempotents
     assert all(sum(map(bool, e)) == 1 for e in units) and any(max(e) != 1 for e in units)
     assert not calls
     assert cartan_matrix(big) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]] and not calls
@@ -854,10 +872,10 @@ def test_rejected_basis_guess_falls_back_to_the_search(monkeypatch):
 
     certify = structure._certify_candidate
 
-    def failing(alg, cand, rad, source, blocks=None, table=None):
+    def failing(alg, record, rad, source, grid):
         if source == "guessed":
             raise InternalInconsistency("refused")
-        return certify(alg, cand, rad, source, blocks, table)
+        return certify(alg, record, rad, source, grid)
 
     monkeypatch.setattr(structure, "_certify_candidate", failing)
     for text, summary in zip(texts, want):
@@ -881,9 +899,10 @@ def test_orthogonality_of_basis_multiples_is_read_off_the_index(monkeypatch):
         rad = radical(a)
         e0, e2 = structure._point(a, 0, a.unit[0]), structure._point(a, 2, a.unit[2])
         e1 = structure._point(a, 1, F.inv(a.mul[1][1][1]))
-        good = structure.IdempotentCandidate((e0, e2), ((0,), (1,)), {})
-        bad = structure.IdempotentCandidate((e1, e2), ((0,), (1,)), {})
-        grids = []
+        good = structure._Record((e0, e2), ((0,), (1,)), (1, 1), None, {})
+        bad = structure._Record((e1, e2), ((0,), (1,)), (1, 1), None, {})
+        grid = structure._peirce_table(a, [e0, e2])
+        records = []
         for read_off in (positions, lambda es: None):
             monkeypatch.setattr(structure, "_basis_positions", read_off)
             products = []
@@ -893,11 +912,11 @@ def test_orthogonality_of_basis_multiples_is_read_off_the_index(monkeypatch):
                           lambda alg, x, y: products.append((x, y)) or multiply(alg, x, y))
                 with pytest.raises(InternalInconsistency,
                                    match="guessed idempotent 0 is not orthogonal to the rest"):
-                    structure._certify_candidate(a, bad, rad, "guessed")
+                    structure._certify_candidate(a, bad, rad, "guessed", grid)
             # off the index, only e_1·e_1 is multiplied before the fault
             assert (products == [(e1, e1)]) == (read_off is positions)
-            grids.append(structure._certify_candidate(a, good, rad, "guessed"))
-        assert grids[0] == grids[1]
+            records.append(structure._certify_candidate(a, good, rad, "guessed", grid))
+        assert records[0] == records[1]
 
 
 def test_rejected_basis_guess_falls_back_under_python_O():
