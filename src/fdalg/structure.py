@@ -504,7 +504,7 @@ def radical(a: Algebra) -> Subspace:
     basis may supply the primitive idempotents (``_adopt_basis_candidate``),
     which ``_certify_candidate`` checks against the radical.  Only when
     every check has passed are the radical, its chain (``"rad_powers"``)
-    and the certified set cached, so a failure caches none of them.
+    and the certified record cached, so a failure caches none of them.
     """
     cached = a._cache.get("radical")
     if cached is not None:
