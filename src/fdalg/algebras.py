@@ -230,13 +230,22 @@ class Algebra:
         return self.multiply_coords(self.multiply_coords(l, x), r)
 
     def power_coords(self, x: Sequence, e: int) -> Tuple:
-        """x^e in coordinates, by square-and-multiply."""
-        acc = tuple(self.unit)
+        """x^e in coordinates, by square-and-multiply.  The product starts
+        from x^(2^k) at the lowest set bit k of e rather than from 1·x, and
+        no square follows the last bit, so x^p costs 1, 2 and 3 products
+        for p = 2, 3 and 5."""
+        if not e:
+            return tuple(self.unit)
         base = tuple(x)
+        while not e & 1:
+            base = self.multiply_coords(base, base)
+            e >>= 1
+        acc = base
+        e >>= 1
         while e:
+            base = self.multiply_coords(base, base)
             if e & 1:
                 acc = self.multiply_coords(acc, base)
-            base = self.multiply_coords(base, base)
             e >>= 1
         return acc
 

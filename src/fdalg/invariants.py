@@ -14,7 +14,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from .algebras import Algebra
 from .errors import CharZero, NotBasic, SplitUndecided
-from .linalg import Matrix, Subspace, _subspace_from_acc, echelon_for, kernel, span, subspace_sum
+from .linalg import (Matrix, Subspace, _accumulate, _subspace_from_acc, echelon_for, null_vectors,
+                     span, subspace_sum)
 from .structure import (
     IdempotentSet,
     loewy_length,
@@ -122,23 +123,22 @@ def p_power_space(a: Algebra) -> Subspace:
     q = len(positions)
     cols = tuple(kspace.coset_coords(a.power_coords(a._unit_vec(pos), p)) for pos in positions)
     phi = Matrix(F, q, q, cols).transpose()
-    # stable kernel: ker(phi^m) grows until it stops
-    power = phi
-    prev_dim = -1
-    ker = kernel(power)
-    steps = 1
-    while ker.dim != prev_dim and steps <= q:
-        prev_dim = ker.dim
+    # stable kernel: ker(phi^m) grows until it stops, which each next power
+    # shows by its rank; a full-rank phi has the zero stable kernel
+    power, acc = phi, _accumulate(F, q, phi.entries)
+    while acc.rank < q:
         power = power.matmul(phi)
-        ker = kernel(power)
-        steps += 1
+        nxt = _accumulate(F, q, power.entries)
+        if nxt.rank == acc.rank:
+            break
+        acc = nxt
     lifts = []
-    for row in ker.basis_vectors():
+    for row in null_vectors(F, q, acc):
         vec = [F.zero()] * a.dim
         for pos, c in zip(positions, row):
             vec[pos] = c
         lifts.append(vec)
-    result = subspace_sum(kspace, span(F, a.dim, lifts))
+    result = span(F, a.dim, [*kspace.basis.entries, *lifts]) if lifts else kspace
     a._cache["p_power_space"] = result
     return result
 

@@ -230,20 +230,27 @@ def rref(m: Matrix) -> Tuple[Matrix, int, List[int]]:
     return Matrix(m.field, m.rows, m.cols, tuple(rows)), acc.rank, acc.pivots()
 
 
+def null_vectors(field: Field, width: int, acc) -> List[List]:
+    """A basis of {v : M·v = 0}, one vector per free column, for ``acc``
+    the echelon accumulator of M's rows."""
+    rows, pivots = acc.rows(), acc.pivots()
+    pivot_set = set(pivots)
+    vecs = []
+    for f in range(width):
+        if f in pivot_set:
+            continue
+        v = [field.zero()] * width
+        v[f] = field.one()
+        for row, pc in zip(rows, pivots):
+            v[pc] = field.neg(row[f])
+        vecs.append(v)
+    return vecs
+
+
 def kernel(m: Matrix) -> Subspace:
     """The solution space {v : M·v = 0}, ambient dimension = cols(M)."""
-    red, rank, pivots = rref(m)
-    n = m.cols
-    free = [j for j in range(n) if j not in set(pivots)]
-    F = m.field
-    vecs = []
-    for f in free:
-        v = [F.zero()] * n
-        v[f] = F.one()
-        for r, pc in enumerate(pivots):
-            v[pc] = F.neg(red.entries[r][f])
-        vecs.append(v)
-    return span(F, n, vecs)
+    F, n = m.field, m.cols
+    return span(F, n, null_vectors(F, n, _accumulate(F, n, m.entries)))
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:

@@ -12,7 +12,10 @@ parse time (the CLI binds them with ``--param q=...``).
 
 Relations must combine parallel paths of a single common length >= 2; the
 length-graded normal form this module uses is exact precisely for such
-homogeneous ideals, and anything else is rejected up front.
+homogeneous ideals, and anything else is rejected up front.  A monomial
+relation (one term of nonzero coefficient) is not row-reduced: every path
+that contains it is 0 in FQ/I, so the build marks such paths dead and
+row-reduces only the other relations.
 
 A build hands its algebra only the tensor, the unit and the kind "quiver".
 ``structure.radical`` recovers the path-length grading and the vertex
@@ -24,7 +27,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .algebras import Algebra, Element
 from .errors import NotAdmissible, QuiverSyntaxError, UnsupportedRelations
@@ -329,41 +332,57 @@ def parse_quiver(text: str, field: Field, params: Optional[Dict[str, object]] = 
 # -- the stratum pass and the graded normal form ------------------------------
 
 
-def _ideal_echelon(q: QuiverPresentation, strata, n: int, index_n: Dict):
-    """RREF accumulator for the degree-n component of the relation ideal."""
+def _ideal_echelon(q: QuiverPresentation, relations, strata, dead, n: int, index_n: Dict):
+    """RREF accumulator for the degree-n rows of the non-monomial
+    ``relations``, with their entries at dead paths dropped, or None when
+    every such row is zero.  Stops once the live paths are all pivots."""
     field = q.field
     width = len(strata[n])
-    acc = echelon_for(field, width)
+    dead_n = dead[n]
+    live = width - len(dead_n)
+    acc = None
     zero = field.zero()
-    for rel in q.relations:
+    for rel in relations:
         g = rel.degree
         if g > n:
             continue
         for alen in range(0, n - g + 1):
             blen = n - g - alen
+            dead_u, dead_v = dead[alen], dead[blen]
             for u in strata[alen]:
-                if u and q.arrows[u[-1]].target != rel.source:
+                if u in dead_u or (u and q.arrows[u[-1]].target != rel.source):
                     continue
                 for v in strata[blen]:
-                    if v and q.arrows[v[0]].source != rel.target:
+                    if v in dead_v or (v and q.arrows[v[0]].source != rel.target):
                         continue
                     vec = [zero] * width
                     for coeff, body in rel.terms:
-                        idx = index_n[u + body + v]
-                        vec[idx] = field.add(vec[idx], coeff)
-                    acc.insert(vec)
+                        path = u + body + v
+                        if path not in dead_n:
+                            idx = index_n[path]
+                            vec[idx] = field.add(vec[idx], coeff)
+                    if not any(vec):
+                        continue
+                    if acc is None:
+                        acc = echelon_for(field, width)
+                    if acc.insert(vec) and acc.rank == live:
+                        return acc
     return acc
 
 
 class _Strata(NamedTuple):
     """What ``_stratum_pass`` found: ``paths[n]`` holds the length-n paths
-    and ``index[n]`` their places, for n <= bound; ``echelons[n]`` is the
-    RREF of the ideal's degree-n component, or None when no relation has
-    degree <= n; ``basis`` holds the surviving (source, path) pairs, the
-    vertices first, then the non-pivot paths by length."""
+    and ``index[n]`` their places, for n <= bound; ``dead[n]`` holds the
+    length-n paths that contain a monomial relation, which are 0 in the
+    quotient; ``echelons[n]`` is the RREF of the rows the other relations
+    make in degree n, zero at every dead path, or None when there is no
+    such nonzero row; ``basis`` holds the surviving (source, path) pairs,
+    the vertices first, then the paths that are neither dead nor pivots, by
+    length."""
 
     paths: List[List[Tuple[int, ...]]]
     index: List[Dict[Tuple[int, ...], int]]
+    dead: List[Set[Tuple[int, ...]]]
     echelons: List[Optional[object]]
     bound: int
     basis: List[Tuple[int, Tuple[int, ...]]]
@@ -373,18 +392,37 @@ def _stratum_pass(q: QuiverPresentation, cap: int) -> _Strata:
     """One pass over the path strata, out to the admissibility bound N.
 
     Paths are extended one length at a time and each new stratum is
-    indexed once.  Its ideal component is row-reduced only where some
-    relation has degree <= n; for homogeneous relations membership is
+    indexed once.  A relation with exactly one term of nonzero coefficient
+    is monomial: its path, and every path that contains it, is 0 in FQ/I,
+    so a length-n path is dead when it is a monomial relation or its prefix
+    or suffix of length n - 1 is dead.  Only the other relations are
+    row-reduced, with their entries at dead paths dropped, and only where
+    one has degree <= n.  The unit vectors of the dead paths are zero at
+    every pivot of those rows and the rows are zero at every dead path, so
+    the RREF of the whole degree-n ideal component is the dead unit vectors
+    together with these rows.  For homogeneous relations membership is
     graded, so it is decided by rank in each stratum, and once a stratum is
-    covered (or empty) so is every longer one: that length is N.  The
-    non-pivot paths of each shorter stratum join the basis.  Raises
-    NotAdmissible past ``cap`` or past PATH_CAP paths in all.
+    covered (dead paths plus rank fill it) or empty, so is every longer
+    one: that length is N.  The paths of each shorter stratum that are
+    neither dead nor pivots join the basis.  Every path is still counted:
+    raises NotAdmissible past ``cap`` or past PATH_CAP paths in all.
     """
+    field = q.field
+    zero = field.zero()
+    monomials: Dict[int, Set[Tuple[int, ...]]] = {}
+    others = []
+    for rel in q.relations:
+        bodies = [body for c, body in rel.terms if field.add(zero, c)]
+        if len(bodies) == 1:
+            monomials.setdefault(rel.degree, set()).add(bodies[0])
+        elif bodies:
+            others.append(rel)
     by_source: Dict[int, List[int]] = {}
     for idx, a in enumerate(q.arrows):
         by_source.setdefault(a.source, []).append(idx)
     paths: List[List[Tuple[int, ...]]] = [[()]]
     index: List[Dict[Tuple[int, ...], int]] = [{(): 0}]
+    dead: List[Set[Tuple[int, ...]]] = [set()]
     echelons: List[Optional[object]] = [None]
     basis = [(v, ()) for v in range(len(q.vertices))]
     for n in range(1, cap + 1):
@@ -398,14 +436,19 @@ def _stratum_pass(q: QuiverPresentation, cap: int) -> _Strata:
                                 "within the cap")
         paths.append(level)
         index.append({p: i for i, p in enumerate(level)})
+        mono, prev = monomials.get(n, ()), dead[-1]
+        dead_n = ({p for p in level if p in mono or p[:-1] in prev or p[1:] in prev}
+                  if mono or prev else set())
+        dead.append(dead_n)
         acc = None
-        if level and any(rel.degree <= n for rel in q.relations):
-            acc = _ideal_echelon(q, paths, n, index[n])
+        if len(dead_n) < len(level) and any(rel.degree <= n for rel in others):
+            acc = _ideal_echelon(q, others, paths, dead, n, index[n])
         echelons.append(acc)
-        if not level or (acc is not None and acc.rank == len(level)):
-            return _Strata(paths, index, echelons, n, basis)
+        if len(dead_n) + (acc.rank if acc is not None else 0) == len(level):
+            return _Strata(paths, index, dead, echelons, n, basis)
         pivots = set(acc.pivots()) if acc is not None else ()
-        basis.extend((q.arrows[p[0]].source, p) for i, p in enumerate(level) if i not in pivots)
+        basis.extend((q.arrows[p[0]].source, p) for i, p in enumerate(level)
+                     if i not in pivots and p not in dead_n)
     raise NotAdmissible(f"no admissibility bound below cap {cap}")
 
 
@@ -446,9 +489,11 @@ def build_path_algebra(q: QuiverPresentation, cap: int = DEFAULT_CAP) -> PathAlg
     """Compile FQ/I into structure constants on the surviving-path basis.
 
     One stratum pass (``_stratum_pass``) enumerates the paths out to the
-    admissibility bound N, row-reduces each graded ideal component once and
-    keeps the non-pivot paths of each length as the quotient basis; the
-    products (``_path_products``) then reduce through the same echelons.
+    admissibility bound N, marks the paths that contain a monomial relation
+    dead, row-reduces the other relations once in each degree and keeps the
+    paths of each length that are neither dead nor pivots as the quotient
+    basis; the products (``_path_products``) send a dead path to 0 and
+    reduce every other through the same echelons.
     Since the bound N certifies that length-N paths die in the ideal, any
     product of total length >= N is zero.
 
@@ -477,7 +522,7 @@ def _path_products(q: QuiverPresentation, st: _Strata) -> PathAlgebraResult:
     def class_vector(src: int, path: Tuple[int, ...]):
         """Coordinates of a path's residue class in the global basis."""
         n = len(path)
-        if n >= st.bound:
+        if n >= st.bound or path in st.dead[n]:
             return zero_row
         out = [z] * dim
         acc = st.echelons[n]

@@ -475,3 +475,50 @@ def test_public_constructor_canonicalizes():
     h = Algebra(QQ, [[[Fraction(4, 2), "6/3"], [0, "5/3"]], [[0, 0], [0, 1.5]]], [1, 0])
     assert [(type(c), c) for c in h.mul[0][0] + h.mul[0][1] + h.mul[1][1]] == [
         (int, 2), (int, 2), (int, 0), (Fraction, Fraction(5, 3)), (int, 0), (Fraction, Fraction(3, 2))]
+
+
+# -- powers by square-and-multiply -----------------------------------------------
+
+
+def _repeated_power(a, x, e):
+    """x^e as e - 1 products x·x···x, and the unit for e = 0."""
+    acc = tuple(a.unit) if e == 0 else tuple(x)
+    for _ in range(e - 1):
+        acc = a.multiply_coords(acc, x)
+    return acc
+
+
+def _power_cases(a, rng):
+    """A dense random element and a random basis vector of ``a``."""
+    dense = [a.field.coerce(rng.randrange(-2, 3)) for _ in range(a.dim)]
+    return [dense, a._unit_vec(rng.randrange(a.dim))]
+
+
+def test_power_coords_matches_repeated_products(corpus):
+    from fdalg.corpus import cyclic_group_algebra
+
+    rng = random.Random(5)
+    for entry in corpus:
+        a = entry.algebra
+        exponents = list(range(13)) + ([a.field.p] if a.field.p else [])
+        for x in _power_cases(a, rng):
+            for e in exponents:
+                assert a.power_coords(x, e) == _repeated_power(a, x, e), (entry.name, e)
+    for a in (truncated_polynomial(BIG_P, 5), lower_triangular(BIG_P, 3),
+              matrix_algebra(BIG_P, 2), cyclic_group_algebra(BIG_P, 3)):
+        for x in _power_cases(a, rng):
+            for e in range(13):
+                assert a.power_coords(x, e) == _repeated_power(a, x, e), e
+
+
+@pytest.mark.parametrize("p,products", [(2, 1), (3, 2), (5, 3)])
+def test_power_coords_makes_no_wasted_products(monkeypatch, p, products):
+    # x^p starts from x at the lowest set bit and squares nothing after the last
+    a = truncated_polynomial(GF(p), 8)
+    calls = []
+    real = Algebra.multiply_coords
+    monkeypatch.setattr(Algebra, "multiply_coords",
+                        lambda self, x, y: calls.append(1) or real(self, x, y))
+    x = a._unit_vec(1)
+    assert a.power_coords(x, p) == a._unit_vec(p)
+    assert len(calls) == products

@@ -100,6 +100,45 @@ def test_p_power_space_examples():
     assert p_power_space(s3) == k_n_space(s3, 1)
 
 
+def _reference_p_power_space(a):
+    """K(A) plus the lifts of the stable kernel of phi, with the kernel of
+    every power phi^m computed until its dimension stops growing."""
+    from fdalg.linalg import span, subspace_sum
+
+    F = a.field
+    kspace = commutator_subspace(a)
+    positions = kspace.complement_positions()
+    q = len(positions)
+    cols = tuple(kspace.coset_coords(a.power_coords(a._unit_vec(pos), F.p))
+                 for pos in positions)
+    phi = Matrix(F, q, q, cols).transpose()
+    power, prev_dim, ker, steps = phi, -1, kernel(phi), 1
+    while ker.dim != prev_dim and steps <= q:
+        prev_dim = ker.dim
+        power = power.matmul(phi)
+        ker = kernel(power)
+        steps += 1
+    lifts = []
+    for row in ker.basis_vectors():
+        vec = [F.zero()] * a.dim
+        for pos, c in zip(positions, row):
+            vec[pos] = c
+        lifts.append(vec)
+    return subspace_sum(kspace, span(F, a.dim, lifts)), ker.dim
+
+
+def test_p_power_space_matches_the_kernel_of_every_power(corpus):
+    algebras = [entry.algebra for entry in corpus if entry.algebra.field.p]
+    algebras += [random_quiver_algebra((F2, F3, F5)[s % 3], s, max_dim=24) for s in range(140)]
+    stable_dims = []
+    for a in algebras:
+        expected, stable_dim = _reference_p_power_space(a)
+        assert p_power_space(a) == expected
+        stable_dims.append(stable_dim)
+    # phi has full rank (the stable kernel is 0) on some inputs, not on all
+    assert 0 < stable_dims.count(0) < len(stable_dims)
+
+
 def test_p_power_space_char0_raises():
     with pytest.raises(CharZero):
         p_power_space(truncated_polynomial(QQ, 2))

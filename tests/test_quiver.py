@@ -1,13 +1,14 @@
 import pytest
 
-from fdalg import structure
+from fdalg import quiver, structure
 from fdalg.algebras import Algebra
 from fdalg.corpus import kronecker, random_quiver_algebra, two_loop_q_algebra
 from fdalg.errors import InternalInconsistency, NotAdmissible, QuiverSyntaxError, UnsupportedRelations
 from fdalg.fields import GF, QQ
 from fdalg.morita import basic_algebra_data, verify_morita_invariance
 from fdalg.oracle import RADICAL_ORACLE_CAP, radical_oracle
-from fdalg.quiver import admissibility_bound, build_path_algebra, parse_quiver
+from fdalg.linalg import echelon_for
+from fdalg.quiver import PATH_CAP, Relation, admissibility_bound, build_path_algebra, parse_quiver
 from fdalg.structure import primitive_idempotents, radical, semisimple_decomposition
 from test_structure import _wedderburn_reference
 
@@ -264,3 +265,189 @@ def test_corrupted_quiver_hand_over_is_caught_under_python_O():
                          capture_output=True, text=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["caught"]
+
+
+# -- the stratum pass against the pass that row-reduces every relation ----------
+
+
+def _reference_pass(q, cap):
+    """The stratum pass that makes one dense row for every u·rel·v, the
+    monomial relations included, in each degree-n component: (paths,
+    index, echelons, bound, basis)."""
+    field = q.field
+    by_source = {}
+    for idx, a in enumerate(q.arrows):
+        by_source.setdefault(a.source, []).append(idx)
+    paths, index, echelons = [[()]], [{(): 0}], [None]
+    basis = [(v, ()) for v in range(len(q.vertices))]
+    for n in range(1, cap + 1):
+        level = [(i,) for i in range(len(q.arrows))] if n == 1 else [
+            p + (a,) for p in paths[-1] for a in by_source.get(q.arrows[p[-1]].target, ())]
+        if sum(map(len, paths)) + len(level) > PATH_CAP:
+            raise NotAdmissible(f"path count exceeds {PATH_CAP}; presentation not admissible "
+                                "within the cap")
+        paths.append(level)
+        index.append({p: i for i, p in enumerate(level)})
+        acc = None
+        if level and any(rel.degree <= n for rel in q.relations):
+            acc = echelon_for(field, len(level))
+            for rel in q.relations:
+                for alen in range(0, n - rel.degree + 1):
+                    for u in paths[alen]:
+                        if u and q.arrows[u[-1]].target != rel.source:
+                            continue
+                        for v in paths[n - rel.degree - alen]:
+                            if v and q.arrows[v[0]].source != rel.target:
+                                continue
+                            vec = [field.zero()] * len(level)
+                            for coeff, body in rel.terms:
+                                idx = index[n][u + body + v]
+                                vec[idx] = field.add(vec[idx], coeff)
+                            acc.insert(vec)
+        echelons.append(acc)
+        if not level or (acc is not None and acc.rank == len(level)):
+            return paths, index, echelons, n, basis
+        pivots = set(acc.pivots()) if acc is not None else ()
+        basis.extend((q.arrows[p[0]].source, p) for i, p in enumerate(level) if i not in pivots)
+    raise NotAdmissible(f"no admissibility bound below cap {cap}")
+
+
+def _reference_tensor(q, ref):
+    """Structure constants on the reference basis: each product path
+    reduced through the reference echelons."""
+    paths, index, echelons, bound, basis = ref
+    field = q.field
+    z, one = field.zero(), field.one()
+    place = {bp: i for i, bp in enumerate(basis)}
+    classes = {}
+
+    def class_vector(src, path):
+        n = len(path)
+        out = [z] * len(basis)
+        if n < bound and echelons[n] is None:
+            out[place[(src, path)]] = one
+        elif n < bound:
+            vec = [z] * len(paths[n])
+            vec[index[n][path]] = one
+            for local, c in enumerate(echelons[n].reduce(vec)):
+                if c:
+                    p2 = paths[n][local]
+                    out[place[(q.arrows[p2[0]].source, p2)]] = c
+        return tuple(out)
+
+    mul = []
+    for asrc, apath in basis:
+        tgt = q.arrows[apath[-1]].target if apath else asrc
+        plane = []
+        for bsrc, bpath in basis:
+            key = (asrc, apath + bpath)
+            if tgt == bsrc and key not in classes:
+                classes[key] = class_vector(*key)
+            plane.append(classes[key] if tgt == bsrc else (z,) * len(basis))
+        mul.append(tuple(plane))
+    return tuple(mul)
+
+
+def _matches_reference(q, cap=quiver.DEFAULT_CAP, max_dim=None):
+    """Assert that ``_stratum_pass`` finds the reference's bound, basis and
+    pivots (dead paths included), that the tensor on that basis is the
+    reference's when its dim is at most ``max_dim``, or that both raise the
+    same NotAdmissible; returns whether a bound was found."""
+    try:
+        ref = _reference_pass(q, cap)
+    except NotAdmissible as exc:
+        with pytest.raises(NotAdmissible) as got:
+            quiver._stratum_pass(q, cap)
+        assert str(got.value) == str(exc)
+        return False
+    paths, index, echelons, bound, basis = ref
+    st = quiver._stratum_pass(q, cap)
+    assert (st.bound, st.basis, st.paths) == (bound, basis, paths)
+    for n in range(1, bound + 1):
+        pivots = {index[n][p] for p in st.dead[n]}
+        if st.echelons[n] is not None:
+            assert not pivots & set(st.echelons[n].pivots()), n
+            pivots |= set(st.echelons[n].pivots())
+        assert pivots == set(echelons[n].pivots() if echelons[n] is not None else ()), n
+    if max_dim is None or len(basis) <= max_dim:
+        assert quiver._path_products(q, st).algebra.mul == _reference_tensor(q, ref)
+    return True
+
+
+def _generator_draws(monkeypatch, build):
+    """The presentations ``build()`` hands to the stratum pass."""
+    import fdalg.corpus
+
+    draws = []
+    real = fdalg.corpus._stratum_pass
+    with monkeypatch.context() as m:
+        m.setattr(fdalg.corpus, "_stratum_pass", lambda q, cap: draws.append(q) or real(q, cap))
+        build()
+    return draws
+
+
+def test_stratum_pass_matches_the_reference_on_generator_draws(monkeypatch):
+    # every draw of `fdalg fuzz --family quiver` seeds 0..139 at both
+    # dimension caps, and of random_local seeds 0..29 over four fields
+    from fdalg.corpus import random_local_algebra
+
+    checked = 0
+    for max_dim in (24, 40):
+        for seed in range(140):
+            field = (F2, F3, F5)[seed % 3]
+            for q in _generator_draws(
+                    monkeypatch, lambda: random_quiver_algebra(field, seed, max_dim=max_dim)):
+                checked += _matches_reference(q, max_dim=max_dim)
+    for field in (F2, F3, F5, QQ):
+        for seed in range(30):
+            for q in _generator_draws(monkeypatch, lambda: random_local_algebra(field, seed)):
+                checked += _matches_reference(q, max_dim=24)
+    assert checked >= 2 * 140 + 4 * 30, checked
+
+
+def test_stratum_pass_matches_the_reference_on_named_presentations(monkeypatch):
+    from conftest import F7
+
+    presentations = []
+    real = quiver._stratum_pass
+    with monkeypatch.context() as m:
+        m.setattr(quiver, "_stratum_pass", lambda q, cap: presentations.append(q) or real(q, cap))
+        for field in (F2, F3, F5, QQ):
+            for n in range(1, 6):
+                kronecker(field, n)
+        for q, field in ((2, F5), (3, F5), (2, F7), (3, F7), (2, F3), (2, QQ)):
+            two_loop_q_algebra(field, q)
+    assert len(presentations) == 26
+    two = "vertices: v; arrows: x: v->v, y: v->v; relations: "
+    for field in (F3, QQ):
+        # a binomial x*y - 0·y*x is the monomial x*y
+        presentations.append(parse_quiver(two + "x*y - 0 y*x, x^2, y^2", field))
+        # a binomial whose two paths both contain a monomial relation
+        presentations.append(parse_quiver(
+            two + "x^2, y^2, x*y*x, y*x*y, x*x*y - 2 y*y*x", field))
+    # a degree-1 monomial, which the parser does not take
+    loops = parse_quiver(two + "y^3", F5)
+    x_dies = Relation(((F5.one(), (0,)),), 0, 0, 1)
+    presentations.append(quiver.QuiverPresentation(
+        loops.vertices, loops.arrows, loops.relations + (x_dies,), F5))
+    for q in presentations:
+        assert _matches_reference(q), q
+    # past PATH_CAP, and with no bound below the cap (with and without dead paths)
+    three = "vertices: v; arrows: x: v->v, y: v->v, z: v->v; relations: x^10"
+    assert not _matches_reference(parse_quiver(three, F2))
+    assert not _matches_reference(parse_quiver("vertices: v; arrows: x: v->v; relations:", QQ))
+    assert not _matches_reference(parse_quiver(two + "x^2", F3), cap=6)
+
+
+@pytest.mark.parametrize("text", [LOOP3, "vertices: v; arrows: x: v->v, y: v->v; "
+                                          "relations: x*x, x*y, y*x, y*y"])
+def test_monomial_relations_make_no_echelon(monkeypatch, text):
+    # a presentation whose relations are all monomials is decided by its
+    # dead paths alone
+    real = quiver.echelon_for
+    for field in (F2, QQ):
+        made = []
+        monkeypatch.setattr(quiver, "echelon_for", lambda F, w: made.append(w) or real(F, w))
+        st = quiver._stratum_pass(parse_quiver(text, field), quiver.DEFAULT_CAP)
+        assert made == [], field
+        assert st.echelons == [None] * (st.bound + 1)
