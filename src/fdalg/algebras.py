@@ -25,12 +25,15 @@ from .errors import (
     NotAGroup,
     NotIdempotent,
     ParentMismatch,
+    TooLarge,
 )
 from .fields import Field
 from .linalg import Matrix, Subspace, span
 from . import linalg
 
-VALIDATE_FULL_CAP = 64
+# The most terms the associativity sweep may visit: its worst case at
+# dimension 64, d^2 + 2·d^5, so every tensor of dimension <= 64 is checked.
+VALIDATE_TERM_BOUND = 64 ** 2 + 2 * 64 ** 5
 
 
 @dataclass
@@ -38,7 +41,6 @@ class ValidationReport:
     ok: bool
     associativity_failures: List[Tuple[int, int, int]]
     unit_failures: List[int]
-    checked_all_triples: bool
 
     def __bool__(self):
         return self.ok
@@ -251,38 +253,48 @@ class Algebra:
 
     # -- validation -------------------------------------------------------
 
-    def validate(self, full: Optional[bool] = None, sample_seed: int = 0) -> ValidationReport:
-        """Check associativity and two-sided unit on basis triples.
+    def validate(self) -> ValidationReport:
+        """Check associativity and the two-sided unit on every basis triple.
 
-        Every basis triple is checked up to dim 64 by default; beyond that a
-        seeded sample of 4096 triples is used unless ``full=True`` forces the
-        whole check.  Both read the index ``_nz`` and visit only the terms
-        that compose: the full check costs d^2 steps over (i, j) plus its
-        terms, sum over (i, j, m, k) of |nz(b_m b_k)| with c_ijm != 0 and
-        sum over (j, k, m, i) of |nz(b_i b_m)| with c_jkm != 0, so a sparse
-        tensor costs far less than its d^3 triples; the unit check costs the
-        nonzero constants of the unit's support.
-        The report for the default arguments is cached on the algebra.
+        Both checks read the index ``_nz`` and visit only the terms that
+        compose.  The associativity sweep costs d^2 steps over (i, j) plus
+        sum over m of col_m·(R_m + C_m) terms, where col_m counts the (i, j)
+        with c_ijm != 0, R_m = sum_k |nz(b_m b_k)| and C_m = sum_i
+        |nz(b_i b_m)|; so a sparse tensor costs far less than its d^3
+        triples.  When that count exceeds ``VALIDATE_TERM_BOUND`` (possible
+        only above dimension 64) the check raises TooLarge before it starts.
+        The unit check costs the nonzero constants of the unit's support.
+        The report is cached on the algebra.
         """
-        if full is None and sample_seed == 0:
-            cached = self._cache.get("validation")
-            if cached is None:
-                cached = self._validate(self.dim <= VALIDATE_FULL_CAP, 0)
-                self._cache["validation"] = cached
-            return cached
-        if full is None:
-            full = self.dim <= VALIDATE_FULL_CAP
-        return self._validate(full, sample_seed)
-
-    def _validate(self, full: bool, sample_seed: int) -> ValidationReport:
-        p = self.field.p if self.field.is_prime_field else 0
-        if full:
+        cached = self._cache.get("validation")
+        if cached is None:
+            d = self.dim
+            if d * d + 2 * d ** 5 > VALIDATE_TERM_BOUND:
+                terms = self._assoc_terms()
+                if terms > VALIDATE_TERM_BOUND:
+                    raise TooLarge(f"associativity check of dim {d} visits {terms} terms, "
+                                   f"above the bound {VALIDATE_TERM_BOUND}")
+            p = self.field.p if self.field.is_prime_field else 0
             assoc_failures = self._full_assoc_failures(p)
-        else:
-            assoc_failures = self._sparse_assoc_failures(self._validate_triples(sample_seed), p)
-        unit_failures = self._unit_failures(p)
-        ok = not assoc_failures and not unit_failures
-        return ValidationReport(ok, assoc_failures, unit_failures, full)
+            unit_failures = self._unit_failures(p)
+            cached = ValidationReport(not assoc_failures and not unit_failures,
+                                      assoc_failures, unit_failures)
+            self._cache["validation"] = cached
+        return cached
+
+    def _assoc_terms(self) -> int:
+        """The cost of ``_full_assoc_failures``, d^2 + sum_m col_m·(R_m + C_m),
+        read off the index in O(nnz)."""
+        d = self.dim
+        col, rows, cols = [0] * d, [0] * d, [0] * d
+        for i, plane in enumerate(self._nz):
+            for j, ij in enumerate(plane):
+                if ij:
+                    rows[i] += len(ij)
+                    cols[j] += len(ij)
+                    for m, _ in ij:
+                        col[m] += 1
+        return d * d + sum(c * (r + s) for c, r, s in zip(col, rows, cols))
 
     def _unit_failures(self, p: int) -> List[int]:
         """The i with u·b_i != b_i or b_i·u != b_i, read off the index:
@@ -344,42 +356,10 @@ class Algebra:
                             return failures
         return failures
 
-    def _sparse_assoc_failures(self, triples, p: int) -> List[Tuple[int, int, int]]:
-        """The first 50 of ``triples``, in order, where (b_i b_j) b_k !=
-        b_i (b_j b_k): sum_m c_ijm (b_m b_k) and sum_m c_jkm (b_i b_m) read
-        off the index, their difference accumulated unreduced and tested
-        once, mod p over F_p (``p`` is 0 over Q)."""
-        nz = self._nz
-        failures: List[Tuple[int, int, int]] = []
-        for (i, j, k) in triples:
-            if not (nz[i][j] or nz[j][k]):
-                continue  # b_i b_j = b_j b_k = 0: both sides are zero
-            diff: dict = {}
-            for m, c in nz[i][j]:
-                for l, x in nz[m][k]:
-                    diff[l] = diff.get(l, 0) + c * x
-            row_i = nz[i]
-            for m, c in nz[j][k]:
-                for l, x in row_i[m]:
-                    diff[l] = diff.get(l, 0) - c * x
-            if _any_nonzero(diff.values(), p):
-                failures.append((i, j, k))
-                if len(failures) >= 50:
-                    break
-        return failures
-
     def _unit_vec(self, i: int):
         v = [self.field.zero()] * self.dim
         v[i] = self.field.one()
         return tuple(v)
-
-    def _validate_triples(self, seed: int) -> List[Tuple[int, int, int]]:
-        """The 4096 seeded random triples of the sampled check."""
-        import random
-
-        d = self.dim
-        rng = random.Random(seed)
-        return [(rng.randrange(d), rng.randrange(d), rng.randrange(d)) for _ in range(4096)]
 
     # -- derived subspaces -----------------------------------------------
 

@@ -213,13 +213,18 @@ def _skip(lines, name, why: str):
 
 
 def verify_theorem_suite(a: Algebra, seed: int = 0) -> TheoremReport:
-    """Evaluate every applicable structural identity on one algebra."""
+    """Evaluate every applicable structural identity on one algebra.
+
+    Every identity assumes a unital associative algebra, so when the tensor
+    fails ``validate`` the report holds that one failing line."""
     lines: List[CheckLine] = []
     rep = a.validate()
     _check(lines, "tensor_is_associative_unital", rep.ok,
            "structure constants define a unital associative algebra"
            if rep.ok else (f"associativity failures: {rep.associativity_failures[:3]}, "
                            f"unit failures: {rep.unit_failures[:3]}"))
+    if not rep.ok:
+        return TheoremReport(lines)
 
     series = codim_series(a, seed)
     ll = loewy_length(a)

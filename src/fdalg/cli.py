@@ -1,8 +1,9 @@
 """Command-line surface: ingest algebras, run analyses, emit reports.
 
-Exit codes: 0 success, 1 invalid input, 2 required hypothesis unavailable
-(e.g. split-only analysis of a non-split algebra), 3 theorem-check failure,
-4 I/O error, 5 internal inconsistency (a certificate step failed: a bug).
+Exit codes: 0 success, 1 invalid input or too large to check, 2 required
+hypothesis unavailable (e.g. split-only analysis of a non-split algebra),
+3 theorem-check failure, 4 I/O error, 5 internal inconsistency (a
+certificate step failed: a bug).
 """
 from __future__ import annotations
 

@@ -797,9 +797,9 @@ def _searched_idempotents(a: Algebra, seed: int) -> _Record:
         shrink = unit - total
         x = shrink * x * shrink
         for _ in range(max_iter):
-            if x * x == x:
-                break
             sq = x * x
+            if sq == x:
+                break
             x = sq.scale(3) - (sq * x).scale(2)
         else:
             raise InternalInconsistency("idempotent lifting did not converge")

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from fdalg.algebras import (
+    VALIDATE_TERM_BOUND,
     Algebra,
     Element,
     corner,
@@ -12,7 +13,7 @@ from fdalg.algebras import (
     matrix_algebra,
 )
 from fdalg.corpus import lower_triangular, truncated_polynomial, S3_TABLE
-from fdalg.errors import NotAGroup, NotIdempotent, ParentMismatch
+from fdalg.errors import NotAGroup, NotIdempotent, ParentMismatch, TooLarge
 from fdalg.fields import GF, QQ
 from fdalg.invariants import k_of
 from fdalg.linalg import span
@@ -175,7 +176,7 @@ def test_group_commutator_codim_is_class_count():
 BIG_P = GF(2147483659)
 
 
-def _reference_validate(a, full, sample_seed):
+def _reference_validate(a):
     """Two dense products per side for every triple, as the check once ran."""
     unit_failures = []
     for i in range(a.dim):
@@ -183,8 +184,7 @@ def _reference_validate(a, full, sample_seed):
         if a.multiply_coords(a.unit, b) != b or a.multiply_coords(b, a.unit) != b:
             unit_failures.append(i)
     d = a.dim
-    triples = ([(i, j, k) for i in range(d) for j in range(d) for k in range(d)] if full
-               else a._validate_triples(sample_seed))
+    triples = [(i, j, k) for i in range(d) for j in range(d) for k in range(d)]
     assoc = []
     for (i, j, k) in triples:
         bi, bj, bk = a._unit_vec(i), a._unit_vec(j), a._unit_vec(k)
@@ -242,17 +242,66 @@ def _many_failures(field):
 def test_sparse_validate_matches_per_triple_loop(corpus, field):
     rng = random.Random(field.p + 11)
     algebras = _corrupted_copies(corpus, field, 24, rng) + [_many_failures(field)]
-    assert len(_reference_validate(algebras[-1], True, 0)[1]) == 50
+    assert len(_reference_validate(algebras[-1])[1]) == 50
     saw_failure = saw_ok = False
     for a in algebras:
-        for full, sample_seed in ((True, 0), (False, 7)):
-            rep = a.validate(full=full, sample_seed=sample_seed)
-            ok, assoc, unit = _reference_validate(a, full, sample_seed)
-            assert rep.associativity_failures == assoc, (a, full)
-            assert rep.unit_failures == unit and rep.ok == ok
-            saw_failure |= bool(assoc)
-            saw_ok |= ok
+        rep = a.validate()
+        ok, assoc, unit = _reference_validate(a)
+        assert rep.associativity_failures == assoc, a
+        assert rep.unit_failures == unit and rep.ok == ok
+        saw_failure |= bool(assoc)
+        saw_ok |= ok
     assert saw_failure and saw_ok
+
+
+@pytest.mark.parametrize("field", [QQ, F5, BIG_P], ids=["Q", "Fp:5", "Fp:2147483659"])
+def test_suite_stops_at_an_invalid_tensor(corpus, field):
+    from fdalg.classify import verify_theorem_suite
+
+    rng = random.Random(field.p + 11)
+    invalid = [a for a in _corrupted_copies(corpus, field, 24, rng) + [_many_failures(field)]
+               if not a.validate().ok]
+    assert invalid
+    for a in invalid:
+        suite = verify_theorem_suite(a)
+        assert not suite.ok
+        assert [line.name for line in suite.lines] == ["tensor_is_associative_unital"]
+
+
+def _truncated_100(value=1):
+    """F_5[x]/(x^100) with c_(50,49,99) set to ``value``."""
+    d = 100
+    mul = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for i in range(d):
+        for j in range(d - i):
+            mul[i][j][i + j] = 1
+    mul[50][49][99] = value
+    return Algebra(F5, mul, [1] + [0] * (d - 1))
+
+
+def _dense_ones(d):
+    """The dimension-d tensor over F_5 with every constant 1: not associative,
+    and its associativity sweep visits d^2 + 2·d^5 terms."""
+    return Algebra(F5, [[[1] * d for _ in range(d)] for _ in range(d)], [1] + [0] * (d - 1))
+
+
+def test_sparse_tensors_above_dim_64_are_checked_in_full():
+    assert _truncated_100().validate().ok
+    rep = _truncated_100(2).validate()
+    assert not rep.ok and len(rep.associativity_failures) == 50
+    assert rep.associativity_failures[0] == (1, 49, 49)
+
+
+def test_dense_tensor_over_the_bound_is_refused_before_the_sweep(monkeypatch):
+    calls = []
+    monkeypatch.setattr(Algebra, "_full_assoc_failures",
+                        lambda self, p: calls.append(p) or [])
+    a = _dense_ones(65)
+    assert a._assoc_terms() == 65 ** 2 + 2 * 65 ** 5 > VALIDATE_TERM_BOUND
+    with pytest.raises(TooLarge, match="visits 2320585475 terms"):
+        a.validate()
+    assert calls == []
+    assert _dense_ones(64)._assoc_terms() == VALIDATE_TERM_BOUND
 
 
 def _dense_center(a):

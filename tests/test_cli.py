@@ -133,6 +133,28 @@ def test_suite_names_unit_failures():
     assert "unit failures: [1]" in line.detail
 
 
+@pytest.mark.parametrize("command", ["check", "report"])
+def test_invalid_tensor_above_dim_64_rejected(tmp_path, capsys, command):
+    from test_algebras import _truncated_100
+
+    path = tmp_path / "bad100.txt"
+    path.write_text(write_algebra_text(_truncated_100(2)))
+    code, stdout, _ = run([command, str(path)], capsys)
+    assert code == 1
+    assert "associativity fails at basis triple (1, 49, 49)" in stdout
+
+
+def test_check_refuses_a_tensor_too_large_to_check(tmp_path, capsys):
+    from test_algebras import _dense_ones
+
+    path = tmp_path / "dense65.txt"
+    path.write_text(write_algebra_text(_dense_ones(65)))
+    code, stdout, stderr = run(["check", str(path)], capsys)
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("error: associativity check of dim 65 visits")
+    assert "Traceback" not in stderr
+
+
 def test_check_valid(tmp_path, capsys):
     path = tmp_path / "ok.txt"
     run(["generate", "s3", "--field", "Fp:3", "-o", str(path)], capsys)
