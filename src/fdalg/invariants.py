@@ -147,7 +147,10 @@ def p_power_space(a: Algebra) -> Subspace:
 
 
 def acyc_cyc_space(a: Algebra, idems: IdempotentSet, n: int) -> Subspace:
-    """Off-diagonal Peirce span plus the level-n diagonal radical span.
+    """The sum of the off-diagonal Peirce blocks e_i·A·e_j (i != j) and the
+    level-n diagonal spaces e_i·J^n·e_i, as one ``subspace_sum``: on a
+    record read off the basis of a graded algebra every summand is a
+    coordinate subspace, and so is the sum.
 
     Reads the memoized ``peirce_grid`` and ``peirce_radical_diagonal`` of
     ``idems.seed``.  Requires a basic algebra (every primitive idempotent its
@@ -156,10 +159,8 @@ def acyc_cyc_space(a: Algebra, idems: IdempotentSet, n: int) -> Subspace:
     if len(idems.iso_classes) != len(idems.idempotents):
         raise NotBasic("requires one primitive idempotent per iso class")
     grid = peirce_grid(a, idems.seed)
-    vecs = [v for i, row in enumerate(grid) for j, sub in enumerate(row) if i != j
-            for v in sub.basis_vectors()]
-    vecs += [v for sub in peirce_radical_diagonal(a, n, idems.seed) for v in sub.basis_vectors()]
-    return span(a.field, a.dim, vecs)
+    return subspace_sum(*(sub for i, row in enumerate(grid) for j, sub in enumerate(row) if i != j),
+                        *peirce_radical_diagonal(a, n, idems.seed))
 
 
 def peirce_codim_bound(a: Algebra, n: int, seed: int = 0) -> int:

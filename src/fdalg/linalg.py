@@ -3,6 +3,11 @@
 Everything downstream (radicals, commutator spaces, Cartan data) reduces to
 the operations here.  Subspaces are stored only as reduced row echelon bases,
 so two subspaces are equal iff their ``Subspace`` values compare equal.
+
+A coordinate subspace, the span of unit vectors, is known as one where it is
+built: by ``coordinate_subspace``, and by sums and intersections of
+coordinate subspaces.  Its queries read positions and build no echelon, and
+sums and intersections with it zero or read positions too.
 """
 from __future__ import annotations
 
@@ -11,7 +16,7 @@ from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import _kernels
-from .errors import AmbientMismatch
+from .errors import AmbientMismatch, BadParameter
 from .fields import Field
 
 
@@ -117,6 +122,10 @@ class Subspace:
     ambient_dim: int
     basis: Matrix
 
+    # True in the instance dict of a coordinate subspace, set only by the
+    # builders named in the module docstring; never found by scanning rows
+    _coordinate = False
+
     @property
     def dim(self) -> int:
         return self.basis.rows
@@ -147,12 +156,30 @@ class Subspace:
             raise AmbientMismatch(f"vector length {len(vec)} vs ambient {self.ambient_dim}")
         return _kernel_row(self.field, vec)
 
+    def _entries(self, row: Sequence, positions: Iterable[int]) -> Tuple:
+        """The canonical entries of a kernel row at the given positions."""
+        p = self.field.p
+        if p:
+            return tuple(row[i] % p for i in positions)
+        return tuple(map(row.__getitem__, positions))
+
+    def _holds(self, row: Sequence) -> bool:
+        if self._coordinate:
+            return not any(self._entries(row, self._complement))
+        return not any(self._acc.reduce(row))
+
     def reduce(self, vec: Sequence) -> Tuple:
         """Remainder of ``vec`` after reduction by the basis."""
-        return tuple(self._acc.reduce(self._row(vec)))
+        row = self._row(vec)
+        if self._coordinate:
+            red = list(self._entries(row, range(self.ambient_dim)))
+            for i in self.pivots:
+                red[i] = 0
+            return tuple(red)
+        return tuple(self._acc.reduce(row))
 
     def contains(self, vec: Sequence) -> bool:
-        return not any(self.reduce(vec))
+        return self._holds(self._row(vec))
 
     def coords_of(self, vec: Sequence) -> Optional[Tuple]:
         """Coordinates of ``vec`` in the RREF basis, or None if outside.
@@ -160,13 +187,8 @@ class Subspace:
         With a fully reduced basis the coefficient of row j is just the
         entry of ``vec`` at that row's pivot column.
         """
-        vec = self._row(vec)
-        if any(self._acc.reduce(vec)):
-            return None
-        p = self.field.p
-        if p:
-            return tuple(vec[i] % p for i in self.pivots)
-        return tuple(map(vec.__getitem__, self.pivots))
+        row = self._row(vec)
+        return self._entries(row, self.pivots) if self._holds(row) else None
 
     def complement_positions(self) -> Tuple[int, ...]:
         """Coordinate positions whose unit vectors complement this subspace."""
@@ -203,16 +225,39 @@ def span(field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> Subspac
     return _subspace_from_acc(field, ambient_dim, _accumulate(field, ambient_dim, vectors))
 
 
+def _unit_rows(field: Field, ambient_dim: int, positions: Sequence[int]) -> Tuple[Tuple, ...]:
+    zeros, one = (field.zero(),) * ambient_dim, (field.one(),)
+    return tuple([zeros[:q] + one + zeros[q + 1:] for q in positions])
+
+
+def _with_pivots(field: Field, ambient_dim: int, rows: Sequence[Tuple],
+                 pivots: Tuple[int, ...]) -> Subspace:
+    sub = Subspace(field, ambient_dim, Matrix(field, len(rows), ambient_dim, tuple(rows)))
+    sub.__dict__["pivots"] = pivots
+    return sub
+
+
+def _units(field: Field, ambient_dim: int, pivots: Tuple[int, ...]) -> Subspace:
+    """The coordinate subspace on positions already known to be valid."""
+    sub = _with_pivots(field, ambient_dim, _unit_rows(field, ambient_dim, pivots), pivots)
+    sub.__dict__["_coordinate"] = True
+    return sub
+
+
 def coordinate_subspace(field: Field, ambient_dim: int, positions: Iterable[int]) -> Subspace:
-    """The span of the unit vectors at the given increasing positions; those
+    """The span of the unit vectors at the given positions, which must
+    increase strictly within 0..ambient_dim-1 (else BadParameter); those
     unit vectors are already its RREF basis."""
-    z, o = field.zero(), field.one()
-    rows = tuple(tuple(o if i == pos else z for i in range(ambient_dim)) for pos in positions)
-    return Subspace(field, ambient_dim, Matrix(field, len(rows), ambient_dim, rows))
+    pivots = tuple(positions)
+    if pivots and (pivots[0] < 0 or pivots[-1] >= ambient_dim
+                   or list(pivots) != sorted(set(pivots))):
+        raise BadParameter(f"coordinate positions {list(pivots)} are not strictly increasing "
+                           f"within 0..{ambient_dim - 1}")
+    return _units(field, ambient_dim, pivots)
 
 
 def zero_subspace(field: Field, ambient_dim: int) -> Subspace:
-    return coordinate_subspace(field, ambient_dim, ())
+    return _units(field, ambient_dim, ())
 
 
 def full_subspace(field: Field, ambient_dim: int) -> Subspace:
@@ -253,29 +298,74 @@ def kernel(m: Matrix) -> Subspace:
     return span(F, n, null_vectors(F, n, _accumulate(F, n, m.entries)))
 
 
-def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
-    if u.ambient_dim != v.ambient_dim:
+def _check_ambient(spaces: Sequence[Subspace]) -> None:
+    if any(s.ambient_dim != spaces[0].ambient_dim for s in spaces):
         raise AmbientMismatch("ambient dimensions differ")
-    return span(u.field, u.ambient_dim, list(u.basis.entries) + list(v.basis.entries))
+
+
+def subspace_sum(*spaces: Subspace) -> Subspace:
+    """The sum of one or more subspaces.
+
+    The coordinate summands give unit rows on positions P.  The other rows,
+    with P zeroed, are row-reduced and merged with those unit rows: no pivot
+    column of either set is nonzero in the other, so the merge is the RREF.
+    """
+    _check_ambient(spaces)
+    F, d = spaces[0].field, spaces[0].ambient_dim
+    positions = set()
+    rows = []
+    for s in spaces:
+        if s._coordinate:
+            positions.update(s.pivots)
+        else:
+            rows.extend(s.basis.entries)
+    if not rows:
+        return _units(F, d, tuple(sorted(positions)))
+    if not positions:
+        return span(F, d, rows)
+    zeroed = []
+    for row in rows:
+        row = list(row)
+        for q in positions:
+            row[q] = 0
+        zeroed.append(row)
+    acc = _accumulate(F, d, zeroed)
+    if not acc.rank:
+        return _units(F, d, tuple(sorted(positions)))
+    by_pivot = dict(zip(acc.pivots(), map(tuple, acc.rows())))
+    units = sorted(positions)
+    by_pivot.update(zip(units, _unit_rows(F, d, units)))
+    pivots = tuple(sorted(by_pivot))
+    return _with_pivots(F, d, [by_pivot[q] for q in pivots], pivots)
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
-    """Intersection via the kernel of the stacked-basis coefficient system.
+    """U ∩ V.  Of two coordinate subspaces it is the coordinate subspace on
+    their shared positions; of a coordinate U and any V, the vectors of V
+    zero off U's positions; otherwise the kernel of the stacked-basis
+    coefficient system.
 
     Row vectors (a | b) with a·U = b·V form the kernel of [U; V]^T; the
     intersection is the image of the a-part.
     """
-    if u.ambient_dim != v.ambient_dim:
-        raise AmbientMismatch("ambient dimensions differ")
-    F = u.field
+    _check_ambient((u, v))
+    F, d = u.field, u.ambient_dim
     ru, rv = u.dim, v.dim
     if ru == 0 or rv == 0:
-        return zero_subspace(F, u.ambient_dim)
-    stacked = Matrix(F, ru + rv, u.ambient_dim,
-                     tuple(list(u.basis.entries) + list(v.basis.entries)))
+        return zero_subspace(F, d)
+    if v._coordinate:
+        u, v = v, u
+    if u._coordinate:
+        if v._coordinate:
+            return _units(F, d, tuple(sorted(set(u.pivots).intersection(v.pivots))))
+        # the coefficients c of V's rows with sum_j c_j·v_j zero off U's positions
+        vrows = v.basis.entries
+        acc = _accumulate(F, v.dim, ([row[q] for row in vrows] for q in u._complement))
+        return span(F, d, combine(F, null_vectors(F, v.dim, acc), vrows))
+    stacked = Matrix(F, ru + rv, d, tuple(list(u.basis.entries) + list(v.basis.entries)))
     null = kernel(stacked.transpose())
     coeffs = [row[:ru] for row in null.basis.entries]
-    return span(F, u.ambient_dim, combine(F, coeffs, u.basis.entries))
+    return span(F, d, combine(F, coeffs, u.basis.entries))
 
 
 def combine(field: Field, coeff_rows: Iterable[Sequence], vecs: Sequence[Sequence]) -> List[Tuple]:

@@ -59,8 +59,10 @@ field where A is not split, is grouped the same way, has no table and is
 not certified.  ``wedderburn_split`` maps each class sum into A/J.
 
 ``peirce_grid`` is that table over the basic representatives of
-``primitive_idempotents``, and ``peirce_radical_diagonal`` spans each
-e_i·J^n·e_i over them, once per (algebra, n, seed).  The Cartan matrix, the
+``primitive_idempotents``, and ``peirce_radical_diagonal`` reads each
+e_i·J^n·e_i = J^n ∩ e_i·A·e_i off it, once per (algebra, n, seed): with no
+product, and on a record read off the basis of a graded algebra, where both
+are coordinate subspaces, as their shared positions.  The Cartan matrix, the
 Ext^1 diagonal, the diagonal codimension bound, the basic-algebra span
 ``acyc_cyc_space`` and progenerator inflation all read those two.
 """
@@ -86,6 +88,7 @@ from .linalg import (
     kernel,
     solve_in_span,
     span,
+    subspace_intersect,
 )
 from .polyfactor import (
     degree,
@@ -289,7 +292,8 @@ def _radical_charp(a: Algebra) -> List[Subspace]:
         sub = span(F, d, vecs)
         if not _ideal_contains_products(a, sub):
             raise InternalInconsistency("a power-trace stage space is not a two-sided ideal")
-        chain = _nilpotency_chain(a, sub)
+        # all of A holds 1, so it is never nilpotent
+        chain = _nilpotency_chain(a, sub) if sub.dim < d else None
         if chain is not None:
             return chain
         vecs = _kernel_combos(F, _power_trace_gram(a, sub, power), sub.basis_vectors())
@@ -1103,11 +1107,6 @@ def peirce_component(a: Algebra, e: Element, f: Element) -> Subspace:
     return peirce_rows(a, e.coords, f.coords)
 
 
-def _basic_representatives(a: Algebra, seed: int) -> List[Tuple]:
-    idems = primitive_idempotents(a, seed)
-    return [idems.idempotents[r].coords for r in idems.basic_representatives]
-
-
 def _peirce_table(a: Algebra, es: Sequence[Tuple]) -> Tuple[Tuple[Subspace, ...], ...]:
     """table[r][s] = e_r·A·e_s as the span of e_r·x over a basis x of A·e_s,
     spanned once per s: l·d + l·sum_s dim A·e_s products, not 2·l^2·d."""
@@ -1115,12 +1114,6 @@ def _peirce_table(a: Algebra, es: Sequence[Tuple]) -> Tuple[Tuple[Subspace, ...]
     right = [span(F, d, [a.multiply_coords(a._unit_vec(j), f) for j in range(d)]) for f in es]
     return tuple(tuple(span(F, d, [a.multiply_coords(e, x) for x in r.basis.entries])
                        for r in right) for e in es)
-
-
-def _sandwich_diagonal(a: Algebra, sub: Subspace, es: List[Tuple]) -> Tuple[Subspace, ...]:
-    """The spans of e·w·e over a basis w of the subspace, for each e."""
-    rows = sub.basis_vectors()
-    return tuple(span(a.field, a.dim, [a.sandwich_coords(e, w, e) for w in rows]) for e in es)
 
 
 def peirce_grid(a: Algebra, seed: int = 0) -> Tuple[Tuple[Subspace, ...], ...]:
@@ -1131,13 +1124,16 @@ def peirce_grid(a: Algebra, seed: int = 0) -> Tuple[Tuple[Subspace, ...], ...]:
 
 
 def peirce_radical_diagonal(a: Algebra, n: int, seed: int = 0) -> Tuple[Subspace, ...]:
-    """diag[i] = e_i·J^n·e_i over the basic representatives, spanned by the
-    e_i·w·e_i for w in a basis of J^n; memoized per (n, seed).  It equals
-    J^n ∩ e_i·A·e_i (Lam, *A First Course in Noncommutative Rings*, §21)."""
+    """diag[i] = e_i·J^n·e_i over the basic representatives, as
+    J^n ∩ e_i·A·e_i (Lam, *A First Course in Noncommutative Rings*, §21)
+    with e_i·A·e_i read from ``peirce_grid``; memoized per (n, seed).  When
+    J^n and the block are both coordinate subspaces, as on a graded algebra
+    whose record is read off the basis, that is the positions they share."""
     key = ("peirce_radical_diagonal", n, seed)
     diag = a._cache.get(key)
     if diag is None:
-        diag = _sandwich_diagonal(a, radical_power(a, n), _basic_representatives(a, seed))
+        jn = radical_power(a, n)
+        diag = tuple(subspace_intersect(jn, row[i]) for i, row in enumerate(peirce_grid(a, seed)))
         a._cache[key] = diag
     return diag
 

@@ -1,17 +1,20 @@
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdalg.errors import AmbientMismatch
+from fdalg.errors import AmbientMismatch, BadParameter
 from fdalg.fields import Field, GF, QQ
 from fdalg.linalg import (
     Matrix,
     Subspace,
     codim,
+    combine,
     contains,
+    coordinate_subspace,
     kernel,
     rref,
     solve_in_span,
@@ -201,3 +204,81 @@ def test_public_entry_points_canonicalize_input():
     assert half.reduce((0, Fraction(1, 2))) == (0, Fraction(1, 2))
     r = half.reduce((-1, Fraction(1, 2)))
     assert r == (0, 1) and _types([r]) == {int}
+
+
+# -- coordinate subspaces against the echelon -------------------------------------
+
+
+@pytest.mark.parametrize("positions", [[3, 1], [1, 1], [7], [4], [-1, 2]])
+def test_coordinate_subspace_rejects_bad_positions(positions):
+    with pytest.raises(BadParameter):
+        coordinate_subspace(F5, 4, positions)
+
+
+def test_coordinate_subspace_is_the_span_of_its_unit_vectors():
+    sub = coordinate_subspace(F5, 4, [1, 3])
+    ref = span(F5, 4, [[0, 1, 0, 0], [0, 0, 0, 1]])
+    assert sub == ref and sub.pivots == ref.pivots == (1, 3)
+    assert sub._coordinate and not ref._coordinate  # never found by scanning rows
+    assert coordinate_subspace(F5, 0, []).dim == 0
+
+
+def _scalar(field, rng):
+    """A random scalar in one of the forms the public entry points accept."""
+    if field.p:
+        return rng.choice([0, 0, 1, rng.randrange(-3 * field.p, 3 * field.p)])
+    return rng.choice([0, 0, 1, rng.randint(-4, 4), Fraction(rng.randint(-4, 4), rng.randint(1, 3))])
+
+
+def _random_subspace(field, d, rng, kind):
+    if kind == "coordinate":
+        return coordinate_subspace(field, d, sorted(rng.sample(range(d), rng.randint(0, d))))
+    vecs = [[_scalar(field, rng) for _ in range(d)] for _ in range(rng.randint(0, d))]
+    return span(field, d, vecs)
+
+
+def _echelon_copy(sub):
+    """The same subspace without the coordinate fact, so every query row-reduces."""
+    ref = span(sub.field, sub.ambient_dim, sub.basis_vectors())
+    assert ref == sub and not ref._coordinate
+    return ref
+
+
+def _same(x, y):
+    return repr(x) == repr(y)
+
+
+@pytest.mark.parametrize("field", [QQ, F5, GF(2 ** 31 + 11)], ids=str)
+def test_coordinate_paths_match_the_echelon(field):
+    rng = random.Random(field.p or 7)
+    kinds = ("coordinate", "general")
+    counts = dict.fromkeys(("coordinate", "mixed", "general"), 0)
+    for _ in range(150):
+        d = rng.randint(1, 7)
+        u = _random_subspace(field, d, rng, rng.choice(kinds))
+        v = _random_subspace(field, d, rng, rng.choice(kinds))
+        w = _random_subspace(field, d, rng, rng.choice(kinds))
+        ur, vr, wr = map(_echelon_copy, (u, v, w))
+        n_coord = u._coordinate + v._coordinate
+        counts[("general", "mixed", "coordinate")[n_coord]] += 1
+        probes = [[_scalar(field, rng) for _ in range(d)] for _ in range(4)]
+        if u.dim:
+            probes.append(combine(field, [[_scalar(field, rng) for _ in range(u.dim)]],
+                                  u.basis_vectors())[0])
+        for vec in probes:
+            for query in ("reduce", "contains", "coords_of", "coset_coords"):
+                assert _same(getattr(u, query)(vec), getattr(ur, query)(vec)), (query, u, vec)
+        s = subspace_sum(u, v)
+        assert s == span(field, d, ur.basis_vectors() + vr.basis_vectors())
+        assert s.pivots == _echelon_copy(s).pivots and _same(s.basis, _echelon_copy(s).basis)
+        three = subspace_sum(u, v, w)
+        assert three == subspace_sum(ur, vr, wr) and three.pivots == _echelon_copy(three).pivots
+        i = subspace_intersect(u, v)
+        assert i == subspace_intersect(ur, vr) and _same(i.basis, _echelon_copy(i).basis)
+        assert i.dim + s.dim == u.dim + v.dim
+        # the fact is kept through sums and intersections, and never wrong
+        assert s._coordinate and i._coordinate or n_coord < 2
+        for out in (s, three, i):
+            assert not out._coordinate or all(sorted(row) == [0] * (d - 1) + [1]
+                                              for row in out.basis.entries)
+    assert min(counts.values()) >= 20, counts

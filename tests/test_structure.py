@@ -19,7 +19,7 @@ from fdalg.errors import InternalInconsistency, NotSplit, SplitUndecided
 from fdalg.fields import GF, QQ
 from fdalg.formats import parse_algebra_text, write_algebra_text
 from fdalg.invariants import acyc_cyc_space, codim_series, commutator_subspace
-from fdalg.linalg import span, subspace_intersect
+from fdalg.linalg import span
 from fdalg.morita import basic_algebra_data, inflate, inflation_dim
 from fdalg.oracle import RADICAL_ORACLE_CAP, radical_oracle
 from fdalg.structure import (
@@ -647,6 +647,14 @@ def _acyc_cyc_reference(a, idems, n):
     return span(a.field, a.dim, vecs)
 
 
+def _sandwich_reference(a, reps, n):
+    """e·J^n·e for each representative e, as the span of e·w·e over a basis
+    w of J^n: two products per w and no intersection."""
+    rows = radical_power(a, n).basis_vectors()
+    return [span(a.field, a.dim, [a.sandwich_coords(e.coords, w, e.coords) for w in rows])
+            for e in reps]
+
+
 def _wedderburn_reference(a):
     """(components, component dims) of A/J from all m² Peirce dims e_i·S·e_j,
     over the images in A/J of the record's idempotents."""
@@ -701,14 +709,34 @@ def test_peirce_table_matches_per_pair_spans(corpus):
             a, [e.coords for e in idems.idempotents]) is not None
         for n in range(1, loewy_length(a) + 1):
             diag = structure.peirce_radical_diagonal(a, n)
-            assert list(diag) == [subspace_intersect(radical_power(a, n), grid[i][i])
-                                  for i in range(len(reps))], (name, n)
+            assert list(diag) == _sandwich_reference(a, reps, n), (name, n)
             levels += 1
             if len(idems) == len(idems.iso_classes):
                 assert acyc_cyc_space(a, idems, n) == _acyc_cyc_reference(a, idems, n), (name, n)
                 basic += 1
     assert grids >= 100 and basic >= 250 and levels >= 300
     assert coordinate >= 100 and grids - coordinate >= 8, (coordinate, grids)
+
+
+def test_peirce_diagonal_on_random_basis_copies():
+    # blocks that are not coordinate subspaces take the echelon intersection
+    sources = [lower_triangular(F5, 3), kronecker(F3, 2), truncated_polynomial(F2, 4),
+               inflate(lower_triangular(F3, 2), [2, 1])]
+    sources += [random_quiver_algebra(F3, seed, max_dim=9) for seed in range(4)]
+    rng = random.Random(32)
+    spanned = 0
+    for src in sources:
+        a = _random_basis_copy(src, rng)
+        idems = primitive_idempotents(a)
+        reps = [idems.idempotents[r] for r in idems.basic_representatives]
+        grid = structure.peirce_grid(a)
+        spanned += not any(row[i]._coordinate for i, row in enumerate(grid))
+        for n in range(1, loewy_length(a) + 1):
+            diag = structure.peirce_radical_diagonal(a, n)
+            assert list(diag) == _sandwich_reference(a, reps, n), (src, n)
+            assert (sorted(x.dim for x in diag)
+                    == sorted(x.dim for x in structure.peirce_radical_diagonal(src, n)))
+    assert spanned >= 5, spanned
 
 
 def _permuted_text(a, rng):
