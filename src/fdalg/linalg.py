@@ -138,8 +138,7 @@ class Subspace:
 
     @cached_property
     def _complement(self) -> Tuple[int, ...]:
-        pivs = set(self.pivots)
-        return tuple(i for i in range(self.ambient_dim) if i not in pivs)
+        return tuple(sorted(set(range(self.ambient_dim)).difference(self.pivots)))
 
     def codim(self) -> int:
         return self.ambient_dim - self.dim
@@ -160,7 +159,7 @@ class Subspace:
         """The canonical entries of a kernel row at the given positions."""
         p = self.field.p
         if p:
-            return tuple(row[i] % p for i in positions)
+            return tuple([row[i] % p for i in positions])
         return tuple(map(row.__getitem__, positions))
 
     def _holds(self, row: Sequence) -> bool:
