@@ -163,6 +163,8 @@ class Subspace:
         return tuple(map(row.__getitem__, positions))
 
     def _holds(self, row: Sequence) -> bool:
+        """Whether a kernel row lies in the subspace; a coordinate subspace
+        holds the rows that are zero off its pivots."""
         if self._coordinate:
             return not any(self._entries(row, self._complement))
         return not any(self._acc.reduce(row))
